@@ -290,48 +290,15 @@ func WithoutTranslations() ReadOption {
 	return func(o *core.DecodeOptions) { o.IgnoreTranslations = true }
 }
 
-// WithChunkCache bounds the number of decompressed chunks cached in memory
-// during decoding (default 8). Ignored when WithSharedChunkCache provides
-// the cache itself.
-func WithChunkCache(n int) ReadOption {
-	return func(o *core.DecodeOptions) { o.ChunkCacheSize = n }
-}
-
-// ChunkCache holds decompressed chunks for a Reader, keyed by chunk ID.
-// Inject one with WithSharedChunkCache; see atc/internal/core for the
-// interface contract (cached slices are shared and immutable).
-type ChunkCache = core.ChunkCache
-
-// SharedChunkCache is a concurrency-safe LRU chunk cache meant to be
-// shared by a pool of Readers over one trace: a hot chunk decompresses
-// once per process instead of once per reader, and concurrent misses on
-// the same chunk deduplicate onto a single decompression.
-type SharedChunkCache = core.SharedChunkCache
-
-// NewSharedChunkCache returns a SharedChunkCache bounding n chunks
-// (minimum 1).
-func NewSharedChunkCache(n int) *SharedChunkCache { return core.NewSharedChunkCache(n) }
-
-// WithSharedChunkCache replaces the Reader's private chunk cache with a
-// caller-provided one — typically one NewSharedChunkCache shared by every
-// pooled Reader of the same trace, or a SharedChunkCacheBytes trace view
-// (ForTrace) when many traces share one byte budget. Do not share one
-// SharedChunkCache across different traces: chunk IDs would collide.
-// Overrides WithChunkCache.
-func WithSharedChunkCache(c ChunkCache) ReadOption {
-	return func(o *core.DecodeOptions) { o.ChunkCache = c }
-}
-
 // SharedChunkCacheBytes is a process-wide byte-budgeted chunk cache:
 // every Reader of every trace shares one memory cap, with entries keyed
 // by (trace, chunkID), accounted at len(addrs)*8 bytes each and evicted
-// LRU-by-bytes (pinned chunks survive pressure). Inject a per-trace view
-// from ForTrace with WithSharedChunkCache.
+// LRU-by-bytes. Inject a per-trace view from ForTrace with
+// WithChunkCache.
 type SharedChunkCacheBytes = core.SharedChunkCacheBytes
 
 // TraceChunkCache is one trace's view of a SharedChunkCacheBytes; it
-// satisfies WithSharedChunkCache and carries per-trace hit/load/eviction
-// and residency counters.
+// carries per-trace hit/load/eviction and residency counters.
 type TraceChunkCache = core.TraceChunkCache
 
 // NewSharedChunkCacheBytes returns a process-wide chunk cache holding at
@@ -340,26 +307,23 @@ func NewSharedChunkCacheBytes(budget int64) *SharedChunkCacheBytes {
 	return core.NewSharedChunkCacheBytes(budget)
 }
 
+// WithChunkCache makes the Reader decode through c — typically
+// ForTrace(name) of one SharedChunkCacheBytes shared by every pooled
+// Reader of that trace, so a hot chunk decompresses once per process
+// instead of once per reader. Without it a Reader keeps a private cache
+// of 8 chunks of the trace's interval or segment length.
+func WithChunkCache(c *TraceChunkCache) ReadOption {
+	return func(o *core.DecodeOptions) { o.ChunkCache = c }
+}
+
 // WithReadahead bounds how many decoded batches a background pipeline
 // decompresses ahead of Decode (default 2). For lossy and segmented
 // lossless traces it is also the number of spans (intervals/segments)
-// decoding concurrently. Negative n disables readahead and decodes
-// synchronously on the calling goroutine. The decoded stream is
+// decoding concurrently. Negative n disables readahead and runs the same
+// decode synchronously on the calling goroutine. The decoded stream is
 // identical either way.
 func WithReadahead(n int) ReadOption {
 	return func(o *core.DecodeOptions) { o.Readahead = n }
-}
-
-// WithBatchAddrs bounds the number of addresses per readahead batch
-// (default 64 Ki addresses, 512 KB per batch). Sub-span batching caps the
-// readahead pipeline's peak buffered memory at a small multiple of
-// n × 8 bytes regardless of the trace's interval or segment length:
-// lossless segments stream-decode directly into recycled batch buffers
-// and imitation translations write into them instead of whole-interval
-// copies. Negative n restores whole-span delivery (one interval or
-// segment per batch). The decoded stream is identical for every value.
-func WithBatchAddrs(n int) ReadOption {
-	return func(o *core.DecodeOptions) { o.BatchAddrs = n }
 }
 
 // WithReadStore reads the trace from s instead of the path passed to

@@ -329,10 +329,10 @@ func TestPublicRemoteReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer local.Close()
-	shared := atc.NewSharedChunkCache(16)
+	shared := atc.NewSharedChunkCacheBytes(1 << 20).ForTrace("trace")
 	var remote [2]*atc.Reader
 	for i := range remote {
-		r, err := atc.NewReader(srv.URL, atc.WithSharedChunkCache(shared))
+		r, err := atc.NewReader(srv.URL, atc.WithChunkCache(shared))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -463,13 +463,12 @@ func BenchmarkEncodeFrontendWorkers2(b *testing.B) { benchmarkEncodeFrontend(b, 
 func BenchmarkEncodeFrontendWorkers4(b *testing.B) { benchmarkEncodeFrontend(b, 4) }
 
 // benchmarkReadaheadBatch measures a full readahead decode of a
-// segmented lossless trace at a given batch size (negative = whole-span
-// delivery, the pre-batching pipeline). B/op is the point: batched
-// delivery streams segments through recycled BatchAddrs-sized buffers,
-// so allocation no longer scales with SegmentAddrs. The "store" backend
-// variants isolate the pipeline's own buffering from the back end's
-// decompression working memory, on segments 16× larger.
-func benchmarkReadaheadBatch(b *testing.B, backend string, segment, batch int) {
+// segmented lossless trace. B/op is the point: batched delivery streams
+// segments through recycled batch buffers, so allocation does not scale
+// with SegmentAddrs. The "store" backend variant isolates the pipeline's
+// own buffering from the back end's decompression working memory, on
+// segments 16× larger.
+func benchmarkReadaheadBatch(b *testing.B, backend string, segment int) {
 	addrs := benchTraceN(b, "429.mcf", segBenchSegments*segBenchAddrs)
 	mem := atc.NewMemStore()
 	w, err := atc.NewWriter("bench", atc.WithStore(mem),
@@ -491,8 +490,7 @@ func benchmarkReadaheadBatch(b *testing.B, backend string, segment, batch int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := atc.NewReader("bench", atc.WithReadStore(mem),
-			atc.WithReadahead(4), atc.WithBatchAddrs(batch))
+		r, err := atc.NewReader("bench", atc.WithReadStore(mem), atc.WithReadahead(4))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -515,22 +513,14 @@ func benchmarkReadaheadBatch(b *testing.B, backend string, segment, batch int) {
 }
 
 func BenchmarkReadaheadBatched(b *testing.B) {
-	benchmarkReadaheadBatch(b, "bsc", segBenchAddrs, 0) // default batch size
-}
-func BenchmarkReadaheadWholeSpan(b *testing.B) {
-	benchmarkReadaheadBatch(b, "bsc", segBenchAddrs, -1)
+	benchmarkReadaheadBatch(b, "bsc", segBenchAddrs)
 }
 func BenchmarkReadaheadBatchedBigSeg(b *testing.B) {
-	benchmarkReadaheadBatch(b, "store", segBenchSegments*segBenchAddrs/2, 4096)
-}
-func BenchmarkReadaheadWholeSpanBigSeg(b *testing.B) {
-	benchmarkReadaheadBatch(b, "store", segBenchSegments*segBenchAddrs/2, -1)
+	benchmarkReadaheadBatch(b, "store", segBenchSegments*segBenchAddrs/2)
 }
 
 // imitationBenchTrace repeats one distribution, so lossy mode stores a
-// single chunk plus imitation records for every later interval — the
-// workload where whole-span delivery paid a full interval copy per
-// imitation.
+// single chunk plus imitation records for every later interval.
 func imitationBenchTrace(intervals, intervalLen int) []uint64 {
 	rng := rand.New(rand.NewSource(2009))
 	addrs := make([]uint64, 0, intervals*intervalLen)
@@ -542,11 +532,11 @@ func imitationBenchTrace(intervals, intervalLen int) []uint64 {
 	return addrs
 }
 
-// benchmarkReadaheadImitation decodes an imitation-heavy lossy trace:
-// batched delivery translates imitations into recycled batch buffers on
-// concurrent span tasks instead of one whole-interval copy per record on
-// the producer goroutine.
-func benchmarkReadaheadImitation(b *testing.B, batch int) {
+// BenchmarkReadaheadBatchedImitation decodes an imitation-heavy lossy
+// trace: batched delivery translates imitations into recycled batch
+// buffers on concurrent span tasks, with no whole-interval copy per
+// record.
+func BenchmarkReadaheadBatchedImitation(b *testing.B) {
 	const (
 		intervals   = 24
 		intervalLen = 10_000
@@ -574,8 +564,7 @@ func benchmarkReadaheadImitation(b *testing.B, batch int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := atc.NewReader("bench", atc.WithReadStore(mem),
-			atc.WithReadahead(4), atc.WithBatchAddrs(batch))
+		r, err := atc.NewReader("bench", atc.WithReadStore(mem), atc.WithReadahead(4))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -596,9 +585,6 @@ func benchmarkReadaheadImitation(b *testing.B, batch int) {
 		}
 	}
 }
-
-func BenchmarkReadaheadBatchedImitation(b *testing.B)   { benchmarkReadaheadImitation(b, 0) }
-func BenchmarkReadaheadWholeSpanImitation(b *testing.B) { benchmarkReadaheadImitation(b, -1) }
 
 // BenchmarkReadaheadBatchedReused is BenchmarkReadaheadBatched with one
 // long-lived Reader rewound between iterations instead of reopened: the
@@ -624,8 +610,7 @@ func BenchmarkReadaheadBatchedReused(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	r, err := atc.NewReader("bench", atc.WithReadStore(mem),
-		atc.WithReadahead(4), atc.WithBatchAddrs(0))
+	r, err := atc.NewReader("bench", atc.WithReadStore(mem), atc.WithReadahead(4))
 	if err != nil {
 		b.Fatal(err)
 	}

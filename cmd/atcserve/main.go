@@ -5,8 +5,7 @@
 // memory with -mem, or an http(s) URL of an archive in object storage)
 // is registered under its base name and served through a pool of
 // pre-opened Readers, so concurrent range requests never share decoder
-// state while sharing one open store — and, by default, one shared chunk
-// cache — per trace.
+// state while sharing one open store and one shared chunk cache.
 //
 // Usage:
 //
@@ -39,11 +38,10 @@
 //	                                     covering address sub-window
 //
 // Every trace decodes through one process-wide chunk cache with a byte
-// budget (-cache-bytes, default 256 MiB of decoded addresses): hot chunks
-// stay resident across traces under one memory cap instead of a per-trace
-// chunk count. -cache-bytes 0 falls back to the legacy per-trace
-// count-bounded cache (-shared-cache). Per-trace metric series are capped
-// at -metric-traces names; later traces aggregate under trace="other".
+// budget (-cache-bytes, default 256 MiB of decoded addresses, must be
+// > 0): hot chunks stay resident across traces under one memory cap.
+// Per-trace metric series are capped at -metric-traces names; later
+// traces aggregate under trace="other".
 //
 // With -debug-addr set, a second listener serves operational diagnostics:
 // /metrics (Prometheus text format), /debug/obs (JSON metrics dump) and
@@ -92,6 +90,7 @@ import (
 	"time"
 
 	"atc"
+	"atc/internal/core"
 	"atc/internal/obs"
 	"atc/internal/store"
 	"atc/internal/trace"
@@ -112,9 +111,7 @@ func main() {
 	addr := flag.String("addr", ":8405", "listen address")
 	debugAddr := flag.String("debug-addr", "", "diagnostics listen address serving /metrics, /debug/obs and /debug/pprof (disabled when empty)")
 	readers := flag.Int("readers", 4, "pooled readers per trace (max concurrent range decodes)")
-	cache := flag.Int("cache", 0, "private decompressed-chunk cache size per reader (default 8; only used when -cache-bytes and -shared-cache are 0)")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "process-wide chunk cache budget in decoded bytes, shared by every trace (0 falls back to -shared-cache)")
-	sharedCache := flag.Int("shared-cache", 64, "per-trace chunk cache shared by all pooled readers, in chunks; only used when -cache-bytes is 0 (0 reverts to private per-reader caches)")
+	cacheBytes := flag.Int64("cache-bytes", 256<<20, "process-wide chunk cache budget in decoded bytes, shared by every pooled reader of every trace (must be > 0)")
 	metricTraces := flag.Int("metric-traces", 100, "per-trace labeled metric series cap: counters for traces beyond it collapse into trace=\"other\"")
 	mem := flag.Bool("mem", false, "load .atc archives fully into memory and serve from RAM")
 	maxRange := flag.Int64("max-range", 16<<20, "largest [from, to) window served per request, in addresses")
@@ -133,6 +130,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *cacheBytes <= 0 {
+		fmt.Fprintf(os.Stderr, "atcserve: -cache-bytes must be > 0, got %d\n", *cacheBytes)
+		os.Exit(2)
+	}
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
 		os.Exit(1)
@@ -141,16 +142,12 @@ func main() {
 	cfg := poolConfig{
 		mem:         *mem,
 		readers:     *readers,
-		cache:       *cache,
-		sharedCache: *sharedCache,
+		sharedBytes: atc.NewSharedChunkCacheBytes(*cacheBytes),
 		remote:      store.RemoteOptions{BlockSize: *remoteBlock, CacheBlocks: *remoteBlocks},
 		reg:         obs.Default(),
 		registrar:   newTraceRegistrar(obs.Default(), *metricTraces),
 	}
-	if *cacheBytes > 0 {
-		cfg.sharedBytes = atc.NewSharedChunkCacheBytes(*cacheBytes)
-		cfg.sharedBytes.Register(obs.Default())
-	}
+	cfg.sharedBytes.Register(obs.Default())
 	srv := &server{
 		pools:    map[string]*tracePool{},
 		maxRange: *maxRange,
@@ -297,12 +294,10 @@ type tracePool struct {
 	// all references every pooled reader for metrics: Reader.ChunkReads
 	// is an atomic counter, safe to sum while a reader is borrowed.
 	all []*atc.Reader
-	// shared is the trace's legacy count-bounded cross-reader chunk cache
-	// (-shared-cache, only when -cache-bytes is 0); sharedBytes the
-	// trace's view of the process-wide byte-budgeted cache (-cache-bytes,
-	// the default); remote the backing remote store (nil for local
-	// traces). All feed live counters into metaNow.
-	shared      *atc.SharedChunkCache
+	// sharedBytes is the trace's view of the process-wide byte-budgeted
+	// cache (-cache-bytes; nil when the readers keep private caches);
+	// remote the backing remote store (nil for local traces). Both feed
+	// live counters into metaNow.
 	sharedBytes *atc.TraceChunkCache
 	remote      *store.RemoteStore
 	// etag is the trace's strong HTTP validator, derived from the
@@ -325,17 +320,10 @@ func (p *tracePool) chunkReads() int64 {
 type poolConfig struct {
 	mem     bool
 	readers int
-	// cache sizes the private per-reader chunk cache (addresses the
-	// historical -cache flag); it only applies when sharedCache is 0.
-	cache int
-	// sharedCache sizes the per-trace chunk cache shared by every pooled
-	// reader, in chunks; 0 disables sharing. Ignored when sharedBytes is
-	// set.
-	sharedCache int
-	// sharedBytes, when set, is the process-wide byte-budgeted chunk
-	// cache every trace shares (-cache-bytes): each pool decodes through
-	// its ForTrace view, so one memory cap covers all pooled readers of
-	// all traces.
+	// sharedBytes is the process-wide byte-budgeted chunk cache every
+	// trace shares (-cache-bytes): each pool decodes through its ForTrace
+	// view, so one memory cap covers all pooled readers of all traces.
+	// Nil leaves every reader its own private cache.
 	sharedBytes *atc.SharedChunkCacheBytes
 	remote      store.RemoteOptions
 	// reg, when set, receives per-trace labeled func metrics (chunk reads,
@@ -350,8 +338,8 @@ type poolConfig struct {
 
 // openTrace opens the store once (directory, archive, archive bytes in
 // RAM, or a remote archive URL) and pre-opens the pooled readers against
-// it, failing fast on a trace that does not decode. With sharedCache > 0
-// every reader decodes through one SharedChunkCache, so a hot chunk
+// it, failing fast on a trace that does not decode. Every reader decodes
+// through the trace's view of the shared cache, so a hot chunk
 // decompresses once per process rather than once per reader.
 func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 	n := cfg.readers
@@ -403,15 +391,11 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 	readerOpts := []atc.ReadOption{
 		// Readahead is disabled: a range server decodes exactly the chunks
 		// a request asks for, and prefetch past the window would be waste.
-		atc.WithReadStore(st), atc.WithReadahead(-1), atc.WithChunkCache(cfg.cache),
+		atc.WithReadStore(st), atc.WithReadahead(-1),
 	}
-	switch {
-	case cfg.sharedBytes != nil:
+	if cfg.sharedBytes != nil {
 		p.sharedBytes = cfg.sharedBytes.ForTrace(name)
-		readerOpts = append(readerOpts, atc.WithSharedChunkCache(p.sharedBytes))
-	case cfg.sharedCache > 0:
-		p.shared = atc.NewSharedChunkCache(cfg.sharedCache)
-		readerOpts = append(readerOpts, atc.WithSharedChunkCache(p.shared))
+		readerOpts = append(readerOpts, atc.WithChunkCache(p.sharedBytes))
 	}
 	for i := 0; i < n; i++ {
 		r, err := atc.NewReader(path, readerOpts...)
@@ -452,25 +436,13 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 	return p, nil
 }
 
-// poolCacheStats unifies the two shared-cache kinds (count-bounded
-// per-trace, byte-budgeted process-wide view) for /meta and metrics; ok
-// is false with private per-reader caches only.
-type poolCacheStats struct {
-	hits, loads, evictions       int64
-	residentBytes, residentChunk int64
-	ok                           bool
-}
-
-func (p *tracePool) cacheStats() poolCacheStats {
-	switch {
-	case p.sharedBytes != nil:
-		st := p.sharedBytes.Stats()
-		return poolCacheStats{st.Hits, st.Loads, st.Evictions, st.ResidentBytes, st.ResidentChunks, true}
-	case p.shared != nil:
-		st := p.shared.Stats()
-		return poolCacheStats{st.Hits, st.Loads, st.Evictions, 0, int64(st.Resident), true}
+// cacheStats reports the trace's shared-cache counters (zero when the
+// readers keep private caches).
+func (p *tracePool) cacheStats() core.TraceCacheStats {
+	if p.sharedBytes == nil {
+		return core.TraceCacheStats{}
 	}
-	return poolCacheStats{}
+	return p.sharedBytes.Stats()
 }
 
 // register exposes the pool's live counters as per-trace labeled func
@@ -501,30 +473,27 @@ func registerPoolMetrics(reg *obs.Registry, label string, pools []*tracePool) {
 	reg.CounterFunc("atc_trace_chunk_reads_total",
 		"chunk-blob decompressions across the trace's pooled readers",
 		sum((*tracePool).chunkReads), lbl)
-	anyCache, anyBytes, anyRemote := false, false, false
+	anyCache, anyRemote := false, false
 	for _, p := range pools {
-		anyCache = anyCache || p.shared != nil || p.sharedBytes != nil
-		anyBytes = anyBytes || p.sharedBytes != nil
+		anyCache = anyCache || p.sharedBytes != nil
 		anyRemote = anyRemote || p.remote != nil
 	}
 	if anyCache {
 		reg.CounterFunc("atc_chunk_cache_hits_total",
 			"chunk lookups served from the shared cache or deduplicated onto an in-flight load",
-			sum(func(p *tracePool) int64 { return p.cacheStats().hits }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().Hits }), lbl)
 		reg.CounterFunc("atc_chunk_cache_loads_total",
 			"chunk decompressions through the shared cache (misses)",
-			sum(func(p *tracePool) int64 { return p.cacheStats().loads }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().Loads }), lbl)
 		reg.CounterFunc("atc_chunk_cache_evictions_total",
 			"chunks evicted from the shared cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().evictions }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().Evictions }), lbl)
 		reg.GaugeFunc("atc_chunk_cache_resident_chunks",
 			"chunks currently resident in the shared cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().residentChunk }), lbl)
-	}
-	if anyBytes {
+			sum(func(p *tracePool) int64 { return p.cacheStats().ResidentChunks }), lbl)
 		reg.GaugeFunc("atc_chunk_cache_resident_bytes",
 			"decoded bytes this trace holds in the process-wide byte-budgeted cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().residentBytes }), lbl)
+			sum(func(p *tracePool) int64 { return p.cacheStats().ResidentBytes }), lbl)
 	}
 	if anyRemote {
 		reg.CounterFunc("atc_trace_remote_fetches_total",
@@ -862,10 +831,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (p *tracePool) metaNow() traceMeta {
 	m := p.meta
 	m.ChunkReads = p.chunkReads()
-	if cs := p.cacheStats(); cs.ok {
-		m.SharedCacheHits, m.SharedCacheLoads = cs.hits, cs.loads
-		m.SharedCacheBytes = cs.residentBytes
-	}
+	cs := p.cacheStats()
+	m.SharedCacheHits, m.SharedCacheLoads, m.SharedCacheBytes = cs.Hits, cs.Loads, cs.ResidentBytes
 	if p.remote != nil {
 		st := p.remote.ReaderStats()
 		m.RemoteFetches, m.RemoteBytes = st.Fetches, st.BytesFetched

@@ -507,12 +507,12 @@ func TestServeRemoteByteIdentity(t *testing.T) {
 	}))
 	defer origin.Close()
 
-	localPool, err := openTrace("unit", path, poolConfig{readers: 2, sharedCache: 16})
+	localPool, err := openTrace("unit", path, poolConfig{readers: 2, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	remotePool, err := openTrace("unit", origin.URL+"/unit.atc", poolConfig{
-		readers: 2, sharedCache: 16,
+		readers: 2, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20),
 		remote: store.RemoteOptions{BlockSize: 32 << 10, CacheBlocks: 32},
 	})
 	if err != nil {
@@ -595,7 +595,7 @@ func TestServeSharedCacheExactlyOnce(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := openTrace("unit", path, poolConfig{readers: 4, sharedCache: 16})
+	pool, err := openTrace("unit", path, poolConfig{readers: 4, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}

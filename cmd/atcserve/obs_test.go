@@ -36,7 +36,7 @@ func serveObsTrace(t *testing.T) *httptest.Server {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := openTrace("unit", path, poolConfig{readers: 2, sharedCache: 16, reg: obs.Default()})
+	pool, err := openTrace("unit", path, poolConfig{readers: 2, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20), reg: obs.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMetaJSONShape(t *testing.T) {
 	sort.Strings(got)
 	want := []string{
 		"chunkReads", "chunks", "formatVersion", "mode", "name", "records",
-		"segmentAddrs", "sharedCacheHits", "sharedCacheLoads", "totalAddrs",
+		"segmentAddrs", "sharedCacheBytes", "sharedCacheHits", "sharedCacheLoads", "totalAddrs",
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("/meta keys = %v, want %v", got, want)

@@ -1,12 +1,13 @@
 package core
 
-// Tests of the sub-span batched readahead pipeline (DecodeOptions.
-// BatchAddrs): delivery in BatchAddrs-sized batches must be byte-identical
-// to whole-span delivery for every format mode, every store backend and
+// Tests of batched decode delivery (DecodeOptions.batchAddrs): delivery
+// in batchAddrs-sized batches, through the readahead pipeline or inline,
+// must reproduce the trace for every format mode, every store backend and
 // any batch size, including pathological ones.
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -43,6 +44,13 @@ func writeBatchTrace(t *testing.T, kind string, addrs []uint64, opts Options) (s
 	return path, dec
 }
 
+// TestBatchedDeliveryByteIdentical checks every delivery path against an
+// oracle that does not share its code: the raw input for lossless traces,
+// and for lossy ones (whose decoded form differs from the input) the
+// random-access materialize path, DecodeRange(0, total). The paths are
+// the readahead pipeline at several depths, the inline decode
+// (Readahead < 0), each at many batch sizes, and random DecodeRange
+// windows.
 func TestBatchedDeliveryByteIdentical(t *testing.T) {
 	addrs := rangeTrace()
 	rng := rand.New(rand.NewSource(55))
@@ -50,13 +58,31 @@ func TestBatchedDeliveryByteIdentical(t *testing.T) {
 		for _, kind := range batchStores {
 			t.Run(m.name+"/"+kind, func(t *testing.T) {
 				path, dec := writeBatchTrace(t, kind, addrs, m.opts)
-				// Reference: whole-span delivery (the pre-batching pipeline).
-				whole := dec
-				whole.Readahead = 2
-				whole.BatchAddrs = -1
-				want := decodeAllWith(t, path, whole)
-				if len(want) != len(addrs) {
-					t.Fatalf("reference decode: %d addresses, want %d", len(want), len(addrs))
+				want := addrs
+				if m.opts.Mode == Lossy {
+					d, err := Open(path, dec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err = d.DecodeRange(0, d.TotalAddrs())
+					d.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(want) != len(addrs) {
+						t.Fatalf("reference decode: %d addresses, want %d", len(want), len(addrs))
+					}
+				}
+				check := func(what string, got, want []uint64) {
+					t.Helper()
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d addresses, want %d", what, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: diverges at %d", what, i)
+						}
+					}
 				}
 				// Random batch sizes around the interesting boundaries: 1,
 				// a prime, the span length itself, larger than any span, and
@@ -66,21 +92,28 @@ func TestBatchedDeliveryByteIdentical(t *testing.T) {
 					sizes = append(sizes, 1+rng.Intn(3000))
 				}
 				for _, batch := range sizes {
-					for _, readahead := range []int{1, 3} {
+					for _, readahead := range []int{-1, 1, 3} {
 						d := dec
 						d.Readahead = readahead
-						d.BatchAddrs = batch
-						got := decodeAllWith(t, path, d)
-						if len(got) != len(want) {
-							t.Fatalf("batch=%d readahead=%d: %d addresses, want %d",
-								batch, readahead, len(got), len(want))
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("batch=%d readahead=%d: diverges at %d", batch, readahead, i)
-							}
-						}
+						d.batchAddrs = batch
+						check(fmt.Sprintf("batch=%d readahead=%d", batch, readahead),
+							decodeAllWith(t, path, d), want)
 					}
+				}
+				d, err := Open(path, dec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				n := int64(len(want))
+				for i := 0; i < 20; i++ {
+					from := rng.Int63n(n + 1)
+					to := from + rng.Int63n(n-from+1)
+					got, err := d.DecodeRange(from, to)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("DecodeRange(%d, %d)", from, to), got, want[from:to])
 				}
 			})
 		}
@@ -114,7 +147,7 @@ func TestBatchedSeekResume(t *testing.T) {
 				want := decodeAllWith(t, path, dec)
 				d := dec
 				d.Readahead = 2
-				d.BatchAddrs = 300 // several batches per 1000/1500-address span
+				d.batchAddrs = 300 // several batches per 1000/1500-address span
 				dd, err := Open(path, d)
 				if err != nil {
 					t.Fatal(err)
@@ -139,6 +172,64 @@ func TestBatchedSeekResume(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBatchedSeekStress hammers the pipeline's restart path with batches
+// much smaller than a span: random seeks (forwards, backwards, mid-batch,
+// mid-span) with a decode burst between them, each stopping an in-flight
+// pipeline — span tasks mid-stream included. Under -race it also shakes
+// the producer/consumer handoff and the batch-buffer free list.
+func TestBatchedSeekStress(t *testing.T) {
+	addrs := rangeTrace()
+	n := int64(len(addrs))
+	for _, m := range rangeModes {
+		t.Run(m.name, func(t *testing.T) {
+			path, dec := writeBatchTrace(t, "dir", addrs, m.opts)
+			d := dec
+			d.Readahead = 3
+			d.batchAddrs = 257
+			dd, err := Open(path, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dd.Close()
+			want := addrs
+			if m.opts.Mode == Lossy {
+				if want, err = dd.DecodeRange(0, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(77))
+			for iter := 0; iter < 120; iter++ {
+				at := rng.Int63n(n)
+				if err := dd.SeekTo(at); err != nil {
+					t.Fatalf("iter %d: Seek(%d): %v", iter, at, err)
+				}
+				burst := int64(1 + rng.Intn(4000))
+				for i := int64(0); i < burst && at+i < n; i++ {
+					v, err := dd.Decode()
+					if err != nil {
+						t.Fatalf("iter %d: Decode at %d: %v", iter, at+i, err)
+					}
+					if v != want[at+i] {
+						t.Fatalf("iter %d: Seek(%d) diverges at offset %d", iter, at, i)
+					}
+				}
+			}
+			// A full decode after heavy seeking must still verify the
+			// trailer count.
+			if err := dd.SeekTo(0); err != nil {
+				t.Fatal(err)
+			}
+			got, err := dd.DecodeAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(got)) != n {
+				t.Fatalf("final full decode: %d addresses, want %d", len(got), n)
+			}
+		})
 	}
 }
 
@@ -171,7 +262,7 @@ func TestBatchedPipelineSurfacesCorruptChunk(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				d, err := Open(dir, DecodeOptions{Readahead: 2, BatchAddrs: 128})
+				d, err := Open(dir, DecodeOptions{Readahead: 2, batchAddrs: 128})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,7 +292,7 @@ func TestBatchedReadaheadChunkReads(t *testing.T) {
 	if stats.Imitations == 0 {
 		t.Fatal("trace has no imitations; test needs a mixed record sequence")
 	}
-	d, err := Open(dir, DecodeOptions{Readahead: 2, BatchAddrs: 256})
+	d, err := Open(dir, DecodeOptions{Readahead: 2, batchAddrs: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +302,37 @@ func TestBatchedReadaheadChunkReads(t *testing.T) {
 	}
 	if got, want := d.ChunkReads(), stats.Chunks; got != want {
 		t.Fatalf("full batched decode read %d chunks, want %d (distinct chunks)", got, want)
+	}
+}
+
+// TestInlineDecodeLeavesSegmentsUncached: the inline decode
+// (Readahead < 0) streams segments like the pipeline does, so a
+// sequential pass over a segmented trace reads every segment once and
+// pins none of them in the chunk cache.
+func TestInlineDecodeLeavesSegmentsUncached(t *testing.T) {
+	addrs := rangeTrace()
+	dir := t.TempDir()
+	stats, err := WriteTrace(dir, addrs, rangeModes[2].opts) // segmented
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, DecodeOptions{Readahead: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	got, err := d.DecodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(addrs) {
+		t.Fatalf("inline decode: %d addresses, want %d", len(got), len(addrs))
+	}
+	if n := d.ChunkReads(); n != stats.Chunks {
+		t.Fatalf("inline decode read %d chunks, want %d (one per segment)", n, stats.Chunks)
+	}
+	if st := d.cache.Stats(); st.ResidentChunks != 0 {
+		t.Fatalf("inline decode left %d segments in the cache, want 0", st.ResidentChunks)
 	}
 }
 
@@ -224,7 +346,7 @@ func TestBatchBufferRecycling(t *testing.T) {
 	if _, err := WriteTrace(dir, addrs, rangeModes[2].opts); err != nil { // segmented
 		t.Fatal(err)
 	}
-	d, err := Open(dir, DecodeOptions{Readahead: 2, BatchAddrs: 200})
+	d, err := Open(dir, DecodeOptions{Readahead: 2, batchAddrs: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +361,11 @@ func TestBatchBufferRecycling(t *testing.T) {
 		t.Fatal("no batch buffers were recycled over a full decode")
 	}
 	if buf := <-d.batchFree; cap(buf) != 200 {
-		t.Fatalf("recycled buffer capacity %d, want BatchAddrs (200)", cap(buf))
+		t.Fatalf("recycled buffer capacity %d, want batchAddrs (200)", cap(buf))
 	}
 }
 
-// TestWithBatchAddrsDefault pins the default resolution: unset BatchAddrs
+// TestWithBatchAddrsDefault pins the default resolution: unset batchAddrs
 // becomes DefaultBatchAddrs, clamped to the trace's stride (a batch never
 // spans records, so larger buffers would only be waste).
 func TestWithBatchAddrsDefault(t *testing.T) {
@@ -256,8 +378,8 @@ func TestWithBatchAddrsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.opts.BatchAddrs != 1500 {
-		t.Fatalf("segmented default BatchAddrs = %d, want clamp to segment length 1500", d.opts.BatchAddrs)
+	if d.opts.batchAddrs != 1500 {
+		t.Fatalf("segmented default batchAddrs = %d, want clamp to segment length 1500", d.opts.batchAddrs)
 	}
 	d.Close()
 	legacyDir := t.TempDir()
@@ -269,7 +391,7 @@ func TestWithBatchAddrsDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.opts.BatchAddrs != DefaultBatchAddrs {
-		t.Fatalf("legacy default BatchAddrs = %d, want %d", d.opts.BatchAddrs, DefaultBatchAddrs)
+	if d.opts.batchAddrs != DefaultBatchAddrs {
+		t.Fatalf("legacy default batchAddrs = %d, want %d", d.opts.batchAddrs, DefaultBatchAddrs)
 	}
 }

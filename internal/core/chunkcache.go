@@ -8,86 +8,41 @@ import (
 	"atc/internal/obs"
 )
 
-// ChunkCache holds decompressed chunks ([]uint64 address slices) keyed by
-// chunk ID. The Decompressor consults it on every chunk load; which chunks
-// enter the cache is the caller's pinning policy, which chunks leave is
-// the implementation's eviction policy.
+// SharedChunkCacheBytes is a byte-budgeted cache of decompressed chunks
+// ([]uint64 address slices). One instance can serve every trace a
+// process reads, keyed by (trace, chunkID), so a replica holding
+// thousands of traces caches under a single memory cap. Residency is
+// accounted in decoded bytes (len(addrs)*8 per chunk — chunk sizes vary
+// wildly with IntervalLen/SegmentAddrs across traces, so counting entries
+// would not bound memory) and eviction is LRU by bytes. It is safe for
+// concurrent use and deduplicates concurrent misses of one chunk onto a
+// single load (singleflight).
 //
 // Cached slices are shared, immutable data: neither the cache nor its
-// callers may mutate a slice after Put. The default implementation (a
-// private bounded FIFO per Decompressor) is not safe for concurrent use —
-// it is only touched from the decoder's dispatcher goroutine. A cache
-// shared between Decompressors (DecodeOptions.ChunkCache) must be safe for
-// concurrent use; SharedChunkCache is the provided implementation.
-type ChunkCache interface {
-	// Get returns the cached chunk, or ok=false on a miss.
-	Get(id int) ([]uint64, bool)
-	// Put inserts a chunk, evicting per the implementation's policy.
-	Put(id int, addrs []uint64)
-}
-
-// chunkLoader is an optional ChunkCache extension: GetOrLoad combines
-// lookup, miss-loading and insertion in one call so the cache can
-// deduplicate concurrent loads of the same chunk (singleflight). The
-// Decompressor prefers it when present — with N pooled readers hammering
-// one hot window, the chunk decompresses once, not once per reader.
-type chunkLoader interface {
-	// GetOrLoad returns the cached chunk or invokes load exactly once per
-	// concurrent miss cohort, inserting the result when pin is set.
-	GetOrLoad(id int, pin bool, load func() ([]uint64, error)) ([]uint64, error)
-}
-
-// fifoChunkCache is the historical per-Decompressor cache: a bounded FIFO,
-// single-goroutine use only.
-type fifoChunkCache struct {
-	cap  int
-	m    map[int][]uint64
-	fifo []int
-}
-
-func newFIFOChunkCache(capacity int) *fifoChunkCache {
-	return &fifoChunkCache{cap: capacity, m: map[int][]uint64{}}
-}
-
-// Get returns the cached chunk without touching eviction order (FIFO).
+// callers may mutate a slice after it is inserted, so an eviction never
+// invalidates a copy-out in progress.
 //
-//atc:hotpath
-func (c *fifoChunkCache) Get(id int) ([]uint64, bool) {
-	addrs, ok := c.m[id]
-	return addrs, ok
-}
+// Readers never see this type directly: ForTrace returns a lightweight
+// per-trace view, injected per Decompressor (DecodeOptions.ChunkCache).
+type SharedChunkCacheBytes struct {
+	budget int64
 
-// Put inserts a chunk, evicting the oldest insertion once full.
-func (c *fifoChunkCache) Put(id int, addrs []uint64) {
-	if _, ok := c.m[id]; ok {
-		return
-	}
-	if len(c.fifo) >= c.cap {
-		oldest := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		delete(c.m, oldest)
-		metChunkCacheEvict.Inc()
-	}
-	c.m[id] = addrs
-	c.fifo = append(c.fifo, id)
-}
-
-// SharedChunkCache is a concurrency-safe LRU chunk cache designed to be
-// shared across a pool of Decompressors over one trace (atcserve's reader
-// pool): a hot chunk decompresses once per process instead of once per
-// reader. Concurrent misses on the same chunk deduplicate onto a single
-// load (singleflight) — later arrivals block until the first loader
-// finishes and share its result.
-type SharedChunkCache struct {
 	mu       sync.Mutex
-	cap      int
+	bytes    int64 // resident decoded bytes
 	ll       list.List
-	m        map[int]*list.Element
-	inflight map[int]*chunkFlight
+	m        map[byteCacheKey]*list.Element
+	inflight map[byteCacheKey]*chunkFlight
+	views    map[string]*TraceChunkCache
 
 	hits      atomic.Int64
 	loads     atomic.Int64
 	evictions atomic.Int64
+}
+
+// byteCacheKey identifies one chunk of one trace.
+type byteCacheKey struct {
+	trace string
+	id    int
 }
 
 // chunkFlight is one in-progress chunk load; done closes once addrs/err
@@ -98,150 +53,237 @@ type chunkFlight struct {
 	err   error
 }
 
-type chunkEntry struct {
-	id    int
+// byteCacheEntry is one resident chunk.
+type byteCacheEntry struct {
+	key   byteCacheKey
 	addrs []uint64
+	size  int64
+	view  *TraceChunkCache
 }
 
-// NewSharedChunkCache returns a shared LRU cache bounding capacity chunks
-// (minimum 1).
-func NewSharedChunkCache(capacity int) *SharedChunkCache {
-	if capacity < 1 {
-		capacity = 1
+// NewSharedChunkCacheBytes returns a byte-budgeted cache holding at most
+// budget decoded bytes (minimum one address). A chunk alone larger than
+// the whole budget is never admitted: its load still succeeds, the result
+// just is not retained.
+func NewSharedChunkCacheBytes(budget int64) *SharedChunkCacheBytes {
+	if budget < 8 {
+		budget = 8
 	}
-	return &SharedChunkCache{
-		cap:      capacity,
-		m:        map[int]*list.Element{},
-		inflight: map[int]*chunkFlight{},
+	return &SharedChunkCacheBytes{
+		budget:   budget,
+		m:        map[byteCacheKey]*list.Element{},
+		inflight: map[byteCacheKey]*chunkFlight{},
+		views:    map[string]*TraceChunkCache{},
 	}
 }
 
-// Get returns the cached chunk, marking it most recently used.
-func (c *SharedChunkCache) Get(id int) ([]uint64, bool) {
+// Budget reports the configured byte budget.
+func (c *SharedChunkCacheBytes) Budget() int64 { return c.budget }
+
+// ForTrace returns the cache's view for one trace, whose chunk IDs are
+// namespaced by the trace name, so many traces share the one budget
+// without ID collisions. Repeated calls with one name return the same
+// view.
+func (c *SharedChunkCacheBytes) ForTrace(trace string) *TraceChunkCache {
 	c.mu.Lock()
-	e, ok := c.m[id]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
+	defer c.mu.Unlock()
+	if v, ok := c.views[trace]; ok {
+		return v
 	}
-	c.ll.MoveToFront(e)
-	addrs := e.Value.(*chunkEntry).addrs
-	c.mu.Unlock()
-	c.hits.Add(1)
-	metChunkCacheHits.Inc()
-	return addrs, true
+	v := &TraceChunkCache{c: c, trace: trace}
+	c.views[trace] = v
+	return v
 }
 
-// Put inserts a chunk, evicting from the least recently used end.
-func (c *SharedChunkCache) Put(id int, addrs []uint64) {
-	c.mu.Lock()
-	c.putLocked(id, addrs)
-	c.mu.Unlock()
-}
-
-func (c *SharedChunkCache) putLocked(id int, addrs []uint64) {
-	if e, ok := c.m[id]; ok {
+// putLocked inserts or refreshes an entry and evicts back to budget.
+func (c *SharedChunkCacheBytes) putLocked(v *TraceChunkCache, key byteCacheKey, addrs []uint64) {
+	size := int64(len(addrs)) * 8
+	if e, ok := c.m[key]; ok {
 		c.ll.MoveToFront(e)
-		e.Value.(*chunkEntry).addrs = addrs
+		ent := e.Value.(*byteCacheEntry)
+		c.bytes += size - ent.size
+		ent.view.residentBytes.Add(size - ent.size)
+		ent.addrs, ent.size = addrs, size
+		c.evictLocked()
 		return
 	}
-	c.m[id] = c.ll.PushFront(&chunkEntry{id: id, addrs: addrs})
-	for len(c.m) > c.cap {
+	if size > c.budget {
+		return
+	}
+	c.m[key] = c.ll.PushFront(&byteCacheEntry{key: key, addrs: addrs, size: size, view: v})
+	c.bytes += size
+	v.residentBytes.Add(size)
+	v.residentChunks.Add(1)
+	c.evictLocked()
+}
+
+// evictLocked removes entries from the LRU end until resident bytes fit
+// the budget.
+func (c *SharedChunkCacheBytes) evictLocked() {
+	for c.bytes > c.budget {
 		e := c.ll.Back()
-		delete(c.m, e.Value.(*chunkEntry).id)
+		ent := e.Value.(*byteCacheEntry)
+		delete(c.m, ent.key)
 		c.ll.Remove(e)
+		c.bytes -= ent.size
+		ent.view.residentBytes.Add(-ent.size)
+		ent.view.residentChunks.Add(-1)
+		ent.view.evictions.Add(1)
 		c.evictions.Add(1)
 		metChunkCacheEvict.Inc()
 	}
 }
 
-// GetOrLoad implements the singleflight load path: on a miss the first
-// caller runs load while concurrent callers for the same chunk wait and
-// share the result. Failed loads are not cached — every waiter sees the
-// error, and the next request retries.
-func (c *SharedChunkCache) GetOrLoad(id int, pin bool, load func() ([]uint64, error)) ([]uint64, error) {
+// SharedChunkCacheBytesStats counts a SharedChunkCacheBytes's traffic
+// across every trace.
+type SharedChunkCacheBytesStats struct {
+	Hits      int64
+	Loads     int64
+	Evictions int64
+	// ResidentBytes is the decoded bytes currently cached (≤ Budget).
+	ResidentBytes  int64
+	ResidentChunks int
+	Budget         int64
+}
+
+// Stats reports process-wide counters and occupancy.
+func (c *SharedChunkCacheBytes) Stats() SharedChunkCacheBytesStats {
 	c.mu.Lock()
-	if e, ok := c.m[id]; ok {
-		c.ll.MoveToFront(e)
-		addrs := e.Value.(*chunkEntry).addrs
+	bytes, chunks := c.bytes, len(c.m)
+	c.mu.Unlock()
+	return SharedChunkCacheBytesStats{
+		Hits:           c.hits.Load(),
+		Loads:          c.loads.Load(),
+		Evictions:      c.evictions.Load(),
+		ResidentBytes:  bytes,
+		ResidentChunks: chunks,
+		Budget:         c.budget,
+	}
+}
+
+// Register exposes the cache's process-wide occupancy on r: the
+// configured budget and the resident decoded bytes across every trace.
+// Per-trace traffic is registered by the serving tier from the per-view
+// Stats, behind its cardinality cap.
+func (c *SharedChunkCacheBytes) Register(r *obs.Registry, labels ...obs.Label) {
+	r.GaugeFunc("atc_chunk_cache_budget_bytes",
+		"configured byte budget of the process-wide chunk cache",
+		func() int64 { return c.budget }, labels...)
+	r.GaugeFunc("atc_chunk_cache_bytes",
+		"decoded bytes resident in the process-wide chunk cache, all traces",
+		func() int64 { return c.Stats().ResidentBytes }, labels...)
+}
+
+// TraceChunkCache is one trace's view of a SharedChunkCacheBytes: the
+// chunk cache a Decompressor decodes through. It carries the trace's own
+// hit/load/eviction/resident counters for per-trace metrics.
+type TraceChunkCache struct {
+	c     *SharedChunkCacheBytes
+	trace string
+
+	hits      atomic.Int64
+	loads     atomic.Int64
+	evictions atomic.Int64
+	// residentBytes/residentChunks are mutated only under c.mu but read
+	// lock-free by metric callbacks.
+	residentBytes  atomic.Int64
+	residentChunks atomic.Int64
+}
+
+// Trace reports the trace name the view is bound to.
+func (v *TraceChunkCache) Trace() string { return v.trace }
+
+// Get returns the cached chunk, marking it most recently used.
+func (v *TraceChunkCache) Get(id int) ([]uint64, bool) {
+	c := v.c
+	key := byteCacheKey{v.trace, id}
+	c.mu.Lock()
+	e, ok := c.m[key]
+	if !ok {
 		c.mu.Unlock()
+		return nil, false
+	}
+	c.ll.MoveToFront(e)
+	addrs := e.Value.(*byteCacheEntry).addrs
+	c.mu.Unlock()
+	v.hits.Add(1)
+	c.hits.Add(1)
+	metChunkCacheHits.Inc()
+	return addrs, true
+}
+
+// Put inserts a chunk, evicting LRU-by-bytes back to the shared budget.
+func (v *TraceChunkCache) Put(id int, addrs []uint64) {
+	c := v.c
+	c.mu.Lock()
+	c.putLocked(v, byteCacheKey{v.trace, id}, addrs)
+	c.mu.Unlock()
+}
+
+// GetOrLoad implements the singleflight load path across every reader of
+// every trace sharing the budget: on a miss the first caller runs load
+// while concurrent callers for the same (trace, chunk) wait and share the
+// result. Failed loads are not cached — every waiter sees the error, and
+// the next request retries.
+func (v *TraceChunkCache) GetOrLoad(id int, pin bool, load func() ([]uint64, error)) ([]uint64, error) {
+	c := v.c
+	key := byteCacheKey{v.trace, id}
+	c.mu.Lock()
+	if e, ok := c.m[key]; ok {
+		c.ll.MoveToFront(e)
+		addrs := e.Value.(*byteCacheEntry).addrs
+		c.mu.Unlock()
+		v.hits.Add(1)
 		c.hits.Add(1)
 		metChunkCacheHits.Inc()
 		return addrs, nil
 	}
-	if f, ok := c.inflight[id]; ok {
+	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		<-f.done
 		if f.err != nil {
 			return nil, f.err
 		}
+		v.hits.Add(1)
 		c.hits.Add(1)
 		metChunkCacheHits.Inc()
 		return f.addrs, nil
 	}
 	f := &chunkFlight{done: make(chan struct{})}
-	c.inflight[id] = f
+	c.inflight[key] = f
 	c.mu.Unlock()
 	f.addrs, f.err = load()
 	c.mu.Lock()
-	delete(c.inflight, id)
+	delete(c.inflight, key)
 	if f.err == nil && pin {
-		c.putLocked(id, f.addrs)
+		c.putLocked(v, key, f.addrs)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	if f.err != nil {
 		return nil, f.err
 	}
+	v.loads.Add(1)
 	c.loads.Add(1)
 	return f.addrs, nil
 }
 
-// SharedChunkCacheStats counts a SharedChunkCache's traffic.
-type SharedChunkCacheStats struct {
-	// Hits counts lookups served from the cache or deduplicated onto a
-	// concurrent load.
-	Hits int64
-	// Loads counts successful chunk decompressions (the misses).
-	Loads int64
-	// Evictions counts chunks pushed out of the LRU end.
-	Evictions int64
-	// Resident is the number of chunks currently cached.
-	Resident int
+// TraceCacheStats counts one trace's share of a SharedChunkCacheBytes.
+type TraceCacheStats struct {
+	Hits           int64
+	Loads          int64
+	Evictions      int64
+	ResidentBytes  int64
+	ResidentChunks int64
 }
 
-// Stats reports hit/load/eviction counters and current occupancy.
-func (c *SharedChunkCache) Stats() SharedChunkCacheStats {
-	c.mu.Lock()
-	resident := len(c.m)
-	c.mu.Unlock()
-	return SharedChunkCacheStats{
-		Hits:      c.hits.Load(),
-		Loads:     c.loads.Load(),
-		Evictions: c.evictions.Load(),
-		Resident:  resident,
+// Stats reports the view's counters and occupancy.
+func (v *TraceChunkCache) Stats() TraceCacheStats {
+	return TraceCacheStats{
+		Hits:           v.hits.Load(),
+		Loads:          v.loads.Load(),
+		Evictions:      v.evictions.Load(),
+		ResidentBytes:  v.residentBytes.Load(),
+		ResidentChunks: v.residentChunks.Load(),
 	}
-}
-
-// Register exposes the cache's counters on r as labeled func metrics —
-// thin views over the same atomics Stats reads, typically labeled with
-// the trace the cache serves. Re-registering the same labels replaces
-// the callbacks, so re-opening a trace pool under one name is safe.
-func (c *SharedChunkCache) Register(r *obs.Registry, labels ...obs.Label) {
-	r.CounterFunc("atc_chunk_cache_hits_total",
-		"chunk lookups served from the shared cache or deduplicated onto an in-flight load",
-		func() int64 { return c.hits.Load() }, labels...)
-	r.CounterFunc("atc_chunk_cache_loads_total",
-		"chunk decompressions through the shared cache (misses)",
-		func() int64 { return c.loads.Load() }, labels...)
-	r.CounterFunc("atc_chunk_cache_evictions_total",
-		"chunks evicted from the shared cache",
-		func() int64 { return c.evictions.Load() }, labels...)
-	r.GaugeFunc("atc_chunk_cache_resident_chunks",
-		"chunks currently resident in the shared cache",
-		func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return int64(len(c.m))
-		}, labels...)
 }

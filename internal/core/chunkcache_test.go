@@ -1,123 +1,390 @@
 package core
 
+// Tests of the byte-budgeted chunk cache: budget enforcement under
+// concurrent load across traces, LRU-by-bytes eviction order,
+// singleflight loads, the oversize-entry bypass, and a pool of
+// Decompressors sharing one trace view.
+
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
 
-func TestFIFOChunkCache(t *testing.T) {
-	c := newFIFOChunkCache(2)
-	c.Put(1, []uint64{1})
-	c.Put(2, []uint64{2})
-	c.Put(1, []uint64{9}) // duplicate Put must not double-insert or evict
-	if a, ok := c.Get(1); !ok || a[0] != 1 {
-		t.Fatalf("Get(1) = %v, %v", a, ok)
+func chunkOf(n int, fill uint64) []uint64 {
+	addrs := make([]uint64, n)
+	for i := range addrs {
+		addrs[i] = fill
 	}
-	c.Put(3, []uint64{3}) // evicts 1 — oldest insertion, even though just read
-	if _, ok := c.Get(1); ok {
-		t.Fatal("FIFO kept the read-touched entry; eviction must be insertion-ordered")
-	}
-	if _, ok := c.Get(2); !ok {
-		t.Fatal("entry 2 missing")
-	}
-	if _, ok := c.Get(3); !ok {
-		t.Fatal("entry 3 missing")
-	}
+	return addrs
 }
 
-func TestSharedChunkCacheLRU(t *testing.T) {
-	c := NewSharedChunkCache(2)
-	c.Put(1, []uint64{1})
-	c.Put(2, []uint64{2})
-	c.Get(1)              // touch: 2 is now least recently used
-	c.Put(3, []uint64{3}) // evicts 2
-	if _, ok := c.Get(2); ok {
-		t.Fatal("LRU evicted the recently used entry instead of the stale one")
-	}
-	if a, ok := c.Get(1); !ok || a[0] != 1 {
-		t.Fatalf("Get(1) = %v, %v", a, ok)
+func TestByteCacheBudgetEnforced(t *testing.T) {
+	// 10 chunks of 100 addrs fit an 8000-byte budget exactly; inserting
+	// 30 across three traces must keep residency at or below it.
+	c := NewSharedChunkCacheBytes(8000)
+	for trace := 0; trace < 3; trace++ {
+		v := c.ForTrace(fmt.Sprintf("t%d", trace))
+		for id := 0; id < 10; id++ {
+			v.Put(id, chunkOf(100, uint64(id)))
+			if st := c.Stats(); st.ResidentBytes > st.Budget {
+				t.Fatalf("resident bytes %d exceed budget %d", st.ResidentBytes, st.Budget)
+			}
+		}
 	}
 	st := c.Stats()
-	if st.Resident != 2 {
-		t.Fatalf("Resident = %d, want 2", st.Resident)
+	if st.ResidentBytes != 8000 || st.ResidentChunks != 10 {
+		t.Fatalf("resident = %d bytes / %d chunks, want 8000 / 10", st.ResidentBytes, st.ResidentChunks)
 	}
-	if NewSharedChunkCache(0).cap != 1 {
-		t.Fatal("capacity floor not applied")
+	if st.Evictions != 20 {
+		t.Fatalf("evictions = %d, want 20", st.Evictions)
+	}
+	// Per-view accounting must sum to the global occupancy.
+	var bytes, chunks int64
+	for trace := 0; trace < 3; trace++ {
+		vs := c.ForTrace(fmt.Sprintf("t%d", trace)).Stats()
+		bytes += vs.ResidentBytes
+		chunks += vs.ResidentChunks
+	}
+	if bytes != st.ResidentBytes || chunks != int64(st.ResidentChunks) {
+		t.Fatalf("view sums = %d bytes / %d chunks, want %d / %d", bytes, chunks, st.ResidentBytes, st.ResidentChunks)
 	}
 }
 
-func TestSharedChunkCacheSingleflight(t *testing.T) {
-	c := NewSharedChunkCache(8)
-	var mu sync.Mutex
-	loads := 0
+func TestByteCacheLRUOrder(t *testing.T) {
+	c := NewSharedChunkCacheBytes(3 * 80)
+	v := c.ForTrace("t")
+	v.Put(1, chunkOf(10, 1))
+	v.Put(2, chunkOf(10, 2))
+	v.Put(3, chunkOf(10, 3))
+	if _, ok := v.Get(1); !ok { // refresh 1: 2 is now coldest
+		t.Fatal("chunk 1 missing before eviction")
+	}
+	v.Put(4, chunkOf(10, 4))
+	if _, ok := v.Get(2); ok {
+		t.Fatal("chunk 2 survived eviction despite being LRU")
+	}
+	for _, id := range []int{1, 3, 4} {
+		if _, ok := v.Get(id); !ok {
+			t.Fatalf("chunk %d evicted out of LRU order", id)
+		}
+	}
+}
+
+func TestByteCacheTracesDoNotCollide(t *testing.T) {
+	c := NewSharedChunkCacheBytes(1 << 20)
+	a, b := c.ForTrace("a"), c.ForTrace("b")
+	a.Put(7, chunkOf(4, 111))
+	b.Put(7, chunkOf(4, 222))
+	got, ok := a.Get(7)
+	if !ok || got[0] != 111 {
+		t.Fatalf("trace a chunk 7 = %v, %v; want [111 ...], true", got, ok)
+	}
+	got, ok = b.Get(7)
+	if !ok || got[0] != 222 {
+		t.Fatalf("trace b chunk 7 = %v, %v; want [222 ...], true", got, ok)
+	}
+}
+
+func TestByteCacheOversizeEntryBypasses(t *testing.T) {
+	c := NewSharedChunkCacheBytes(100)
+	v := c.ForTrace("t")
+	v.Put(1, chunkOf(1000, 1)) // 8000 bytes against a 100-byte budget
+	if _, ok := v.Get(1); ok {
+		t.Fatal("chunk larger than the whole budget was admitted")
+	}
+	if st := c.Stats(); st.ResidentBytes != 0 {
+		t.Fatalf("resident bytes = %d, want 0", st.ResidentBytes)
+	}
+	// The singleflight load path still returns the data, it just is not
+	// retained.
+	got, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return chunkOf(1000, 7), nil })
+	if err != nil || len(got) != 1000 || got[0] != 7 {
+		t.Fatalf("oversize GetOrLoad = %d addrs, %v", len(got), err)
+	}
+	if st := c.Stats(); st.ResidentBytes != 0 {
+		t.Fatalf("resident bytes after oversize load = %d, want 0", st.ResidentBytes)
+	}
+}
+
+func TestByteCacheSingleflight(t *testing.T) {
+	c := NewSharedChunkCacheBytes(1 << 20)
+	v := c.ForTrace("t")
 	gate := make(chan struct{})
-	const readers = 16
+	var loads int
 	var wg sync.WaitGroup
-	results := make([][]uint64, readers)
-	for i := 0; i < readers; i++ {
-		i := i
+	results := make([][]uint64, 16)
+	for i := range results {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			results[i], _ = c.GetOrLoad(7, true, func() ([]uint64, error) {
-				mu.Lock()
-				loads++
-				mu.Unlock()
+			results[i], _ = v.GetOrLoad(7, true, func() ([]uint64, error) {
 				<-gate
-				return []uint64{42}, nil
+				loads++ // safe: the cache runs load at most once
+				return chunkOf(3, 42), nil
 			})
-		}()
+		}(i)
 	}
 	close(gate)
 	wg.Wait()
 	if loads != 1 {
-		t.Fatalf("load ran %d times, want 1 (singleflight)", loads)
+		t.Fatalf("load ran %d times, want 1", loads)
 	}
 	for i, r := range results {
-		if len(r) != 1 || r[0] != 42 {
-			t.Fatalf("reader %d got %v", i, r)
+		if len(r) != 3 || r[0] != 42 {
+			t.Fatalf("goroutine %d saw %v", i, r)
 		}
 	}
-	st := c.Stats()
-	if st.Loads != 1 || st.Hits != readers-1 {
-		t.Fatalf("stats = %+v, want 1 load and %d hits", st, readers-1)
+	if st := v.Stats(); st.Loads != 1 || st.Hits != 15 {
+		t.Fatalf("view loads/hits = %d/%d, want 1/15", st.Loads, st.Hits)
 	}
 }
 
-func TestSharedChunkCacheLoadError(t *testing.T) {
-	c := NewSharedChunkCache(8)
-	boom := errors.New("boom")
-	if _, err := c.GetOrLoad(1, true, func() ([]uint64, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+func TestByteCacheLoadErrorNotCached(t *testing.T) {
+	c := NewSharedChunkCacheBytes(1 << 20)
+	v := c.ForTrace("t")
+	boom := errors.New("backend exploded")
+	if _, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("GetOrLoad error = %v, want %v", err, boom)
 	}
-	// Failed loads are not cached: the next call retries and can succeed.
-	a, err := c.GetOrLoad(1, true, func() ([]uint64, error) { return []uint64{5}, nil })
-	if err != nil || a[0] != 5 {
+	a, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return []uint64{5}, nil })
+	if err != nil || len(a) != 1 || a[0] != 5 {
 		t.Fatalf("retry after failed load = %v, %v", a, err)
 	}
 }
 
-func TestSharedChunkCacheUnpinnedLoad(t *testing.T) {
-	c := NewSharedChunkCache(8)
+func TestByteCacheUnpinnedLoadNotRetained(t *testing.T) {
+	c := NewSharedChunkCacheBytes(1 << 20)
+	v := c.ForTrace("t")
 	loads := 0
-	load := func() ([]uint64, error) { loads++; return []uint64{1}, nil }
-	if _, err := c.GetOrLoad(3, false, load); err != nil {
+	load := func() ([]uint64, error) { loads++; return chunkOf(2, 9), nil }
+	if _, err := v.GetOrLoad(3, false, load); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(3); ok {
+	if st := c.Stats(); st.ResidentChunks != 0 {
+		t.Fatalf("unpinned load retained %d chunks, want 0", st.ResidentChunks)
+	}
+	if _, err := v.GetOrLoad(3, false, load); err != nil {
+		t.Fatal(err)
+	}
+	if loads != 2 {
+		t.Fatalf("loads = %d, want 2 (pin=false must not cache)", loads)
+	}
+}
+
+// TestSharedChunkCacheLRU checks that eviction order is one LRU across
+// every trace sharing the budget, not a per-trace order: touching trace
+// a's chunk makes trace b's chunk the victim.
+func TestSharedChunkCacheLRU(t *testing.T) {
+	c := NewSharedChunkCacheBytes(2 * 80)
+	a, b := c.ForTrace("a"), c.ForTrace("b")
+	a.Put(1, chunkOf(10, 1))
+	b.Put(1, chunkOf(10, 2))
+	a.Get(1)                 // touch: b's chunk 1 is now least recently used
+	b.Put(2, chunkOf(10, 3)) // evicts b's chunk 1
+	if _, ok := b.Get(1); ok {
+		t.Fatal("LRU evicted the recently used entry instead of the stale one")
+	}
+	if got, ok := a.Get(1); !ok || got[0] != 1 {
+		t.Fatalf("a.Get(1) = %v, %v", got, ok)
+	}
+	if st := c.Stats(); st.ResidentChunks != 2 || st.ResidentBytes != 160 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 chunks / 160 bytes resident and 1 eviction", st)
+	}
+	if as, bs := a.Stats(), b.Stats(); as.ResidentChunks != 1 || as.Evictions != 0 || bs.ResidentChunks != 1 || bs.Evictions != 1 {
+		t.Fatalf("view stats a=%+v b=%+v, want one resident chunk each and the eviction charged to b", as, bs)
+	}
+	if NewSharedChunkCacheBytes(0).Budget() != 8 {
+		t.Fatal("budget floor of one address not applied")
+	}
+}
+
+// TestSharedChunkCacheSingleflight checks that concurrent misses are
+// deduplicated per (trace, chunk): two traces asking for the same chunk
+// ID each load once, and every other caller shares its trace's result.
+func TestSharedChunkCacheSingleflight(t *testing.T) {
+	c := NewSharedChunkCacheBytes(1 << 20)
+	traces := []string{"a", "b"}
+	var mu sync.Mutex
+	loads := map[string]int{}
+	gate := make(chan struct{})
+	const readers = 16
+	var wg sync.WaitGroup
+	results := make([][]uint64, len(traces)*readers)
+	for ti, name := range traces {
+		v := c.ForTrace(name)
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func(slot int, name string, fill uint64) {
+				defer wg.Done()
+				results[slot], _ = v.GetOrLoad(7, true, func() ([]uint64, error) {
+					mu.Lock()
+					loads[name]++
+					mu.Unlock()
+					<-gate
+					return chunkOf(3, fill), nil
+				})
+			}(ti*readers+i, name, uint64(100+ti))
+		}
+	}
+	close(gate)
+	wg.Wait()
+	for ti, name := range traces {
+		if loads[name] != 1 {
+			t.Fatalf("trace %s: load ran %d times, want 1 (singleflight)", name, loads[name])
+		}
+		for i := 0; i < readers; i++ {
+			if r := results[ti*readers+i]; len(r) != 3 || r[0] != uint64(100+ti) {
+				t.Fatalf("trace %s reader %d got %v", name, i, r)
+			}
+		}
+		if st := c.ForTrace(name).Stats(); st.Loads != 1 || st.Hits != readers-1 {
+			t.Fatalf("trace %s stats = %+v, want 1 load and %d hits", name, st, readers-1)
+		}
+	}
+	if st := c.Stats(); st.Loads != 2 || st.Hits != 2*(readers-1) {
+		t.Fatalf("global stats = %+v, want 2 loads and %d hits", st, 2*(readers-1))
+	}
+}
+
+// TestSharedChunkCacheLoadError checks that every caller sharing a failed
+// load sees its error, that nothing is retained or counted as a load,
+// and that the next request retries and can succeed.
+func TestSharedChunkCacheLoadError(t *testing.T) {
+	c := NewSharedChunkCacheBytes(1 << 20)
+	v := c.ForTrace("t")
+	boom := errors.New("boom")
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = v.GetOrLoad(1, true, func() ([]uint64, error) {
+				<-gate
+				return nil, boom
+			})
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Fatalf("caller %d: err = %v, want %v", i, err, boom)
+		}
+	}
+	if st := c.Stats(); st.ResidentChunks != 0 || st.Loads != 0 {
+		t.Fatalf("stats after failed loads = %+v, want nothing resident and no loads", st)
+	}
+	a, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return []uint64{5}, nil })
+	if err != nil || a[0] != 5 {
+		t.Fatalf("retry after failed load = %v, %v", a, err)
+	}
+	if got, ok := v.Get(1); !ok || got[0] != 5 {
+		t.Fatalf("successful retry not cached: %v, %v", got, ok)
+	}
+}
+
+// TestSharedChunkCacheUnpinnedLoad checks that a pin=false load bypasses
+// insertion but still reads through the cache: once the chunk is resident
+// from a pinned load, an unpinned request is a hit and runs no load.
+func TestSharedChunkCacheUnpinnedLoad(t *testing.T) {
+	c := NewSharedChunkCacheBytes(1 << 20)
+	v := c.ForTrace("t")
+	loads := 0
+	load := func() ([]uint64, error) { loads++; return []uint64{1}, nil }
+	if _, err := v.GetOrLoad(3, false, load); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := v.Get(3); ok {
 		t.Fatal("unpinned load entered the cache")
 	}
-	if _, err := c.GetOrLoad(3, false, load); err != nil {
+	if _, err := v.GetOrLoad(3, false, load); err != nil {
 		t.Fatal(err)
 	}
 	if loads != 2 {
 		t.Fatalf("loads = %d, want 2 (unpinned loads bypass insertion)", loads)
 	}
+	if _, err := v.GetOrLoad(3, true, load); err != nil {
+		t.Fatal(err)
+	}
+	got, err := v.GetOrLoad(3, false, load)
+	if err != nil || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("unpinned GetOrLoad of a resident chunk = %v, %v", got, err)
+	}
+	if loads != 3 {
+		t.Fatalf("loads = %d, want 3 (a resident chunk serves unpinned requests)", loads)
+	}
+	if st := v.Stats(); st.Loads != 3 || st.Hits != 1 {
+		t.Fatalf("view stats = %+v, want 3 loads and 1 hit", st)
+	}
 }
 
-// TestSharedCacheExactlyOncePerPool is the tentpole's core guarantee: a
-// pool of Decompressors sharing one SharedChunkCache and hammering the
+// TestByteCacheConcurrentBudget hammers one budget from three traces'
+// worth of concurrent readers (the -race config of this test is the
+// acceptance check for the byte budget): residency must never exceed the
+// budget at any observation point.
+func TestByteCacheConcurrentBudget(t *testing.T) {
+	const budget = 64 * 80 // 64 chunks of 10 addrs
+	c := NewSharedChunkCacheBytes(budget)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	// Observer: polls global occupancy while writers churn.
+	violations := make(chan int64, 1)
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := c.Stats(); st.ResidentBytes > st.Budget {
+				select {
+				case violations <- st.ResidentBytes:
+				default:
+				}
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for trace := 0; trace < 3; trace++ {
+		v := c.ForTrace(fmt.Sprintf("t%d", trace))
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(v *TraceChunkCache, g int) {
+				defer wg.Done()
+				for i := 0; i < 400; i++ {
+					id := (g*400 + i) % 97
+					_, err := v.GetOrLoad(id, true, func() ([]uint64, error) {
+						return chunkOf(10+id%7, uint64(id)), nil
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(v, g)
+		}
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	select {
+	case over := <-violations:
+		t.Fatalf("resident bytes reached %d, budget %d", over, budget)
+	default:
+	}
+	if st := c.Stats(); st.ResidentBytes > st.Budget {
+		t.Fatalf("final resident bytes %d exceed budget %d", st.ResidentBytes, st.Budget)
+	}
+}
+
+// TestSharedCacheExactlyOncePerPool is the shared cache's core guarantee:
+// a pool of Decompressors sharing one trace view and hammering the
 // same hot window decompresses each touched chunk exactly once across the
 // whole pool — under the race detector, with every reader running
 // concurrently.
@@ -127,7 +394,7 @@ func TestSharedCacheExactlyOncePerPool(t *testing.T) {
 	if _, err := WriteTrace(dir, addrs, Options{Mode: Lossless, BufferAddrs: 200, SegmentAddrs: 1500}); err != nil {
 		t.Fatal(err)
 	}
-	shared := NewSharedChunkCache(32)
+	shared := NewSharedChunkCacheBytes(1 << 20).ForTrace("t")
 	const readers = 8
 	pool := make([]*Decompressor, readers)
 	for i := range pool {

@@ -425,7 +425,8 @@ func TestStreamingDecodeMatchesDecodeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Open(dir, DecodeOptions{ChunkCacheSize: 1})
+	oneInterval := NewSharedChunkCacheBytes(1000 * 8).ForTrace("t")
+	dec, err := Open(dir, DecodeOptions{ChunkCache: oneInterval})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,41 +30,24 @@ type DecodeOptions struct {
 	// the ablation of the paper's Figure 4. The decoded trace then reuses
 	// chunks verbatim and understates the trace footprint.
 	IgnoreTranslations bool
-	// ChunkCacheSize bounds the number of decompressed chunks kept in
-	// memory (default 8). Sequential lossy decoding pins imitated chunks
-	// here; random access (Seek/DecodeRange) pins every chunk it touches,
-	// so repeated range reads over a working set this large never re-read
-	// the store. Ignored when ChunkCache is set.
-	ChunkCacheSize int
-	// ChunkCache overrides the private per-Decompressor chunk cache
-	// (a bounded FIFO of ChunkCacheSize chunks) with a caller-provided
-	// one — typically a SharedChunkCache shared across a pool of readers
-	// over the same trace, so a hot chunk decompresses once per process
-	// instead of once per reader. A shared cache must be safe for
-	// concurrent use; see ChunkCache's contract.
-	ChunkCache ChunkCache
+	// ChunkCache is the cache decompressed chunks are kept in — typically
+	// one trace's view of a SharedChunkCacheBytes shared by a pool of
+	// readers, so a hot chunk decompresses once per process instead of
+	// once per reader. When nil the Decompressor gets a private cache
+	// holding privateCacheChunks chunks of the trace's interval or
+	// segment length. Sequential lossy decoding pins imitated chunks
+	// here; random access (Seek/DecodeRange) pins every chunk it touches.
+	ChunkCache *TraceChunkCache
 	// Readahead bounds the number of decoded batches a background
 	// pipeline decompresses ahead of Decode, overlapping back-end
 	// decompression with consumption. For lossy and segmented lossless
 	// traces it is also the number of spans (intervals/segments)
-	// decoding concurrently. 0 selects the default (2); negative
-	// disables readahead and decodes synchronously on the calling
-	// goroutine (the historical behavior). The decoded stream is
+	// decoding concurrently. 0 selects the default (2); negative runs the
+	// same decode inline on the calling goroutine. The decoded stream is
 	// identical either way. The pipeline starts lazily on the first
 	// Decode and restarts after every Seek, so range access never
 	// prefetches chunks past the window it was asked for.
 	Readahead int
-	// BatchAddrs bounds the number of addresses per delivered readahead
-	// batch. Sub-span batching caps the pipeline's peak buffered memory
-	// at a multiple of BatchAddrs regardless of the trace's
-	// IntervalLen/SegmentAddrs: segmented lossless chunks are
-	// stream-decoded (never materialized whole), and imitation
-	// translations write into recycled batch buffers instead of
-	// whole-interval copies. 0 selects DefaultBatchAddrs (64 Ki
-	// addresses, 512 KB per batch); negative restores whole-span
-	// delivery — one interval or segment per batch, the pre-batching
-	// pipeline. The decoded stream is identical for every value.
-	BatchAddrs int
 	// Store overrides the blob container the trace is read from; when nil
 	// the path passed to Open is inspected — a regular file opens as a
 	// single-file .atc archive, anything else as a directory. A
@@ -74,18 +57,27 @@ type DecodeOptions struct {
 	// (ignored when Store is set): a directory at that path is then an
 	// error rather than a fallback.
 	Archive bool
+
+	// batchAddrs bounds the number of addresses per delivered batch,
+	// which caps buffered decode memory at a multiple of it regardless of
+	// the trace's IntervalLen/SegmentAddrs. 0 selects DefaultBatchAddrs;
+	// tests set small values to force many batches per span.
+	batchAddrs int
 }
 
 // DefaultReadahead is the default number of buffered readahead batches.
 const DefaultReadahead = 2
 
-// DefaultBatchAddrs is the default readahead batch size: 64 Ki addresses,
+// DefaultBatchAddrs is the default decode batch size: 64 Ki addresses,
 // 512 KB per buffered batch.
 const DefaultBatchAddrs = 1 << 16
 
-// aheadBatch is one readahead unit — up to BatchAddrs decoded addresses
-// (whole spans when batching is disabled) — or the error that ended
-// production.
+// privateCacheChunks is how many chunks of the trace's stride a
+// Decompressor's private chunk cache holds.
+const privateCacheChunks = 8
+
+// aheadBatch is one decode unit — up to batchAddrs decoded addresses —
+// or the error that ended production.
 type aheadBatch struct {
 	addrs []uint64
 	// buf is the recyclable backing buffer of addrs, nil when addrs
@@ -169,10 +161,14 @@ type Decompressor struct {
 	pendingBuf []uint64
 	pos        int
 
-	// batchFree recycles readahead batch buffers (capacity BatchAddrs
-	// each) between the producer tasks that fill them and the consumer
-	// that drains them, bounding the pipeline's total allocation.
+	// batchFree recycles batch buffers (capacity batchAddrs each) between
+	// the producer tasks that fill them and the consumer that drains
+	// them, bounding the pipeline's total allocation.
 	batchFree chan []uint64
+
+	// inline is the open span when Readahead < 0: Decode pulls batches
+	// from it on the caller's goroutine instead of from a pipeline.
+	inline *spanReader
 
 	// intervalFree recycles the interval-sized buffers imitation records
 	// translate into on the copy-out decode paths (DecodeRangeAppend), so
@@ -181,13 +177,9 @@ type Decompressor struct {
 	// nil otherwise.
 	intervalFree chan []uint64
 
-	// cache holds decompressed chunks. With the default private FIFO it is
-	// only touched from the goroutine that owns decoding (the dispatcher
-	// when readahead runs); a caller-provided shared cache is concurrency-
-	// safe by contract. loader is the cache's optional singleflight
-	// extension, captured once at Open.
-	cache  ChunkCache
-	loader chunkLoader
+	// cache holds decompressed chunks: the caller's shared view, or a
+	// private one sized at Open from the trace's stride.
+	cache *TraceChunkCache
 
 	// statefulBackend is backend's optional pooled-reader extension,
 	// captured once at Open. When set, readerFree recycles complete
@@ -210,7 +202,7 @@ type Decompressor struct {
 
 	// traceRec, when non-nil, receives per-stage timings and chunk-touch
 	// counts for the request in flight (SetTrace). Written only between
-	// decodes; read from the sync decode path.
+	// decodes.
 	traceRec *obs.Trace
 
 	// Readahead pipeline. When ahead is non-nil a producer goroutine owns
@@ -229,14 +221,11 @@ type Decompressor struct {
 // directory or a single-file .atc archive (detected by a stat, or forced
 // by opts.Archive); opts.Store overrides both with an explicit container.
 func Open(path string, opts DecodeOptions) (*Decompressor, error) {
-	if opts.ChunkCacheSize <= 0 {
-		opts.ChunkCacheSize = 8
-	}
 	if opts.Readahead == 0 {
 		opts.Readahead = DefaultReadahead
 	}
-	if opts.BatchAddrs == 0 {
-		opts.BatchAddrs = DefaultBatchAddrs
+	if opts.batchAddrs == 0 {
+		opts.batchAddrs = DefaultBatchAddrs
 	}
 	st := opts.Store
 	ownStore := false
@@ -264,12 +253,7 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 			st = store.OpenDir(path)
 		}
 	}
-	cache := opts.ChunkCache
-	if cache == nil {
-		cache = newFIFOChunkCache(opts.ChunkCacheSize)
-	}
-	d := &Decompressor{st: st, ownStore: ownStore, opts: opts, cache: cache}
-	d.loader, _ = cache.(chunkLoader)
+	d := &Decompressor{st: st, ownStore: ownStore, opts: opts, cache: opts.ChunkCache}
 	closeStore := func() {
 		if ownStore {
 			st.Close()
@@ -298,15 +282,17 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 	d.backend = backend
 	d.backendName = backendName
 	d.statefulBackend, _ = backend.(xcompress.StatefulBackend)
+	// Bound retained decode state to the pipeline's concurrency: at most
+	// Readahead span tasks decode at once, plus the random-access path.
+	par := max(d.opts.Readahead, 1)
 	if d.statefulBackend != nil {
-		// Bound retained decode state to the pipeline's concurrency: at
-		// most Readahead span tasks decode at once, plus the sync path.
-		n := d.opts.Readahead
-		if n < 1 {
-			n = 1
-		}
-		d.readerFree = make(chan *backendReader, n+2)
+		d.readerFree = make(chan *backendReader, par+2)
 	}
+	// Enough batch buffers for the ahead channel, the consumer's pending
+	// batch, and every in-flight span task's slot plus working buffer;
+	// they survive pipeline restarts, so a seek-heavy consumer allocates
+	// its batch working set once.
+	d.batchFree = make(chan []uint64, 4*par+8)
 	if err := d.readInfo(backendName, mi.version); err != nil {
 		closeStore()
 		return nil, err
@@ -317,16 +303,17 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 		closeStore()
 		return nil, err
 	}
-	// A batch never spans records, so a BatchAddrs above the trace's
+	stride := int64(d.intervalLen)
+	if d.segmented {
+		stride = int64(d.segmentAddrs)
+	}
+	// A batch never spans records, so a batchAddrs above the trace's
 	// stride would only oversize the recycled buffers: clamp it.
-	if d.opts.BatchAddrs > 0 && !d.streaming {
-		stride := int64(d.intervalLen)
-		if d.segmented {
-			stride = int64(d.segmentAddrs)
-		}
-		if stride > 0 && int64(d.opts.BatchAddrs) > stride {
-			d.opts.BatchAddrs = int(stride)
-		}
+	if !d.streaming && stride > 0 && int64(d.opts.batchAddrs) > stride {
+		d.opts.batchAddrs = int(stride)
+	}
+	if d.cache == nil {
+		d.cache = NewSharedChunkCacheBytes(privateCacheChunks * stride * 8).ForTrace("")
 	}
 	if d.streaming {
 		if err := d.openLossless(); err != nil {
@@ -417,33 +404,21 @@ func (d *Decompressor) spanIndex(addr int64) int {
 func (d *Decompressor) startReadahead(n int) {
 	d.ahead = make(chan aheadBatch, n)
 	d.aheadStop = make(chan struct{})
-	if d.batchFree == nil && d.opts.BatchAddrs > 0 {
-		// Enough for the ahead channel, the consumer's pending batch, and
-		// every in-flight span task's slot plus working buffer; survives
-		// pipeline restarts, so a seek-heavy consumer allocates its batch
-		// working set once.
-		d.batchFree = make(chan []uint64, 4*n+8)
-	}
 	start := d.cursor
 	d.aheadWG.Add(1)
 	go func() {
 		defer d.aheadWG.Done()
 		defer close(d.ahead)
-		switch {
-		case d.streaming:
+		if d.streaming {
 			d.produceStream(start)
-		case d.opts.BatchAddrs > 0:
+		} else {
 			d.produceSpansBatched(n, start)
-		case d.segmented:
-			d.produceSpansConcurrent(n, start)
-		default:
-			d.produceSpans(start)
 		}
 	}()
 }
 
 // batchBuf takes a recycled batch buffer, or allocates a fresh one with
-// capacity BatchAddrs.
+// capacity batchAddrs.
 //
 //atc:pool put=recycleBatch
 func (d *Decompressor) batchBuf() []uint64 {
@@ -452,13 +427,13 @@ func (d *Decompressor) batchBuf() []uint64 {
 		return b[:0]
 	default:
 	}
-	return make([]uint64, 0, d.opts.BatchAddrs)
+	return make([]uint64, 0, d.opts.batchAddrs)
 }
 
 // recycleBatch returns a drained batch buffer to the free list (dropped
 // when full; nil is ignored).
 func (d *Decompressor) recycleBatch(buf []uint64) {
-	if buf == nil || d.batchFree == nil {
+	if buf == nil {
 		return
 	}
 	select {
@@ -467,11 +442,16 @@ func (d *Decompressor) recycleBatch(buf []uint64) {
 	}
 }
 
-// stopReadahead quiesces the producer pipeline: after it returns, no
-// goroutine touches the decoder and buffered batches are discarded. The
-// consumption cursor is untouched, so a later Decode (or Seek) resumes —
-// restarting the pipeline lazily — without skipping addresses.
+// stopReadahead quiesces production: after it returns, no goroutine
+// touches the decoder, buffered batches are discarded and the inline
+// span (Readahead < 0) is closed. The consumption cursor is untouched, so
+// a later Decode (or Seek) resumes — restarting production lazily —
+// without skipping addresses.
 func (d *Decompressor) stopReadahead() {
+	if d.inline != nil {
+		d.inline.close()
+		d.inline = nil
+	}
 	if d.ahead == nil {
 		return
 	}
@@ -511,141 +491,46 @@ func (d *Decompressor) deliver(b aheadBatch) bool {
 var errStopped = errors.New("atc: decode stopped")
 
 // produceStream decodes the legacy v1 lossless stream from trace position
-// start, in batches of BatchAddrs addresses through recycled buffers.
+// start into the ahead channel.
 func (d *Decompressor) produceStream(start int64) {
 	if err := d.seekStream(start); err != nil {
 		d.deliver(aheadBatch{err: err})
 		return
 	}
-	recycle := d.opts.BatchAddrs > 0
 	for {
-		var buf []uint64
-		if recycle {
-			buf = d.batchBuf()
-			buf = buf[:cap(buf)]
-		} else {
-			buf = make([]uint64, DefaultBatchAddrs)
-		}
-		n, rerr := d.losslessDec.ReadSlice(buf)
-		buf = buf[:n]
-		d.streamPos += int64(n)
-		if n > 0 {
-			b := aheadBatch{addrs: buf}
-			if recycle {
-				b.buf = buf
-			}
-			if !d.deliver(b) {
-				return
-			}
-		}
-		if rerr != nil {
-			if rerr != io.EOF {
-				d.deliver(aheadBatch{err: rerr})
-			}
-			return // io.EOF: closing the channel signals a clean end
-		}
-	}
-}
-
-// produceSpans walks the chunk index from the span covering start,
-// materializing one record per batch (the lossy pipeline; the first span
-// is trimmed to start mid-record after a seek).
-func (d *Decompressor) produceSpans(start int64) {
-	for i := d.spanIndex(start); i < len(d.index); i++ {
-		sp := d.index[i]
-		addrs, err := d.materializeSpan(sp, d.mode == Lossy)
-		if err != nil {
-			d.deliver(aheadBatch{err: err})
-			return
-		}
-		if start > sp.start {
-			addrs = addrs[start-sp.start:]
-		}
-		if len(addrs) > 0 && !d.deliver(aheadBatch{addrs: addrs}) {
+		b, ok := d.streamBatch()
+		if !ok || !d.deliver(b) {
 			return
 		}
 	}
 }
 
-// segResult carries one decoded segment from a decode goroutine to the
-// in-order delivery loop.
-type segResult struct {
-	sp    span
-	addrs []uint64
-	err   error
+// streamBatch reads the next batch of the legacy v1 stream into a
+// recycled buffer; ok is false at the end of the stream. A read error
+// after some addresses is reported by the next call: the decoder's error
+// is sticky.
+func (d *Decompressor) streamBatch() (b aheadBatch, ok bool) {
+	buf := d.batchBuf()
+	n, err := d.losslessDec.ReadSlice(buf[:cap(buf)])
+	d.streamPos += int64(n)
+	if n > 0 {
+		return aheadBatch{addrs: buf[:n], buf: buf[:n]}, true
+	}
+	d.recycleBatch(buf)
+	if err == io.EOF {
+		return aheadBatch{}, false
+	}
+	return aheadBatch{err: err}, true
 }
 
-// produceSpansConcurrent walks the chunk index from the span covering
-// start with up to par segments decompressing concurrently while delivery
-// stays strictly in trace order: a dispatcher assigns every span a
-// buffered result slot plus a goroutine, and the loop below consumes the
-// slots in index order. The slots channel's capacity bounds how many
-// segments are decoded (and held in memory) ahead of consumption.
-func (d *Decompressor) produceSpansConcurrent(par int, start int64) {
-	if par < 1 {
-		par = 1
-	}
-	slots := make(chan chan segResult, par)
-	var decodes sync.WaitGroup
-	d.aheadWG.Add(1)
-	go func() {
-		defer d.aheadWG.Done()
-		defer close(slots)
-		// Every Add below happens on this goroutine, so this Wait cannot
-		// race with them; and every spawned decode finishes (its slot has
-		// capacity 1), so waiting cannot block even when delivery stops
-		// early. stopReadahead blocks on aheadWG, so no decode outlives it.
-		defer decodes.Wait()
-		for i := d.spanIndex(start); i < len(d.index); i++ {
-			sp := d.index[i]
-			slot := make(chan segResult, 1)
-			select {
-			case slots <- slot:
-			case <-d.aheadStop:
-				return
-			}
-			decodes.Add(1)
-			go func(sp span) {
-				defer decodes.Done()
-				addrs, err := d.readSpan(sp)
-				slot <- segResult{sp: sp, addrs: addrs, err: err}
-			}(sp)
-		}
-	}()
-	for slot := range slots {
-		res := <-slot
-		if res.err != nil {
-			d.deliver(aheadBatch{err: res.err})
-			return
-		}
-		addrs := res.addrs
-		if start > res.sp.start {
-			addrs = addrs[start-res.sp.start:]
-		}
-		if len(addrs) > 0 && !d.deliver(aheadBatch{addrs: addrs}) {
-			return
-		}
-	}
-}
-
-// produceSpansBatched is the sub-span batching producer for lossy and
-// segmented traces: every span streams through its own bounded slot of
-// BatchAddrs-sized batches, up to par spans decoding concurrently, with
-// delivery strictly in trace order. Peak buffered memory is a multiple
-// of BatchAddrs — segments are stream-decoded (never materialized whole)
-// and imitation translations write into recycled batch buffers — instead
-// of a multiple of IntervalLen/SegmentAddrs. For lossy traces the chunk
-// cache stays on the dispatcher goroutine: chunks that imitations replay
-// load (and pin) there, serially, while slicing and the byte translation
-// of distinct imitation records — including several imitations of one
-// hot chunk — fan out across the span tasks. Lossy chunks no imitation
-// ever replays (streamableSpan) skip materialization entirely and
-// stream-decode on their span task like segments, unless a random-access
-// pass already left them in the cache.
+// produceSpansBatched is the pipeline for lossy and segmented traces:
+// every span streams through its own bounded slot of batches, up to par
+// spans decoding concurrently, with delivery strictly in trace order.
+// Peak buffered memory is a multiple of batchAddrs, not of
+// IntervalLen/SegmentAddrs. The dispatcher opens the spans, so chunks
+// that imitations replay load (and pin) there, serially, while slicing,
+// byte translation and stream decoding fan out across the span tasks.
 func (d *Decompressor) produceSpansBatched(par int, start int64) {
-	if par < 1 {
-		par = 1
-	}
 	slots := make(chan chan aheadBatch, par)
 	var tasks sync.WaitGroup
 	d.aheadWG.Add(1)
@@ -658,103 +543,41 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 		// aheadWG, so no task outlives it.
 		defer tasks.Wait()
 		for i := d.spanIndex(start); i < len(d.index); i++ {
-			sp := d.index[i]
+			r, err := d.openSpan(d.index[i], start)
 			slot := make(chan aheadBatch, 2)
-			var chunk []uint64
-			stream := d.segmented
-			if !stream && d.streamableSpan(sp) {
-				if cached, ok := d.cache.Get(sp.rec.chunkID); ok {
-					// Random access may have pinned even a never-imitated
-					// chunk; slicing the resident copy beats re-decoding.
-					metChunkCacheHits.Inc()
-					if tr := d.traceRec; tr != nil {
-						tr.CacheHit()
-					}
-					chunk = cached
-				} else {
-					stream = true
-					metChunksStreamed.Inc()
-				}
-			}
-			if !stream {
-				var err error
-				if chunk == nil {
-					chunk, err = d.loadChunk(sp.rec.chunkID, d.mode == Lossy)
-				}
-				if err == nil && int64(len(chunk)) != sp.end-sp.start {
-					err = fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-						ErrCorrupt, sp.rec.chunkID, len(chunk), sp.end-sp.start)
-				}
-				if err != nil {
-					select {
-					case slots <- slot:
-						d.sendSpanBatch(slot, aheadBatch{err: err})
-						close(slot)
-					case <-d.aheadStop:
-					}
-					return
-				}
-			}
 			select {
 			case slots <- slot:
 			case <-d.aheadStop:
 				return
 			}
+			if err != nil {
+				d.sendSpanBatch(slot, aheadBatch{err: err})
+				close(slot)
+				return
+			}
 			tasks.Add(1)
-			go func(sp span, chunk []uint64, stream bool, slot chan aheadBatch) {
+			go func() {
 				defer tasks.Done()
 				defer close(slot)
-				if stream {
-					d.streamSpanBatches(sp, slot)
-				} else {
-					d.sliceSpanBatches(sp, chunk, slot)
+				defer r.close()
+				for {
+					b, ok := r.next()
+					if !ok || !d.sendSpanBatch(slot, b) {
+						return
+					}
 				}
-			}(sp, chunk, stream, slot)
+			}()
 		}
 	}()
 	// In-order delivery: drain each span's batches completely before
-	// moving to the next. The first span may start mid-record after a
-	// seek; its leading addresses are skipped here.
-	var skip int64
-	if i := d.spanIndex(start); i < len(d.index) && start > d.index[i].start {
-		skip = start - d.index[i].start
-	}
+	// moving to the next.
 	for slot := range slots {
 		for b := range slot {
-			if b.err != nil {
-				d.deliver(aheadBatch{err: b.err})
-				return
-			}
-			addrs := b.addrs
-			if skip > 0 {
-				if int64(len(addrs)) <= skip {
-					skip -= int64(len(addrs))
-					d.recycleBatch(b.buf)
-					continue
-				}
-				addrs = addrs[skip:]
-				skip = 0
-			}
-			if !d.deliver(aheadBatch{addrs: addrs, buf: b.buf}) {
+			if !d.deliver(b) {
 				return
 			}
 		}
 	}
-}
-
-// streamableSpan reports whether the sequential pipeline may stream sp's
-// chunk straight into batch buffers instead of materializing it: a lossy
-// chunk record whose chunk no imitation ever replays has exactly one
-// consumer — this pass — so decoding it whole would cost a transient
-// interval-sized buffer and caching it would only evict chunks that
-// imitations still need. Random access (materializeSpan/loadChunk) is
-// unaffected: it still materializes, pins and caches on demand.
-func (d *Decompressor) streamableSpan(sp span) bool {
-	if d.mode != Lossy || sp.rec.tag != recChunk {
-		return false
-	}
-	_, hot := d.imitated[sp.rec.chunkID]
-	return !hot
 }
 
 // sendSpanBatch sends one batch into a span slot, aborting on pipeline
@@ -768,98 +591,179 @@ func (d *Decompressor) sendSpanBatch(slot chan aheadBatch, b aheadBatch) bool {
 	}
 }
 
-// sliceSpanBatches streams one lossy span into its slot: chunk records as
-// zero-copy sub-slices of the (cached, immutable) chunk, imitation
-// records as byte-translated batches written into recycled buffers — so
-// an imitation never allocates a whole-interval copy, and distinct
-// imitations of the same chunk translate concurrently on their own tasks.
-//
-//atc:hotpath
-func (d *Decompressor) sliceSpanBatches(sp span, chunk []uint64, slot chan aheadBatch) {
-	batch := d.opts.BatchAddrs
-	translate := sp.rec.tag == recImitate && !d.opts.IgnoreTranslations
-	for off := 0; off < len(chunk); off += batch {
-		end := off + batch
-		if end > len(chunk) {
-			end = len(chunk)
-		}
-		b := aheadBatch{addrs: chunk[off:end]}
-		if translate {
-			//atc:ignore hotalloc batchBuf returns BatchAddrs capacity and chunk[off:end] is at most BatchAddrs long, so append never grows
-			buf := append(d.batchBuf(), chunk[off:end]...)
-			sp.rec.trans.ApplySlice(buf)
-			b = aheadBatch{addrs: buf, buf: buf}
-		}
-		if !d.sendSpanBatch(slot, b) {
-			return
-		}
-	}
+// spanReader yields one span's addresses a batch at a time. The
+// pipeline's span tasks and the inline (Readahead < 0) decode both pull
+// from it, so the two deliver the same batches.
+type spanReader struct {
+	d  *Decompressor
+	sp span
+	// skip counts the leading addresses still to drop: a span opened at a
+	// position inside it, after a seek, starts mid-record.
+	skip int64
+	// chunk is the materialized (cached, immutable) chunk a sliced span
+	// reads from, at offset off; nil when the span stream-decodes.
+	chunk []uint64
+	off   int
+	// Stream decoding state, opened on the first next: the chunk blob,
+	// the pooled decode unit reading it, and the addresses decoded so far.
+	blob io.Closer
+	pr   *backendReader
+	got  int64
+	eof  bool
 }
 
-// streamSpanBatches stream-decodes one chunk blob directly into recycled
-// batch buffers: the chunk is never materialized whole, so per-span
-// memory is one batch plus the pooled decode unit's working buffers. It
-// is format-agnostic — lossless segment chunks and never-imitated lossy
-// chunks (streamableSpan) both take this path. The address count is
-// verified against the index — both overruns (detected before the
-// excess is delivered) and underruns surface as ErrCorrupt.
+// openSpan prepares a reader over sp from trace position start on.
+// Chunks that imitations replay are materialized and pinned in the chunk
+// cache here. Segments and lossy chunks no imitation replays have exactly
+// one consumer, this pass, so they stream-decode straight into batch
+// buffers (materializing would cost a transient span-sized buffer, and
+// caching would only evict chunks imitations still need) — unless a
+// random-access pass already left them in the cache.
+func (d *Decompressor) openSpan(sp span, start int64) (*spanReader, error) {
+	r := &spanReader{d: d, sp: sp, skip: max(start-sp.start, 0)}
+	_, hot := d.imitated[sp.rec.chunkID]
+	var err error
+	if d.segmented || (sp.rec.tag == recChunk && !hot) {
+		cached, ok := d.cache.Get(sp.rec.chunkID)
+		if !ok {
+			if !d.segmented {
+				metChunksStreamed.Inc()
+			}
+			return r, nil
+		}
+		if tr := d.traceRec; tr != nil {
+			tr.CacheHit()
+		}
+		r.chunk = cached
+	} else if r.chunk, err = d.loadChunk(sp.rec.chunkID); err != nil {
+		return nil, err
+	}
+	if int64(len(r.chunk)) != sp.end-sp.start {
+		return nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
+			ErrCorrupt, sp.rec.chunkID, len(r.chunk), sp.end-sp.start)
+	}
+	r.off = int(r.skip)
+	return r, nil
+}
+
+// next returns the span's next batch; ok is false once the span is
+// exhausted. A batch carrying an error is the span's last.
+func (r *spanReader) next() (b aheadBatch, ok bool) {
+	if r.chunk != nil {
+		return r.nextSlice()
+	}
+	return r.nextStream()
+}
+
+// nextSlice serves a materialized span: chunk records as zero-copy
+// sub-slices of the chunk, imitation records as byte-translated batches
+// written into recycled buffers — so an imitation never allocates a
+// whole-interval copy, and distinct imitations of the same chunk
+// translate concurrently on their own tasks.
 //
 //atc:hotpath
-func (d *Decompressor) streamSpanBatches(sp span, slot chan aheadBatch) {
-	want := sp.end - sp.start
+func (r *spanReader) nextSlice() (aheadBatch, bool) {
+	if r.off >= len(r.chunk) {
+		return aheadBatch{}, false
+	}
+	d := r.d
+	end := min(r.off+d.opts.batchAddrs, len(r.chunk))
+	addrs := r.chunk[r.off:end]
+	r.off = end
+	if r.sp.rec.tag != recImitate || d.opts.IgnoreTranslations {
+		return aheadBatch{addrs: addrs}, true
+	}
+	//atc:ignore hotalloc batchBuf returns batchAddrs capacity and addrs is at most batchAddrs long, so append never grows
+	buf := append(d.batchBuf(), addrs...)
+	r.sp.rec.trans.ApplySlice(buf)
+	return aheadBatch{addrs: buf, buf: buf}, true
+}
+
+// nextStream stream-decodes the chunk blob directly into recycled batch
+// buffers: the chunk is never materialized whole, so per-span memory is
+// one batch plus the pooled decode unit's working buffers. The address
+// count is verified against the index — both overruns (detected before
+// the excess is delivered) and underruns surface as ErrCorrupt.
+//
+//atc:hotpath
+func (r *spanReader) nextStream() (aheadBatch, bool) {
+	if r.pr == nil && !r.eof {
+		if err := r.openStream(); err != nil {
+			r.eof = true
+			return aheadBatch{err: err}, true
+		}
+	}
+	d := r.d
+	for !r.eof {
+		buf := d.batchBuf()
+		n, err := r.pr.dec.ReadSlice(buf[:cap(buf)])
+		buf = buf[:n]
+		r.got += int64(n)
+		r.eof = err != nil
+		if err = r.checkStream(err); err != nil {
+			d.recycleBatch(buf)
+			return aheadBatch{err: err}, true
+		}
+		lo := min(r.skip, int64(n))
+		r.skip -= lo
+		if int(lo) == n {
+			// Nothing left to deliver (skipped, or a trailing ReadSlice
+			// that only found EOF): the buffer never enters a batch, so
+			// recycle it here or the pool bleeds one buffer per span.
+			d.recycleBatch(buf)
+			continue
+		}
+		return aheadBatch{addrs: buf[lo:], buf: buf}, true
+	}
+	return aheadBatch{}, false
+}
+
+// openStream opens the span's chunk blob behind a pooled decode unit.
+func (r *spanReader) openStream() error {
+	d := r.d
 	d.chunkReads.Add(1)
 	metChunkLoads.Inc()
-	f, err := d.st.Open(d.chunkName(sp.rec.chunkID))
+	f, err := d.st.Open(d.chunkName(r.sp.rec.chunkID))
 	if err != nil {
-		//atc:ignore hotalloc corruption reporting on the terminal error path; the span aborts here
-		d.sendSpanBatch(slot, aheadBatch{err: fmt.Errorf("%w: missing chunk %d: %v", ErrCorrupt, sp.rec.chunkID, err)})
-		return
+		return fmt.Errorf("%w: missing chunk %d: %v", ErrCorrupt, r.sp.rec.chunkID, err)
 	}
-	defer f.Close()
 	pr, err := d.getBackendReader(f)
-	defer d.putBackendReader(pr)
 	if err != nil {
-		//atc:ignore hotalloc corruption reporting on the terminal error path; the span aborts here
-		d.sendSpanBatch(slot, aheadBatch{err: fmt.Errorf("%w: chunk %d: backend header: %v", ErrCorrupt, sp.rec.chunkID, err)})
+		d.putBackendReader(pr)
+		f.Close()
+		return fmt.Errorf("%w: chunk %d: backend header: %v", ErrCorrupt, r.sp.rec.chunkID, err)
+	}
+	r.blob, r.pr = f, pr
+	return nil
+}
+
+// checkStream turns the result of one ReadSlice (its error, with r.got
+// already counting its addresses) into the error that ends the span, or
+// nil to go on: decoding past the index's address count, ending short of
+// it, and back-end failures are all corruption.
+func (r *spanReader) checkStream(err error) error {
+	want := r.sp.end - r.sp.start
+	switch {
+	case r.got > want:
+		return fmt.Errorf("%w: chunk %d decodes past %d addresses, index says %d",
+			ErrCorrupt, r.sp.rec.chunkID, r.got, want)
+	case err == io.EOF && r.got != want:
+		return fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
+			ErrCorrupt, r.sp.rec.chunkID, r.got, want)
+	case err != nil && err != io.EOF:
+		return fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, r.sp.rec.chunkID, err)
+	}
+	return nil
+}
+
+// close releases the span's blob and decode unit; nil-safe.
+func (r *spanReader) close() {
+	if r == nil || r.pr == nil {
 		return
 	}
-	dec := pr.dec
-	var got int64
-	for {
-		buf := d.batchBuf()
-		buf = buf[:cap(buf)]
-		n, rerr := dec.ReadSlice(buf)
-		buf = buf[:n]
-		got += int64(n)
-		if got > want {
-			d.recycleBatch(buf)
-			//atc:ignore hotalloc corruption reporting on the terminal error path; the span aborts here
-			d.sendSpanBatch(slot, aheadBatch{err: fmt.Errorf("%w: chunk %d decodes past %d addresses, index says %d",
-				ErrCorrupt, sp.rec.chunkID, got, want)})
-			return
-		}
-		if n == 0 {
-			// Nothing decoded (a trailing ReadSlice that only found EOF):
-			// the buffer never enters a slot, so recycle it here or the
-			// pool bleeds one buffer per span.
-			d.recycleBatch(buf)
-		} else if !d.sendSpanBatch(slot, aheadBatch{addrs: buf, buf: buf}) {
-			return
-		}
-		if rerr == io.EOF {
-			if got != want {
-				//atc:ignore hotalloc corruption reporting on the terminal error path; the span aborts here
-				d.sendSpanBatch(slot, aheadBatch{err: fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-					ErrCorrupt, sp.rec.chunkID, got, want)})
-			}
-			return
-		}
-		if rerr != nil {
-			//atc:ignore hotalloc corruption reporting on the terminal error path; the span aborts here
-			d.sendSpanBatch(slot, aheadBatch{err: fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, sp.rec.chunkID, rerr)})
-			return
-		}
-	}
+	r.d.putBackendReader(r.pr)
+	r.blob.Close()
+	r.pr, r.blob = nil, nil
 }
 
 // manifestInfo is the parsed MANIFEST descriptor. version 0 means
@@ -1245,7 +1149,7 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 	}
 	for i := start; i < len(d.index) && d.index[i].start < to; i++ {
 		sp := d.index[i]
-		addrs, owned, err := d.materializeSpanPooled(sp)
+		addrs, owned, err := d.materializeSpan(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -1278,37 +1182,8 @@ func (d *Decompressor) Decode() (uint64, error) {
 	if d.err != nil {
 		return 0, d.err
 	}
-	if d.opts.Readahead > 0 {
-		return d.decodeAhead()
-	}
-	return d.decodeSync()
-}
-
-// decodeAhead consumes the readahead pipeline. The batch sequence is
-// exactly the serial decode order from the cursor, so position/total
-// verification is unchanged.
-func (d *Decompressor) decodeAhead() (uint64, error) {
-	for d.pos >= len(d.pending) {
-		if d.ahead == nil {
-			d.startReadahead(d.opts.Readahead)
-		}
-		batch, ok := <-d.ahead
-		if !ok {
-			if d.cursor != d.total {
-				d.err = fmt.Errorf("%w: decoded %d addresses, trailer says %d", ErrCorrupt, d.cursor, d.total)
-				return 0, d.err
-			}
-			d.err = io.EOF
-			return 0, io.EOF
-		}
-		if batch.err != nil {
-			d.err = batch.err
-			return 0, d.err
-		}
-		d.recycleBatch(d.pendingBuf)
-		d.pending = batch.addrs
-		d.pendingBuf = batch.buf
-		d.pos = 0
+	if d.pos >= len(d.pending) && !d.refill() {
+		return 0, d.err
 	}
 	v := d.pending[d.pos]
 	d.pos++
@@ -1320,57 +1195,69 @@ func (d *Decompressor) decodeAhead() (uint64, error) {
 	return v, nil
 }
 
-// decodeSync decodes on the calling goroutine (Readahead < 0): legacy
-// lossless straight off the stream, everything else by materializing the
-// index span covering the cursor.
-func (d *Decompressor) decodeSync() (uint64, error) {
+// refill replaces the drained pending batch with the next one. At the
+// end of the trace, or on a decode error, it sets d.err (io.EOF for a
+// complete, verified end) and reports false.
+func (d *Decompressor) refill() bool {
+	for d.pos >= len(d.pending) {
+		batch, ok := d.nextBatch()
+		switch {
+		case !ok && d.cursor != d.total:
+			d.err = fmt.Errorf("%w: decoded %d addresses, trailer says %d", ErrCorrupt, d.cursor, d.total)
+		case !ok:
+			d.err = io.EOF
+		default:
+			d.err = batch.err
+		}
+		if d.err != nil {
+			return false
+		}
+		d.recycleBatch(d.pendingBuf)
+		d.pending = batch.addrs
+		d.pendingBuf = batch.buf
+		d.pos = 0
+	}
+	return true
+}
+
+// nextBatch returns the batch starting at the cursor; ok is false at the
+// end of the trace. With Readahead > 0 it comes from the pipeline;
+// otherwise it is decoded inline, on the calling goroutine, by the same
+// stream and span readers the pipeline runs.
+func (d *Decompressor) nextBatch() (aheadBatch, bool) {
+	if d.opts.Readahead > 0 {
+		if d.ahead == nil {
+			d.startReadahead(d.opts.Readahead)
+		}
+		b, ok := <-d.ahead
+		return b, ok
+	}
 	if d.streaming {
 		if d.streamPos != d.cursor {
 			if err := d.seekStream(d.cursor); err != nil {
-				d.err = err
-				return 0, err
+				return aheadBatch{err: err}, true
 			}
 		}
-		v, err := d.losslessDec.Read()
-		if err == io.EOF {
-			if d.cursor != d.total {
-				d.err = fmt.Errorf("%w: decoded %d addresses, trailer says %d", ErrCorrupt, d.cursor, d.total)
-				return 0, d.err
+		return d.streamBatch()
+	}
+	for {
+		if d.inline == nil {
+			i := d.spanIndex(d.cursor)
+			if i >= len(d.index) {
+				return aheadBatch{}, false
 			}
-			d.err = io.EOF
-			return 0, io.EOF
+			r, err := d.openSpan(d.index[i], d.cursor)
+			if err != nil {
+				return aheadBatch{err: err}, true
+			}
+			d.inline = r
 		}
-		if err != nil {
-			d.err = err
-			return 0, err
+		if b, ok := d.inline.next(); ok {
+			return b, true
 		}
-		d.streamPos++
-		d.cursor++
-		if d.cursor > d.total {
-			d.err = fmt.Errorf("%w: more addresses than trailer count %d", ErrCorrupt, d.total)
-			return 0, d.err
-		}
-		return v, nil
+		d.inline.close()
+		d.inline = nil
 	}
-	for d.pos >= len(d.pending) {
-		i := d.spanIndex(d.cursor)
-		if i >= len(d.index) {
-			d.err = io.EOF
-			return 0, io.EOF
-		}
-		sp := d.index[i]
-		addrs, err := d.materializeSpan(sp, d.mode == Lossy)
-		if err != nil {
-			d.err = err
-			return 0, err
-		}
-		d.pending = addrs[d.cursor-sp.start:]
-		d.pos = 0
-	}
-	v := d.pending[d.pos]
-	d.pos++
-	d.cursor++
-	return v, nil
 }
 
 // maxDecodeAllPrealloc caps the slice capacity DecodeAll commits before
@@ -1399,38 +1286,6 @@ func (d *Decompressor) DecodeAll() ([]uint64, error) {
 		}
 		out = append(out, v)
 	}
-}
-
-// materializeSpan decodes one index entry into its full address range and
-// verifies the chunk actually holds the number of addresses the index
-// assigns it — a wrong-length chunk must surface as corruption, not as a
-// silently shifted tail. pin controls whether a freshly read chunk is
-// held in the chunk cache.
-func (d *Decompressor) materializeSpan(sp span, pin bool) ([]uint64, error) {
-	addrs, err := d.materializeInterval(sp.rec, pin)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(addrs)) != sp.end-sp.start {
-		return nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-			ErrCorrupt, sp.rec.chunkID, len(addrs), sp.end-sp.start)
-	}
-	return addrs, nil
-}
-
-// readSpan is materializeSpan's cache-free twin for the concurrent
-// segmented fan-out: it touches only immutable Decompressor state, so
-// decode goroutines call it in parallel.
-func (d *Decompressor) readSpan(sp span) ([]uint64, error) {
-	addrs, err := d.readChunkFile(sp.rec.chunkID)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(addrs)) != sp.end-sp.start {
-		return nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-			ErrCorrupt, sp.rec.chunkID, len(addrs), sp.end-sp.start)
-	}
-	return addrs, nil
 }
 
 // intervalBuf takes a recycled imitation-interval buffer of length n, or
@@ -1464,19 +1319,18 @@ func (d *Decompressor) recycleInterval(buf []uint64) {
 	}
 }
 
-// materializeSpanPooled is materializeSpan for consumers that copy the
-// addresses out before touching the span again (DecodeRangeAppend): an
-// imitation record's translated interval is built in a pooled buffer,
-// returned as owned for the caller to hand back with recycleInterval
-// once copied out. For chunk records — and under IgnoreTranslations,
-// where the cached chunk itself is the materialization — owned is nil
-// and addrs aliases cache-owned memory exactly as materializeSpan.
-func (d *Decompressor) materializeSpanPooled(sp span) (addrs, owned []uint64, err error) {
-	if sp.rec.tag != recImitate || d.opts.IgnoreTranslations {
-		addrs, err = d.materializeSpan(sp, true)
-		return addrs, nil, err
-	}
-	chunk, err := d.loadChunk(sp.rec.chunkID, true)
+// materializeSpan decodes one index entry into its full address range
+// for a consumer that copies the addresses out before touching the span
+// again (DecodeRangeAppend). The chunk is loaded and pinned in the chunk
+// cache, and must hold exactly the number of addresses the index assigns
+// it — a wrong-length chunk must surface as corruption, not as a silently
+// shifted tail. An imitation record's translated interval is built in a
+// pooled buffer, returned as owned for the caller to hand back with
+// recycleInterval once copied out. For chunk records — and under
+// IgnoreTranslations, where the cached chunk itself is the
+// materialization — owned is nil and addrs aliases cache-owned memory.
+func (d *Decompressor) materializeSpan(sp span) (addrs, owned []uint64, err error) {
+	chunk, err := d.loadChunk(sp.rec.chunkID)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1484,36 +1338,15 @@ func (d *Decompressor) materializeSpanPooled(sp span) (addrs, owned []uint64, er
 		return nil, nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
 			ErrCorrupt, sp.rec.chunkID, len(chunk), sp.end-sp.start)
 	}
+	if sp.rec.tag != recImitate || d.opts.IgnoreTranslations {
+		return chunk, nil, nil
+	}
 	start := time.Now()
 	buf := d.intervalBuf(len(chunk))
 	copy(buf, chunk)
 	sp.rec.trans.ApplySlice(buf)
 	d.observeTranslate(time.Since(start))
 	return buf, buf, nil
-}
-
-// materializeInterval decodes one record into addresses: the chunk
-// itself, or a translated copy for imitation records.
-func (d *Decompressor) materializeInterval(rec record, pin bool) ([]uint64, error) {
-	chunk, err := d.loadChunk(rec.chunkID, pin)
-	if err != nil {
-		return nil, err
-	}
-	switch rec.tag {
-	case recChunk:
-		return chunk, nil
-	case recImitate:
-		start := time.Now()
-		out := make([]uint64, len(chunk))
-		copy(out, chunk)
-		if !d.opts.IgnoreTranslations {
-			rec.trans.ApplySlice(out)
-		}
-		d.observeTranslate(time.Since(start))
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: bad record tag %d", ErrCorrupt, rec.tag)
-	}
 }
 
 // chunkBufSize is the buffered-read size fronting chunk blobs.
@@ -1621,46 +1454,28 @@ func (d *Decompressor) readChunkFile(id int) ([]uint64, error) {
 	return addrs, nil
 }
 
-// loadChunk returns the decoded addresses of a chunk, consulting the
-// cache. pin keeps a freshly read chunk resident (subject to the cache's
+// loadChunk returns the decoded addresses of a chunk through the chunk
+// cache, pinning a freshly read chunk there (subject to the cache's
 // eviction policy): the sequential lossy pipeline pins chunks so
 // imitations avoid re-reading them, and random access pins everything it
-// touches so a hot range working set decompresses once. When the cache
-// supports singleflight loads (a shared cache does), the whole
-// miss-load-insert sequence goes through it so concurrent readers of one
-// chunk trigger a single decompression.
-func (d *Decompressor) loadChunk(id int, pin bool) ([]uint64, error) {
-	if d.loader != nil {
-		loaded := false
-		addrs, err := d.loader.GetOrLoad(id, pin, func() ([]uint64, error) {
-			loaded = true
-			return d.readChunkFile(id)
-		})
-		// Served without invoking our load — a cache (or in-flight
-		// dedup) hit from this request's point of view. The shared
-		// cache bumps the process-wide hit counter itself.
-		if err == nil && !loaded {
-			if tr := d.traceRec; tr != nil {
-				tr.CacheHit()
-			}
-		}
-		return addrs, err
-	}
-	if addrs, ok := d.cache.Get(id); ok {
-		metChunkCacheHits.Inc()
+// touches so a hot range working set decompresses once. Concurrent
+// readers of one chunk through a shared cache trigger a single
+// decompression.
+func (d *Decompressor) loadChunk(id int) ([]uint64, error) {
+	loaded := false
+	addrs, err := d.cache.GetOrLoad(id, true, func() ([]uint64, error) {
+		loaded = true
+		return d.readChunkFile(id)
+	})
+	// Served without invoking our load — a cache (or in-flight dedup) hit
+	// from this request's point of view. The cache bumps the process-wide
+	// hit counter itself.
+	if err == nil && !loaded {
 		if tr := d.traceRec; tr != nil {
 			tr.CacheHit()
 		}
-		return addrs, nil
 	}
-	addrs, err := d.readChunkFile(id)
-	if err != nil {
-		return nil, err
-	}
-	if pin {
-		d.cache.Put(id, addrs)
-	}
-	return addrs, nil
+	return addrs, err
 }
 
 // Close stops the readahead pipeline (if any) and releases open blobs,

@@ -9,7 +9,7 @@ import (
 
 // Registry-backed decode/encode metrics on obs.Default(). They are
 // process-wide: every Decompressor and Compressor feeds the same series.
-// Per-instance counters (Decompressor.ChunkReads, SharedChunkCache.Stats)
+// Per-instance counters (Decompressor.ChunkReads, TraceChunkCache.Stats)
 // stay authoritative for their accessors — the registry is the
 // operational view layered on top, not a replacement.
 var (

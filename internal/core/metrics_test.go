@@ -19,7 +19,7 @@ func TestDecodeTraceStages(t *testing.T) {
 			if _, err := WriteTrace(dir, addrs, m.opts); err != nil {
 				t.Fatal(err)
 			}
-			d, err := Open(dir, DecodeOptions{ChunkCacheSize: 64})
+			d, err := Open(dir, DecodeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,27 +72,23 @@ func TestDecodeTraceStages(t *testing.T) {
 	}
 }
 
-// TestSharedCacheRegister checks the thin-view func metrics a shared
-// cache exposes on a registry.
+// TestSharedCacheRegister checks the func metrics a shared cache exposes
+// on a registry: its budget and the decoded bytes resident across every
+// trace.
 func TestSharedCacheRegister(t *testing.T) {
-	c := NewSharedChunkCache(1)
-	c.Put(1, []uint64{1})
-	c.Get(1)
-	c.Put(2, []uint64{2}) // evicts 1
+	c := NewSharedChunkCacheBytes(80)
+	v := c.ForTrace("a")
+	v.Put(1, chunkOf(10, 1))
+	v.Put(2, chunkOf(5, 2)) // evicts 1
 	r := obs.NewRegistry()
-	c.Register(r, obs.Label{Key: "trace", Value: "unit"})
-	st := c.Stats()
-	if st.Hits != 1 || st.Evictions != 1 || st.Resident != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
+	c.Register(r, obs.Label{Key: "cache", Value: "unit"})
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`atc_chunk_cache_hits_total{trace="unit"} 1`,
-		`atc_chunk_cache_evictions_total{trace="unit"} 1`,
-		`atc_chunk_cache_resident_chunks{trace="unit"} 1`,
+		`atc_chunk_cache_budget_bytes{cache="unit"} 80`,
+		`atc_chunk_cache_bytes{cache="unit"} 40`,
 	} {
 		if !strings.Contains(sb.String(), want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())

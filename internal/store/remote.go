@@ -72,19 +72,16 @@ type RemoteOptions struct {
 	// Client overrides the HTTP client (timeouts, proxies, auth
 	// round-trippers for private buckets). Default http.DefaultClient.
 	Client *http.Client
-	// DisablePrefetch turns off sequential block readahead: by default a
-	// read continuing the previous read's frontier triggers a background
+	// MaxPrefetchBlocks caps the adaptive sequential readahead. A read
+	// continuing the previous read's frontier triggers a background
 	// fetch of the blocks after it, overlapping origin latency with
 	// decompression of the current one. Prefetched blocks land in the
 	// same LRU and are counted hit or wasted (evicted untouched) on
-	// atc_remote_prefetch_total.
-	DisablePrefetch bool
-	// MaxPrefetchBlocks caps the adaptive readahead window: sustained
-	// sequential reads double the number of blocks speculated ahead
-	// (1, 2, 4, …, issued as one coalesced ranged GET) up to this cap,
-	// and any non-sequential read or wasted prefetch halves it. 1 pins
-	// the pre-adaptive fixed depth-1 behavior. Default
-	// DefaultRemoteMaxPrefetch.
+	// atc_remote_prefetch_total. Sustained sequential reads double the
+	// number of blocks speculated ahead (1, 2, 4, …, issued as one
+	// coalesced ranged GET) up to this cap, and any non-sequential read
+	// or wasted prefetch halves it. 1 pins the pre-adaptive fixed
+	// depth-1 behavior. Default DefaultRemoteMaxPrefetch.
 	MaxPrefetchBlocks int
 }
 
@@ -132,7 +129,6 @@ func OpenRemote(url string, opts RemoteOptions) (*RemoteStore, error) {
 		blockSize:   int64(opts.BlockSize),
 		retries:     opts.Retries,
 		retryDelay:  opts.RetryDelay,
-		noPrefetch:  opts.DisablePrefetch,
 		maxPrefetch: int64(opts.MaxPrefetchBlocks),
 		cache:       blockLRU{cap: opts.CacheBlocks, m: map[int64]*list.Element{}},
 		inflight:    map[int64]*blockFetch{},
@@ -207,6 +203,8 @@ type RangeReaderAt struct {
 	blockSize  int64
 	retries    int
 	retryDelay time.Duration
+	// noPrefetch turns readahead off; demand-fetch tests that count exact
+	// GETs set it.
 	noPrefetch bool
 	// maxPrefetch caps the adaptive readahead window in blocks (0 means
 	// DefaultRemoteMaxPrefetch, resolved lazily so zero-value readers in

@@ -265,9 +265,9 @@ func TestReadAddrsAt(t *testing.T) {
 }
 
 // TestSeekDuringReadaheadStress hammers the readahead restart path: a
-// reader with an active batched readahead pipeline is seeked to random
-// positions (forwards, backwards, mid-batch, mid-span) with a partial
-// decode between seeks, for every mode. Each seek stops an in-flight
+// reader with an active readahead pipeline is seeked to random positions
+// (forwards, backwards, mid-span) with a partial decode between seeks,
+// for every mode. Each seek stops an in-flight
 // pipeline — span tasks mid-stream included — and the next Decode
 // restarts it at the new cursor; the decoded values must match the raw
 // trace exactly. Run under -race this also shakes the producer/consumer
@@ -293,7 +293,7 @@ func TestSeekDuringReadaheadStress(t *testing.T) {
 			if int64(len(want)) != n {
 				t.Fatalf("reference decode: %d addresses, want %d", len(want), n)
 			}
-			r, err := atc.NewReader(dir, atc.WithReadahead(3), atc.WithBatchAddrs(257))
+			r, err := atc.NewReader(dir, atc.WithReadahead(3))
 			if err != nil {
 				t.Fatal(err)
 			}
