@@ -1092,7 +1092,7 @@ func BenchmarkSharedCacheBytes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < lookups; j++ {
-			addrs, err := views[j%traces].GetOrLoad(j%chunks, true, load)
+			addrs, err := views[j%traces].GetOrLoad(j%chunks, load)
 			if err != nil || len(addrs) != chunkLen {
 				b.Fatalf("GetOrLoad = %d addrs, %v", len(addrs), err)
 			}
@@ -1132,13 +1132,12 @@ func remoteBenchTrace(b *testing.B) (string, int64) {
 	return path, int64(len(addrs))
 }
 
-// benchmarkRemotePrefetch decodes the whole segmented archive
+// BenchmarkRemotePrefetchAdaptive decodes the whole segmented archive
 // front-to-back over a local Range-speaking origin with a cold block
-// cache each iteration, and reports the origin round-trips. maxPrefetch
-// 0 is the adaptive readahead (window doubles on sequential hits, up to
-// 16 blocks per coalesced GET); 1 pins the pre-adaptive fixed depth-1
-// behavior, one block per GET, for comparison.
-func benchmarkRemotePrefetch(b *testing.B, maxPrefetch int) {
+// cache each iteration, and reports the origin round-trips. The adaptive
+// readahead doubles its window on sequential hits, up to 16 blocks per
+// coalesced GET.
+func BenchmarkRemotePrefetchAdaptive(b *testing.B) {
 	path, total := remoteBenchTrace(b)
 	var gets atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -1150,9 +1149,8 @@ func benchmarkRemotePrefetch(b *testing.B, maxPrefetch int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rst, err := store.OpenRemote(srv.URL, store.RemoteOptions{
-			BlockSize:         32768,
-			CacheBlocks:       128,
-			MaxPrefetchBlocks: maxPrefetch,
+			BlockSize:   32768,
+			CacheBlocks: 128,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -1172,6 +1170,3 @@ func benchmarkRemotePrefetch(b *testing.B, maxPrefetch int) {
 	}
 	b.ReportMetric(float64(gets.Load())/float64(b.N), "origin-gets/op")
 }
-
-func BenchmarkRemotePrefetchAdaptive(b *testing.B) { benchmarkRemotePrefetch(b, 0) }
-func BenchmarkRemotePrefetchDepth1(b *testing.B)   { benchmarkRemotePrefetch(b, 1) }

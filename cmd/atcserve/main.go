@@ -90,7 +90,6 @@ import (
 	"time"
 
 	"atc"
-	"atc/internal/core"
 	"atc/internal/obs"
 	"atc/internal/store"
 	"atc/internal/trace"
@@ -144,7 +143,6 @@ func main() {
 		readers:     *readers,
 		sharedBytes: atc.NewSharedChunkCacheBytes(*cacheBytes),
 		remote:      store.RemoteOptions{BlockSize: *remoteBlock, CacheBlocks: *remoteBlocks},
-		reg:         obs.Default(),
 		registrar:   newTraceRegistrar(obs.Default(), *metricTraces),
 	}
 	cfg.sharedBytes.Register(obs.Default())
@@ -259,11 +257,10 @@ type traceMeta struct {
 	// shared chunk cache on (the default), it counts each hot chunk once
 	// per process, not once per reader.
 	ChunkReads int64 `json:"chunkReads"`
-	// SharedCacheHits/SharedCacheLoads report the trace's shared chunk
-	// cache traffic — its view of the byte-budgeted process cache, or the
-	// legacy count-bounded per-trace cache (absent when both are off).
-	// SharedCacheBytes is the trace's resident decoded bytes in the
-	// byte-budgeted cache (absent for the count-bounded kind).
+	// SharedCacheHits/SharedCacheLoads report the trace's traffic through
+	// its view of the process-wide byte-budgeted chunk cache, and
+	// SharedCacheBytes its resident decoded bytes there (each absent
+	// while zero).
 	SharedCacheHits  int64 `json:"sharedCacheHits,omitempty"`
 	SharedCacheLoads int64 `json:"sharedCacheLoads,omitempty"`
 	SharedCacheBytes int64 `json:"sharedCacheBytes,omitempty"`
@@ -295,9 +292,8 @@ type tracePool struct {
 	// is an atomic counter, safe to sum while a reader is borrowed.
 	all []*atc.Reader
 	// sharedBytes is the trace's view of the process-wide byte-budgeted
-	// cache (-cache-bytes; nil when the readers keep private caches);
-	// remote the backing remote store (nil for local traces). Both feed
-	// live counters into metaNow.
+	// cache (-cache-bytes); remote the backing remote store (nil for local
+	// traces). Both feed live counters into metaNow.
 	sharedBytes *atc.TraceChunkCache
 	remote      *store.RemoteStore
 	// etag is the trace's strong HTTP validator, derived from the
@@ -321,18 +317,15 @@ type poolConfig struct {
 	mem     bool
 	readers int
 	// sharedBytes is the process-wide byte-budgeted chunk cache every
-	// trace shares (-cache-bytes): each pool decodes through its ForTrace
-	// view, so one memory cap covers all pooled readers of all traces.
-	// Nil leaves every reader its own private cache.
+	// trace shares (-cache-bytes), required: each pool decodes through
+	// its ForTrace view, so one memory cap covers all pooled readers of
+	// all traces.
 	sharedBytes *atc.SharedChunkCacheBytes
 	remote      store.RemoteOptions
-	// reg, when set, receives per-trace labeled func metrics (chunk reads,
-	// shared-cache and remote counters) at open. Nil in tests that build
-	// pools directly.
-	reg *obs.Registry
-	// registrar, when set, routes that registration through the
-	// per-trace cardinality cap (-metric-traces) instead of registering
-	// each pool's own series unconditionally.
+	// registrar, when set, registers each pool's per-trace labeled func
+	// metrics (chunk reads, shared-cache and remote counters) at open,
+	// under the per-trace cardinality cap (-metric-traces). Nil in tests
+	// that need no metrics.
 	registrar *traceRegistrar
 }
 
@@ -387,15 +380,15 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 			st = ast
 		}
 	}
-	p := &tracePool{name: name, st: st, remote: remote, readers: make(chan *atc.Reader, n)}
+	p := &tracePool{
+		name: name, st: st, remote: remote, readers: make(chan *atc.Reader, n),
+		sharedBytes: cfg.sharedBytes.ForTrace(name),
+	}
 	readerOpts := []atc.ReadOption{
 		// Readahead is disabled: a range server decodes exactly the chunks
 		// a request asks for, and prefetch past the window would be waste.
 		atc.WithReadStore(st), atc.WithReadahead(-1),
-	}
-	if cfg.sharedBytes != nil {
-		p.sharedBytes = cfg.sharedBytes.ForTrace(name)
-		readerOpts = append(readerOpts, atc.WithChunkCache(p.sharedBytes))
+		atc.WithChunkCache(p.sharedBytes),
 	}
 	for i := 0; i < n; i++ {
 		r, err := atc.NewReader(path, readerOpts...)
@@ -430,31 +423,15 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 	p.readers <- r
 	if cfg.registrar != nil {
 		cfg.registrar.add(p)
-	} else if cfg.reg != nil {
-		p.register(cfg.reg)
 	}
 	return p, nil
 }
 
-// cacheStats reports the trace's shared-cache counters (zero when the
-// readers keep private caches).
-func (p *tracePool) cacheStats() core.TraceCacheStats {
-	if p.sharedBytes == nil {
-		return core.TraceCacheStats{}
-	}
-	return p.sharedBytes.Stats()
-}
-
-// register exposes the pool's live counters as per-trace labeled func
-// metrics: thin views over the same atomics /meta reports, so the two
-// surfaces can never disagree.
-func (p *tracePool) register(reg *obs.Registry) {
-	registerPoolMetrics(reg, p.name, []*tracePool{p})
-}
-
 // registerPoolMetrics exposes the summed live counters of pools under a
-// trace=label series set. With a single pool under its own name this is
-// the ordinary per-trace registration; the cardinality-capped overflow
+// trace=label series set: thin views over the same atomics /meta
+// reports, so the two surfaces can never disagree. With a single pool
+// under its own name this is the ordinary per-trace registration; the
+// cardinality-capped overflow
 // re-registers a growing pool list under trace="other" (func-metric
 // registration is last-wins, so each re-registration swaps in closures
 // over the larger set).
@@ -473,27 +450,24 @@ func registerPoolMetrics(reg *obs.Registry, label string, pools []*tracePool) {
 	reg.CounterFunc("atc_trace_chunk_reads_total",
 		"chunk-blob decompressions across the trace's pooled readers",
 		sum((*tracePool).chunkReads), lbl)
-	anyCache, anyRemote := false, false
+	reg.CounterFunc("atc_chunk_cache_hits_total",
+		"chunk lookups served from the shared cache or deduplicated onto an in-flight load",
+		sum(func(p *tracePool) int64 { return p.sharedBytes.Stats().Hits }), lbl)
+	reg.CounterFunc("atc_chunk_cache_loads_total",
+		"chunk decompressions through the shared cache (misses)",
+		sum(func(p *tracePool) int64 { return p.sharedBytes.Stats().Loads }), lbl)
+	reg.CounterFunc("atc_chunk_cache_evictions_total",
+		"chunks evicted from the shared cache",
+		sum(func(p *tracePool) int64 { return p.sharedBytes.Stats().Evictions }), lbl)
+	reg.GaugeFunc("atc_chunk_cache_resident_chunks",
+		"chunks currently resident in the shared cache",
+		sum(func(p *tracePool) int64 { return p.sharedBytes.Stats().ResidentChunks }), lbl)
+	reg.GaugeFunc("atc_chunk_cache_resident_bytes",
+		"decoded bytes this trace holds in the process-wide byte-budgeted cache",
+		sum(func(p *tracePool) int64 { return p.sharedBytes.Stats().ResidentBytes }), lbl)
+	anyRemote := false
 	for _, p := range pools {
-		anyCache = anyCache || p.sharedBytes != nil
 		anyRemote = anyRemote || p.remote != nil
-	}
-	if anyCache {
-		reg.CounterFunc("atc_chunk_cache_hits_total",
-			"chunk lookups served from the shared cache or deduplicated onto an in-flight load",
-			sum(func(p *tracePool) int64 { return p.cacheStats().Hits }), lbl)
-		reg.CounterFunc("atc_chunk_cache_loads_total",
-			"chunk decompressions through the shared cache (misses)",
-			sum(func(p *tracePool) int64 { return p.cacheStats().Loads }), lbl)
-		reg.CounterFunc("atc_chunk_cache_evictions_total",
-			"chunks evicted from the shared cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().Evictions }), lbl)
-		reg.GaugeFunc("atc_chunk_cache_resident_chunks",
-			"chunks currently resident in the shared cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().ResidentChunks }), lbl)
-		reg.GaugeFunc("atc_chunk_cache_resident_bytes",
-			"decoded bytes this trace holds in the process-wide byte-budgeted cache",
-			sum(func(p *tracePool) int64 { return p.cacheStats().ResidentBytes }), lbl)
 	}
 	if anyRemote {
 		reg.CounterFunc("atc_trace_remote_fetches_total",
@@ -831,7 +805,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (p *tracePool) metaNow() traceMeta {
 	m := p.meta
 	m.ChunkReads = p.chunkReads()
-	cs := p.cacheStats()
+	cs := p.sharedBytes.Stats()
 	m.SharedCacheHits, m.SharedCacheLoads, m.SharedCacheBytes = cs.Hits, cs.Loads, cs.ResidentBytes
 	if p.remote != nil {
 		st := p.remote.ReaderStats()

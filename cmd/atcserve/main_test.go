@@ -41,7 +41,7 @@ func serveTestTrace(t *testing.T, readers int, maxRange int64) ([]uint64, *httpt
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := openTrace("unit", path, poolConfig{readers: readers})
+	pool, err := openTrace("unit", path, poolConfig{readers: readers, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,13 +261,13 @@ func TestServeMaxRangeCap(t *testing.T) {
 }
 
 func TestOpenTraceErrors(t *testing.T) {
-	if _, err := openTrace("missing", filepath.Join(t.TempDir(), "missing.atc"), poolConfig{readers: 1}); err == nil {
+	if _, err := openTrace("missing", filepath.Join(t.TempDir(), "missing.atc"), poolConfig{readers: 1, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)}); err == nil {
 		t.Fatal("openTrace on a missing path succeeded")
 	}
-	if _, err := openTrace("dir", t.TempDir(), poolConfig{readers: 1, mem: true}); err == nil {
+	if _, err := openTrace("dir", t.TempDir(), poolConfig{readers: 1, mem: true, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)}); err == nil {
 		t.Fatal("openTrace -mem on a directory succeeded")
 	}
-	if _, err := openTrace("rem", "http://127.0.0.1:1/x.atc", poolConfig{readers: 1, mem: true}); err == nil {
+	if _, err := openTrace("rem", "http://127.0.0.1:1/x.atc", poolConfig{readers: 1, mem: true, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)}); err == nil {
 		t.Fatal("openTrace -mem on a URL succeeded")
 	}
 }
@@ -329,7 +329,7 @@ func TestServeCorruptTrace502(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := openTrace("unit", dir, poolConfig{readers: 1})
+	pool, err := openTrace("unit", dir, poolConfig{readers: 1, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestServeBusy429(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := openTrace("unit", path, poolConfig{readers: 1})
+	pool, err := openTrace("unit", path, poolConfig{readers: 1, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func serveObsTrace(t *testing.T) *httptest.Server {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := openTrace("unit", path, poolConfig{readers: 2, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20), reg: obs.Default()})
+	pool, err := openTrace("unit", path, poolConfig{readers: 2, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20), registrar: newTraceRegistrar(obs.Default(), 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,9 +223,9 @@ func (v *TraceChunkCache) Put(id int, addrs []uint64) {
 // GetOrLoad implements the singleflight load path across every reader of
 // every trace sharing the budget: on a miss the first caller runs load
 // while concurrent callers for the same (trace, chunk) wait and share the
-// result. Failed loads are not cached — every waiter sees the error, and
-// the next request retries.
-func (v *TraceChunkCache) GetOrLoad(id int, pin bool, load func() ([]uint64, error)) ([]uint64, error) {
+// result, and a successful load enters the cache. Failed loads are not
+// cached — every waiter sees the error, and the next request retries.
+func (v *TraceChunkCache) GetOrLoad(id int, load func() ([]uint64, error)) ([]uint64, error) {
 	c := v.c
 	key := byteCacheKey{v.trace, id}
 	c.mu.Lock()
@@ -255,7 +255,7 @@ func (v *TraceChunkCache) GetOrLoad(id int, pin bool, load func() ([]uint64, err
 	f.addrs, f.err = load()
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if f.err == nil && pin {
+	if f.err == nil {
 		c.putLocked(v, key, f.addrs)
 	}
 	c.mu.Unlock()

@@ -99,7 +99,7 @@ func TestByteCacheOversizeEntryBypasses(t *testing.T) {
 	}
 	// The singleflight load path still returns the data, it just is not
 	// retained.
-	got, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return chunkOf(1000, 7), nil })
+	got, err := v.GetOrLoad(1, func() ([]uint64, error) { return chunkOf(1000, 7), nil })
 	if err != nil || len(got) != 1000 || got[0] != 7 {
 		t.Fatalf("oversize GetOrLoad = %d addrs, %v", len(got), err)
 	}
@@ -119,7 +119,7 @@ func TestByteCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = v.GetOrLoad(7, true, func() ([]uint64, error) {
+			results[i], _ = v.GetOrLoad(7, func() ([]uint64, error) {
 				<-gate
 				loads++ // safe: the cache runs load at most once
 				return chunkOf(3, 42), nil
@@ -145,31 +145,24 @@ func TestByteCacheLoadErrorNotCached(t *testing.T) {
 	c := NewSharedChunkCacheBytes(1 << 20)
 	v := c.ForTrace("t")
 	boom := errors.New("backend exploded")
-	if _, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := v.GetOrLoad(1, func() ([]uint64, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("GetOrLoad error = %v, want %v", err, boom)
 	}
-	a, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return []uint64{5}, nil })
+	a, err := v.GetOrLoad(1, func() ([]uint64, error) { return []uint64{5}, nil })
 	if err != nil || len(a) != 1 || a[0] != 5 {
 		t.Fatalf("retry after failed load = %v, %v", a, err)
 	}
-}
-
-func TestByteCacheUnpinnedLoadNotRetained(t *testing.T) {
-	c := NewSharedChunkCacheBytes(1 << 20)
-	v := c.ForTrace("t")
-	loads := 0
-	load := func() ([]uint64, error) { loads++; return chunkOf(2, 9), nil }
-	if _, err := v.GetOrLoad(3, false, load); err != nil {
-		t.Fatal(err)
+	// The chunk is now resident: a request for it is a hit that runs no
+	// load.
+	b, err := v.GetOrLoad(1, func() ([]uint64, error) {
+		t.Error("load ran for a resident chunk")
+		return nil, nil
+	})
+	if err != nil || len(b) != 1 || b[0] != 5 {
+		t.Fatalf("GetOrLoad of a resident chunk = %v, %v", b, err)
 	}
-	if st := c.Stats(); st.ResidentChunks != 0 {
-		t.Fatalf("unpinned load retained %d chunks, want 0", st.ResidentChunks)
-	}
-	if _, err := v.GetOrLoad(3, false, load); err != nil {
-		t.Fatal(err)
-	}
-	if loads != 2 {
-		t.Fatalf("loads = %d, want 2 (pin=false must not cache)", loads)
+	if st := v.Stats(); st.Loads != 1 || st.Hits != 1 {
+		t.Fatalf("view stats = %+v, want 1 load and 1 hit", st)
 	}
 }
 
@@ -218,7 +211,7 @@ func TestSharedChunkCacheSingleflight(t *testing.T) {
 			wg.Add(1)
 			go func(slot int, name string, fill uint64) {
 				defer wg.Done()
-				results[slot], _ = v.GetOrLoad(7, true, func() ([]uint64, error) {
+				results[slot], _ = v.GetOrLoad(7, func() ([]uint64, error) {
 					mu.Lock()
 					loads[name]++
 					mu.Unlock()
@@ -262,7 +255,7 @@ func TestSharedChunkCacheLoadError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = v.GetOrLoad(1, true, func() ([]uint64, error) {
+			_, errs[i] = v.GetOrLoad(1, func() ([]uint64, error) {
 				<-gate
 				return nil, boom
 			})
@@ -278,47 +271,12 @@ func TestSharedChunkCacheLoadError(t *testing.T) {
 	if st := c.Stats(); st.ResidentChunks != 0 || st.Loads != 0 {
 		t.Fatalf("stats after failed loads = %+v, want nothing resident and no loads", st)
 	}
-	a, err := v.GetOrLoad(1, true, func() ([]uint64, error) { return []uint64{5}, nil })
+	a, err := v.GetOrLoad(1, func() ([]uint64, error) { return []uint64{5}, nil })
 	if err != nil || a[0] != 5 {
 		t.Fatalf("retry after failed load = %v, %v", a, err)
 	}
 	if got, ok := v.Get(1); !ok || got[0] != 5 {
 		t.Fatalf("successful retry not cached: %v, %v", got, ok)
-	}
-}
-
-// TestSharedChunkCacheUnpinnedLoad checks that a pin=false load bypasses
-// insertion but still reads through the cache: once the chunk is resident
-// from a pinned load, an unpinned request is a hit and runs no load.
-func TestSharedChunkCacheUnpinnedLoad(t *testing.T) {
-	c := NewSharedChunkCacheBytes(1 << 20)
-	v := c.ForTrace("t")
-	loads := 0
-	load := func() ([]uint64, error) { loads++; return []uint64{1}, nil }
-	if _, err := v.GetOrLoad(3, false, load); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := v.Get(3); ok {
-		t.Fatal("unpinned load entered the cache")
-	}
-	if _, err := v.GetOrLoad(3, false, load); err != nil {
-		t.Fatal(err)
-	}
-	if loads != 2 {
-		t.Fatalf("loads = %d, want 2 (unpinned loads bypass insertion)", loads)
-	}
-	if _, err := v.GetOrLoad(3, true, load); err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.GetOrLoad(3, false, load)
-	if err != nil || len(got) != 1 || got[0] != 1 {
-		t.Fatalf("unpinned GetOrLoad of a resident chunk = %v, %v", got, err)
-	}
-	if loads != 3 {
-		t.Fatalf("loads = %d, want 3 (a resident chunk serves unpinned requests)", loads)
-	}
-	if st := v.Stats(); st.Loads != 3 || st.Hits != 1 {
-		t.Fatalf("view stats = %+v, want 3 loads and 1 hit", st)
 	}
 }
 
@@ -359,7 +317,7 @@ func TestByteCacheConcurrentBudget(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 400; i++ {
 					id := (g*400 + i) % 97
-					_, err := v.GetOrLoad(id, true, func() ([]uint64, error) {
+					_, err := v.GetOrLoad(id, func() ([]uint64, error) {
 						return chunkOf(10+id%7, uint64(id)), nil
 					})
 					if err != nil {

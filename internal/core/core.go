@@ -39,39 +39,37 @@
 //
 // # Parallel chunk pipeline
 //
-// Chunk files are independent (Figure 8), so compression fans completed
-// intervals (lossy) and completed segments (segmented lossless) out to
-// Options.Workers goroutines, each running the bytesort + back-end pipeline
-// for one chunk. With Workers > 1 the lossy front end is itself a
-// two-stage pipeline: a histogram stage computes the sorted
-// byte-histograms of interval i+1 while a classify stage runs the phase
-// table match, chunk numbering and record bookkeeping for interval i and
-// dispatches chunks to the worker pool — so the caller's goroutine only
-// fills interval buffers, and histogram computation overlaps both
-// classification and chunk compression. Both stages process intervals
-// strictly in trace order and a single classify goroutine owns the phase
-// table and the record sequence, so the directory produced with N workers
-// is byte-for-byte identical to the serial (Workers=1) result in both
-// modes. Interval buffers pass through the pipeline by ownership transfer
-// (no copying) and histogram Sets recycle through a small pool refilled
-// by phase-table evictions, so a long lossy stream runs the front end
-// allocation-free. (Every blob is also
-// byte-identical inside an archive, but the archive *file* appends blobs
-// in worker completion order, which varies with Workers > 1; the TOC
-// makes that order irrelevant to readers, and Workers=1 — or packing a
-// directory with atcpack — yields a canonical, reproducible archive.)
-// Worker errors are deferred:
-// a failed chunk write surfaces from the next Code/CodeSlice call or, at
-// the latest, from Close. Legacy single-chunk lossless mode (SegmentAddrs
-// < 0) streams with bounded memory and is unaffected by Workers.
+// Chunk files are independent (Figure 8), so a pool of Options.Workers
+// goroutines writes every chunk of a lossy or version-2 trace, each
+// running the bytesort + back-end pipeline for one chunk. Segments go
+// straight to the pool. Lossy intervals are classified first: with
+// Workers > 1 the front end is itself a two-stage pipeline — a histogram
+// stage computes the sorted byte-histograms of interval i+1 while a
+// classify stage runs the phase table match, chunk numbering and record
+// bookkeeping for interval i — so the caller's goroutine only fills
+// interval buffers; with Workers=1 the caller classifies inline. Either
+// way chunks are classified strictly in trace order on one goroutine
+// that owns the phase table and the record sequence, so the directory
+// produced with N workers is byte-for-byte identical to the Workers=1
+// result in both modes. Chunk buffers pass through the pipeline by
+// ownership transfer (no copying) and histogram Sets recycle through a
+// small pool refilled by phase-table evictions, so a long lossy stream
+// runs the front end allocation-free. (Every blob is also byte-identical
+// inside an archive, but the archive *file* appends blobs in worker
+// completion order, which varies with Workers > 1; the TOC makes that
+// order irrelevant to readers, and Workers=1 — or packing a directory
+// with atcpack — yields a canonical, reproducible archive.) Worker
+// errors are deferred: a failed chunk write surfaces from the next
+// Code/CodeSlice call or, at the latest, from Close. Legacy single-chunk
+// lossless mode (SegmentAddrs < 0) streams with bounded memory on the
+// caller's goroutine and is unaffected by Workers.
 //
-// Chunk buffers recycle through a bounded free list, so a long segmented
-// stream allocates at most Workers + queue + 1 segment buffers total
-// instead of one fresh SegmentAddrs-sized slice per segment. Segmented
-// lossless with Workers=1 runs a single worker behind an unbuffered queue:
-// a double buffer (one segment filling, one compressing) that caps
-// streaming memory at two segment buffers while still overlapping
-// compression with trace production.
+// Chunk buffers recycle through a bounded free list, so a long stream
+// allocates at most Workers + queue + a small slack of chunk buffers
+// instead of one fresh buffer per chunk. Workers=1 runs a single worker
+// behind an unbuffered queue: a double buffer (one chunk filling, one
+// compressing) that caps streaming memory at two chunk buffers while
+// still overlapping compression with trace production.
 //
 // Decoding mirrors this with a bounded readahead goroutine (see
 // DecodeOptions.Readahead in decode.go) that overlaps back-end
@@ -201,13 +199,13 @@ type Options struct {
 	TableCapacity int
 	// Workers is the number of goroutines compressing completed chunks —
 	// lossy intervals and segmented-lossless segments. 0 selects
-	// runtime.GOMAXPROCS(0); 1 compresses lossy chunks synchronously on
-	// the calling goroutine (the historical behavior), while segmented
-	// lossless runs one worker behind an unbuffered queue — a double
-	// buffer capping streaming memory at two segment buffers. Every blob
-	// is byte-identical for any worker count; a directory is therefore
-	// fully reproducible, while an archive file's blob order follows
-	// worker completion with Workers > 1 (see the package doc).
+	// runtime.GOMAXPROCS(0). With 1, lossy intervals are classified on
+	// the calling goroutine and one worker compresses chunks behind an
+	// unbuffered queue — a double buffer holding at most two chunk
+	// buffers, where compressing chunk i overlaps filling chunk i+1.
+	// Every blob is byte-identical for any worker count; a directory is
+	// therefore fully reproducible, while an archive file's blob order
+	// follows worker completion with Workers > 1 (see the package doc).
 	Workers int
 	// Store overrides the blob container the trace is written into; when
 	// nil the path passed to Create selects the default — a directory, or
@@ -287,19 +285,20 @@ type Compressor struct {
 	// those are aborted — removed — when the trace cannot be started.
 	ownStore bool
 
-	// Legacy (version 1) lossless pipeline: one streaming chunk.
-	chunkFile io.WriteCloser
-	chunkWr   *bufio.Writer
-	chunkCW   io.WriteCloser
-	chunkEnc  *bytesort.Encoder
+	// stream is the legacy (version 1) lossless pipeline: one streaming
+	// chunk blob. nil for chunked traces.
+	stream *blobWriter
 
-	// Segmented (version 2) lossless pipeline: the segment being filled.
-	segment []uint64
+	// Chunked traces (lossy intervals, version-2 lossless segments): buf
+	// fills to chunkLen addresses and is then dispatched; bufCap is the
+	// capacity a fresh buffer starts with.
+	buf      []uint64
+	chunkLen int
+	bufCap   int
 
-	// Lossy pipeline.
-	interval []uint64
-	table    *phase.Table
-	records  []record
+	// Lossy classification state.
+	table   *phase.Table
+	records []record
 
 	// Lossy front-end pipeline (Workers > 1): the caller hands completed
 	// interval buffers to histCh; a histogram goroutine computes each
@@ -308,21 +307,22 @@ type Compressor struct {
 	// after Create — matches, assigns chunk ids in arrival (= trace)
 	// order and dispatches chunk jobs to the worker pool. setPool
 	// recycles histogram Sets (refilled by imitations and table
-	// evictions); nil histCh means the serial front end (Workers == 1).
+	// evictions); nil histCh means the caller classifies inline
+	// (Workers == 1).
 	histCh      chan []uint64
 	classifyCh  chan histJob
 	frontWG     sync.WaitGroup
 	frontClosed bool
 	setPool     chan *histogram.Set
 
-	// Worker pool (lossy intervals and segmented-lossless segments).
-	// Phase decisions run on exactly one goroutine — the caller's
-	// (Workers == 1) or the classify stage's — and only writeChunk runs
-	// on workers, so the on-disk result is deterministic. The first
-	// error anywhere in the pipeline is latched in werr and surfaced by
-	// the next Code/CodeSlice or by Close. Finished chunk buffers
-	// recycle through freeBufs, bounding total buffer allocations at
-	// Workers + queue + a small pipeline slack.
+	// Worker pool: writes every chunk of a chunked trace. Phase decisions
+	// run on exactly one goroutine — the caller's (Workers == 1) or the
+	// classify stage's — and only writeChunk runs on workers, so the
+	// on-disk result is deterministic. The first error anywhere in the
+	// pipeline is latched in werr and surfaced by the next Code/CodeSlice
+	// or by Close. Finished chunk buffers recycle through freeBufs,
+	// bounding total buffer allocations at Workers + queue + a small
+	// pipeline slack.
 	jobs       chan chunkJob
 	freeBufs   chan []uint64
 	workerWG   sync.WaitGroup
@@ -342,7 +342,7 @@ type Compressor struct {
 	err       error
 }
 
-// chunkJob is one completed interval queued for back-end compression.
+// chunkJob is one completed chunk queued for back-end compression.
 type chunkJob struct {
 	id    int
 	addrs []uint64
@@ -370,13 +370,17 @@ func (c *Compressor) setWorkerErr(err error) {
 	c.hasWerr.Store(true)
 }
 
-// startWorkers launches the chunk-compression pool with n workers behind
-// a queue-deep job channel. For N>1 the queue is one deep per worker so
-// the caller can keep accumulating the next interval while all workers are
-// busy; segmented Workers=1 passes queue=0 (an unbuffered handoff), which
-// together with buffer recycling caps the pipeline at exactly two segment
-// buffers — one filling, one compressing.
-func (c *Compressor) startWorkers(n, queue int) {
+// startWorkers launches the chunk-compression pool behind a job queue.
+// With Workers > 1 the queue is one deep per worker so the caller can
+// keep accumulating the next chunk while all workers are busy; Workers=1
+// runs one worker behind an unbuffered handoff, which together with
+// buffer recycling caps the pool at two chunk buffers — one filling, one
+// compressing.
+func (c *Compressor) startWorkers() {
+	n, queue := c.opts.Workers, c.opts.Workers
+	if n == 1 {
+		queue = 0
+	}
 	c.jobs = make(chan chunkJob, queue)
 	// +5 slack: with the lossy front-end pipeline, up to five more
 	// buffers are in flight beyond the pool's own — filling, the histCh
@@ -395,38 +399,33 @@ func (c *Compressor) startWorkers(n, queue int) {
 					}
 				}
 				// Recycle the buffer (even while draining after a
-				// failure); drop it if the free list is full.
-				select {
-				case c.freeBufs <- job.addrs[:0]:
-				default:
-				}
+				// failure).
+				c.recycleBuf(job.addrs)
 			}
 		}()
 	}
 }
 
 // chunkBuf returns a recycled chunk buffer when one is free, or a fresh
-// one with the given capacity.
+// one with the initial chunk-buffer capacity.
 //
 //atc:pool put=recycleBuf
-func (c *Compressor) chunkBuf(capHint int) []uint64 {
+func (c *Compressor) chunkBuf() []uint64 {
 	select {
 	case buf := <-c.freeBufs:
 		return buf[:0]
 	default:
 	}
-	return make([]uint64, 0, capHint)
+	return make([]uint64, 0, c.bufCap)
 }
 
-// shutdownWorkers closes the job queue, waits for in-flight chunks and
-// reports the first worker error. Safe to call more than once.
-func (c *Compressor) shutdownWorkers() error {
-	if c.jobs != nil && !c.poolClosed {
-		c.poolClosed = true
-		close(c.jobs)
-		c.workerWG.Wait()
+// recycleBuf returns a chunk buffer to the free list without blocking;
+// dropped when the list is full.
+func (c *Compressor) recycleBuf(buf []uint64) {
+	select {
+	case c.freeBufs <- buf[:0]:
+	default:
 	}
-	return c.workerErr()
 }
 
 // getSet takes a recycled histogram Set, or allocates a fresh one.
@@ -446,15 +445,6 @@ func (c *Compressor) getSet() *histogram.Set {
 func (c *Compressor) recycleSet(s *histogram.Set) {
 	select {
 	case c.setPool <- s:
-	default:
-	}
-}
-
-// recycleBuf returns an interval buffer to the free list without
-// blocking; dropped when the list is full.
-func (c *Compressor) recycleBuf(buf []uint64) {
-	select {
-	case c.freeBufs <- buf[:0]:
 	default:
 	}
 }
@@ -486,36 +476,54 @@ func (c *Compressor) startFrontend() {
 	}()
 }
 
-// classifyHist is the single copy of the classification rules, shared by
-// the serial (endInterval) and pipelined (classify) front ends so the
-// two can never drift — the byte-identity-for-every-worker-count
-// guarantee depends on them agreeing. It matches the interval's
-// histograms against the phase table and either appends an imitation
-// record (isChunk false) or assigns the next chunk id, inserts into the
-// table and appends a chunk record. hist is consumed: recycled or handed
-// to the table on every path, including errors. Only full-length
-// intervals may match or enter the table — a short final chunk cannot
-// stand in for a full interval.
-func (c *Compressor) classifyHist(addrs []uint64, hist *histogram.Set) (id int, isChunk bool, err error) {
+// newChunk assigns the next chunk id and appends its chunk record.
+func (c *Compressor) newChunk() int {
+	id := c.nextChunk
+	c.nextChunk++
+	c.nChunks++
+	c.records = append(c.records, record{tag: recChunk, chunkID: id})
+	return id
+}
+
+// sendChunk queues a chunk for the worker pool; the buffer's ownership
+// transfers with it.
+func (c *Compressor) sendChunk(id int, addrs []uint64) {
+	metEncodeQueue.Inc()
+	c.jobs <- chunkJob{id: id, addrs: addrs}
+}
+
+// classify matches an interval's histograms against the phase table and
+// either appends an imitation record or assigns the next chunk id,
+// inserts into the table and sends the chunk to the worker pool. It runs
+// on exactly one goroutine — the caller's (Workers == 1) or the classify
+// stage's — so the record sequence is the same for every worker count.
+// Only full-length intervals may match or enter the table: a short final
+// chunk cannot stand in for a full interval. hist and addrs are consumed
+// on every path. Any failure latches into werr; after one, intervals are
+// drained and recycled so the caller never blocks on a dead pipeline.
+func (c *Compressor) classify(addrs []uint64, hist *histogram.Set) {
+	if c.workerErr() != nil {
+		c.recycleSet(hist)
+		c.recycleBuf(addrs)
+		return
+	}
 	full := len(addrs) == c.opts.IntervalLen
 	if full {
 		if matchID, _, ok := c.table.Match(hist); ok {
-			chunkHist, ok := c.table.Lookup(matchID)
-			if !ok {
-				c.recycleSet(hist)
-				return 0, false, fmt.Errorf("atc: internal: matched chunk %d not resident", matchID)
+			if chunkHist, ok := c.table.Lookup(matchID); ok {
+				tr := histogram.BuildTranslations(chunkHist, hist, c.opts.Epsilon)
+				c.records = append(c.records, record{tag: recImitate, chunkID: matchID, trans: tr})
+				c.nImit++
+				metEncodeImit.Inc()
+			} else {
+				c.setWorkerErr(fmt.Errorf("atc: internal: matched chunk %d not resident", matchID))
 			}
-			tr := histogram.BuildTranslations(chunkHist, hist, c.opts.Epsilon)
-			c.records = append(c.records, record{tag: recImitate, chunkID: matchID, trans: tr})
-			c.nImit++
-			metEncodeImit.Inc()
 			c.recycleSet(hist)
-			return 0, false, nil
+			c.recycleBuf(addrs)
+			return
 		}
 	}
-	id = c.nextChunk
-	c.nextChunk++
-	c.nChunks++
+	id := c.newChunk()
 	if full {
 		if evicted := c.table.Insert(id, hist); evicted != nil {
 			c.recycleSet(evicted)
@@ -523,52 +531,43 @@ func (c *Compressor) classifyHist(addrs []uint64, hist *histogram.Set) (id int, 
 	} else {
 		c.recycleSet(hist)
 	}
-	c.records = append(c.records, record{tag: recChunk, chunkID: id})
-	return id, true, nil
+	c.sendChunk(id, addrs)
 }
 
-// classify runs interval classification on the classify goroutine,
-// dispatching chunks to the worker pool. Any failure latches into werr
-// (surfaced by the next Code/CodeSlice or by Close); after a failure
-// intervals are drained and recycled so the caller never blocks on a
-// dead pipeline.
-func (c *Compressor) classify(addrs []uint64, hist *histogram.Set) {
-	if c.workerErr() != nil {
-		c.recycleSet(hist)
-		c.recycleBuf(addrs)
-		return
+// dispatch routes the filled chunk buffer by ownership transfer, no
+// copy: a segment goes straight to the worker pool, an interval to the
+// histogram stage, or to inline classification when Workers == 1. The
+// caller continues in a fresh buffer from chunkBuf.
+func (c *Compressor) dispatch(addrs []uint64) {
+	switch {
+	case c.opts.Mode == Lossless:
+		c.sendChunk(c.newChunk(), addrs)
+	case c.histCh != nil:
+		c.histCh <- addrs
+	default:
+		hist := c.getSet()
+		histogram.ComputeInto(hist, addrs)
+		c.classify(addrs, hist)
 	}
-	id, isChunk, err := c.classifyHist(addrs, hist)
-	if err != nil {
-		c.setWorkerErr(err)
-		c.recycleBuf(addrs)
-		return
-	}
-	if !isChunk {
-		c.recycleBuf(addrs)
-		return
-	}
-	metEncodeQueue.Inc()
-	c.jobs <- chunkJob{id: id, addrs: addrs}
 }
 
-// drainFrontend closes the front-end pipeline and waits for both stages
-// to finish classifying every interval handed in. Safe to call more than
-// once; must run before shutdownWorkers (the classify stage feeds the
-// job queue).
-func (c *Compressor) drainFrontend() {
+// shutdownPipeline drains the front end (if any) until both stages have
+// classified every interval handed in — first, because the classify
+// stage feeds the job queue — then closes the job queue, waits for
+// in-flight chunks and reports the first deferred error. Safe to call
+// more than once.
+func (c *Compressor) shutdownPipeline() error {
 	if c.histCh != nil && !c.frontClosed {
 		c.frontClosed = true
 		close(c.histCh)
 		c.frontWG.Wait()
 	}
-}
-
-// shutdownPipeline drains the front end (if any), then the worker pool,
-// and reports the first deferred error.
-func (c *Compressor) shutdownPipeline() error {
-	c.drainFrontend()
-	return c.shutdownWorkers()
+	if c.jobs != nil && !c.poolClosed {
+		c.poolClosed = true
+		close(c.jobs)
+		c.workerWG.Wait()
+	}
+	return c.workerErr()
 }
 
 // createChunkFileHook is the default chunk-blob creator; fault-injection
@@ -633,33 +632,27 @@ func Create(path string, opts Options) (*Compressor, error) {
 	c.createChunkFile = func(name string) (io.WriteCloser, error) {
 		return createChunkFileHook(c.st, name)
 	}
-	switch opts.Mode {
-	case Lossless:
-		if opts.segmented() {
-			bufCap := opts.SegmentAddrs
-			if bufCap > segmentBufCap {
-				bufCap = segmentBufCap
-			}
-			c.segment = make([]uint64, 0, bufCap)
-			// Workers=1 still runs the pool: an unbuffered handoff to a
-			// single worker double-buffers the stream (see startWorkers).
-			if opts.Workers > 1 {
-				c.startWorkers(opts.Workers, opts.Workers)
-			} else {
-				c.startWorkers(1, 0)
-			}
-		} else if err := c.openLosslessChunk(); err != nil {
+	switch {
+	case opts.Mode == Lossless && !opts.segmented():
+		if c.stream, err = c.openChunk(1, opts.BufferAddrs); err != nil {
 			c.abortCreate()
 			return nil, err
 		}
-	case Lossy:
-		c.interval = make([]uint64, 0, opts.IntervalLen)
+		c.newChunk()
+		return c, nil
+	case opts.Mode == Lossless:
+		c.chunkLen = opts.SegmentAddrs
+		c.bufCap = min(opts.SegmentAddrs, segmentBufCap)
+	default:
+		c.chunkLen = opts.IntervalLen
+		c.bufCap = opts.IntervalLen
 		c.table = phase.New(opts.TableCapacity, opts.Epsilon)
 		c.setPool = make(chan *histogram.Set, 4)
-		if opts.Workers > 1 {
-			c.startWorkers(opts.Workers, opts.Workers)
-			c.startFrontend()
-		}
+	}
+	c.buf = make([]uint64, 0, c.bufCap)
+	c.startWorkers()
+	if opts.Mode == Lossy && opts.Workers > 1 {
+		c.startFrontend()
 	}
 	return c, nil
 }
@@ -677,47 +670,67 @@ func (c *Compressor) chunkName(id int) string {
 	return fmt.Sprintf("%d.%s", id, c.opts.Backend)
 }
 
-func (c *Compressor) openLosslessChunk() error {
-	f, err := c.createChunkFile(c.chunkName(1))
-	if err != nil {
-		return fmt.Errorf("atc: %w", err)
-	}
-	c.chunkWr = bufio.NewWriterSize(f, 1<<16)
-	cw, err := c.backend.NewWriter(c.chunkWr)
-	if err != nil {
-		f.Close()
-		c.st.Remove(c.chunkName(1)) // best effort; uncommitted archive blobs leave nothing
-		return err
-	}
-	c.chunkFile = f
-	c.chunkCW = cw
-	c.chunkEnc = bytesort.NewEncoder(cw, c.opts.BufferAddrs)
-	c.records = append(c.records, record{tag: recChunk, chunkID: 1})
-	c.nextChunk = 2
-	c.nChunks = 1
-	return nil
+// blobWriter is the one write stack for every compressed blob: the blob,
+// a 64 KiB bufio buffer, the back-end writer and — for chunk blobs — a
+// bytesort encoder on top.
+type blobWriter struct {
+	f   io.WriteCloser
+	bw  *bufio.Writer
+	cw  io.WriteCloser
+	enc *bytesort.Encoder // chunk blobs only
 }
 
-// closeLosslessChunk finishes the legacy single-chunk stream. The chunk
-// file is closed on every path — an encoder or back-end failure must not
-// leak the descriptor — and the first error wins.
-func (c *Compressor) closeLosslessChunk() error {
-	err := c.chunkEnc.Close()
-	if e := c.chunkCW.Close(); err == nil {
+// openBlob creates the named blob with create and stacks the back end on
+// it.
+func (c *Compressor) openBlob(create func(string) (io.WriteCloser, error), name string) (*blobWriter, error) {
+	f, err := create(name)
+	if err != nil {
+		return nil, fmt.Errorf("atc: %w", err)
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	cw, err := c.backend.NewWriter(bw)
+	if err != nil {
+		f.Close()
+		c.st.Remove(name) // best effort; uncommitted archive blobs leave nothing
+		return nil, err
+	}
+	return &blobWriter{f: f, bw: bw, cw: cw}, nil
+}
+
+// openChunk opens chunk id's blob with a bytesort encoder of bufAddrs
+// addresses on top.
+func (c *Compressor) openChunk(id, bufAddrs int) (*blobWriter, error) {
+	w, err := c.openBlob(c.createChunkFile, c.chunkName(id))
+	if err != nil {
+		return nil, err
+	}
+	w.enc = bytesort.NewEncoder(w.cw, bufAddrs)
+	return w, nil
+}
+
+// close finishes the layers top down — encoder, back end, bufio flush —
+// and closes the blob on every path, so a failure never leaks the
+// descriptor. The first error wins.
+func (w *blobWriter) close() error {
+	var err error
+	if w.enc != nil {
+		err = w.enc.Close()
+	}
+	if e := w.cw.Close(); err == nil {
 		err = e
 	}
 	if err == nil {
-		err = c.chunkWr.Flush()
+		err = w.bw.Flush()
 	}
-	if e := c.chunkFile.Close(); err == nil {
+	if e := w.f.Close(); err == nil {
 		err = e
 	}
 	return err
 }
 
-// Code appends one 64-bit value to the trace (the paper's atc_code). With
-// Workers > 1, a chunk-compression failure from an earlier interval is
-// deferred and returned by a later Code call (or by Close).
+// Code appends one 64-bit value to the trace (the paper's atc_code). A
+// chunk-compression failure from an earlier chunk is deferred and
+// returned by a later Code call (or by Close).
 func (c *Compressor) Code(x uint64) error {
 	if c.err != nil {
 		return c.err
@@ -730,78 +743,26 @@ func (c *Compressor) Code(x uint64) error {
 		return fmt.Errorf("%w: Code", ErrClosed)
 	}
 	c.total++
-	if c.opts.Mode == Lossless {
-		if !c.opts.segmented() {
-			if err := c.chunkEnc.Write(x); err != nil {
-				c.err = err
-				return err
-			}
-			return nil
-		}
-		c.segment = append(c.segment, x)
-		if len(c.segment) == c.opts.SegmentAddrs {
-			return c.endSegment()
+	if c.stream != nil {
+		if err := c.stream.enc.Write(x); err != nil {
+			c.err = err
+			return err
 		}
 		return nil
 	}
-	c.interval = append(c.interval, x)
-	if len(c.interval) == c.opts.IntervalLen {
-		return c.dispatchInterval()
+	c.buf = append(c.buf, x)
+	if len(c.buf) == c.chunkLen {
+		c.dispatch(c.buf)
+		c.buf = c.chunkBuf()
 	}
-	return nil
-}
-
-// dispatchInterval hands the completed interval to the front-end
-// pipeline when one is running (the caller continues filling a recycled
-// buffer; ownership of the full one transfers, no copy), or classifies
-// it synchronously (Workers == 1).
-func (c *Compressor) dispatchInterval() error {
-	if c.histCh != nil {
-		c.histCh <- c.interval
-		c.interval = c.chunkBuf(c.opts.IntervalLen)
-		return nil
-	}
-	return c.endInterval(false)
-}
-
-// endSegment stores the buffered lossless segment as its own chunk,
-// handing it to the worker pool when one is running. Chunk numbering and
-// the record sequence stay on the calling goroutine, so the directory is
-// byte-identical for any worker count.
-func (c *Compressor) endSegment() error {
-	if len(c.segment) == 0 {
-		return nil
-	}
-	id := c.nextChunk
-	c.nextChunk++
-	c.nChunks++
-	c.records = append(c.records, record{tag: recChunk, chunkID: id})
-	if c.jobs != nil {
-		// Hand the buffer itself to the pool and continue filling a
-		// recycled one: no copying of up-to-128 MB segments on the hot
-		// path, and no fresh allocation once the free list is primed.
-		metEncodeQueue.Inc()
-		c.jobs <- chunkJob{id: id, addrs: c.segment}
-		bufCap := c.opts.SegmentAddrs
-		if bufCap > segmentBufCap {
-			bufCap = segmentBufCap // lazily grown by append, as at Create
-		}
-		c.segment = c.chunkBuf(bufCap)
-		return nil
-	}
-	if err := c.writeChunk(id, c.segment); err != nil {
-		c.err = err
-		return err
-	}
-	c.segment = c.segment[:0]
 	return nil
 }
 
 // CodeSlice appends many values, ingesting in bulk: addresses are copied
-// to the current interval/segment buffer up to each boundary instead of
-// going through per-address Code calls. A deferred worker error surfaces
-// at entry and at every chunk boundary, so a caller streaming large
-// slices stops feeding a dead pipeline within one chunk.
+// to the current chunk buffer up to each boundary instead of going
+// through per-address Code calls. A deferred worker error surfaces at
+// entry and at every chunk boundary, so a caller streaming large slices
+// stops feeding a dead pipeline within one chunk.
 //
 //atc:hotpath
 func (c *Compressor) CodeSlice(xs []uint64) error {
@@ -816,124 +777,47 @@ func (c *Compressor) CodeSlice(xs []uint64) error {
 		//atc:ignore hotalloc error construction on the terminal use-after-close path, not the streaming loop
 		return fmt.Errorf("%w: Code", ErrClosed)
 	}
-	switch {
-	case c.opts.Mode == Lossless && !c.opts.segmented():
-		if err := c.chunkEnc.WriteSlice(xs); err != nil {
+	if c.stream != nil {
+		if err := c.stream.enc.WriteSlice(xs); err != nil {
 			c.err = err
 			return err
 		}
 		c.total += int64(len(xs))
 		return nil
-	case c.opts.Mode == Lossless:
-		for len(xs) > 0 {
-			n := c.opts.SegmentAddrs - len(c.segment)
-			if n > len(xs) {
-				n = len(xs)
-			}
-			//atc:ignore hotalloc c.segment comes from chunkBuf with SegmentAddrs capacity and n is clamped to the remaining space, so append never grows
-			c.segment = append(c.segment, xs[:n]...)
-			c.total += int64(n)
-			xs = xs[n:]
-			if len(c.segment) == c.opts.SegmentAddrs {
-				if err := c.endSegment(); err != nil {
-					return err
-				}
-				if c.hasWerr.Load() {
-					c.err = c.workerErr()
-					return c.err
-				}
+	}
+	for len(xs) > 0 {
+		n := min(c.chunkLen-len(c.buf), len(xs))
+		//atc:ignore hotalloc n is clamped to the room left below chunkLen, so append grows a buffer at most to chunkLen, once: recycled buffers keep that capacity
+		c.buf = append(c.buf, xs[:n]...)
+		c.total += int64(n)
+		xs = xs[n:]
+		if len(c.buf) == c.chunkLen {
+			c.dispatch(c.buf)
+			c.buf = c.chunkBuf()
+			if c.hasWerr.Load() {
+				c.err = c.workerErr()
+				return c.err
 			}
 		}
-		return nil
-	default:
-		for len(xs) > 0 {
-			n := c.opts.IntervalLen - len(c.interval)
-			if n > len(xs) {
-				n = len(xs)
-			}
-			//atc:ignore hotalloc c.interval comes from chunkBuf with IntervalLen capacity and n is clamped to the remaining space, so append never grows
-			c.interval = append(c.interval, xs[:n]...)
-			c.total += int64(n)
-			xs = xs[n:]
-			if len(c.interval) == c.opts.IntervalLen {
-				if err := c.dispatchInterval(); err != nil {
-					return err
-				}
-				if c.hasWerr.Load() {
-					c.err = c.workerErr()
-					return c.err
-				}
-			}
-		}
-		return nil
 	}
-}
-
-// endInterval classifies the buffered interval as a chunk or an
-// imitation, on the calling goroutine — the Workers == 1 front end (with
-// Workers > 1 the classify stage runs the identical classifyHist; see
-// classify). The final (possibly short) interval is always stored as a
-// chunk. Histogram Sets recycle through the same pool the pipelined
-// front end uses, so the serial path is equally allocation-free per
-// interval.
-func (c *Compressor) endInterval(final bool) error {
-	if len(c.interval) == 0 {
-		return nil
-	}
-	hist := c.getSet()
-	histogram.ComputeInto(hist, c.interval)
-	id, isChunk, err := c.classifyHist(c.interval, hist)
-	if err != nil {
-		return err
-	}
-	if isChunk {
-		if err := c.writeChunk(id, c.interval); err != nil {
-			c.err = err
-			return err
-		}
-	}
-	c.interval = c.interval[:0]
 	return nil
 }
 
-// writeChunk stores one interval as a bytesorted, back-end-compressed
-// blob. It is called concurrently by pool workers and touches only
-// immutable Compressor fields (st, opts, backend, createChunkFile); the
-// store's Create is concurrent-safe by contract.
+// writeChunk stores one chunk as a bytesorted, back-end-compressed blob.
+// Only pool workers call it, concurrently; it touches only immutable
+// Compressor fields (st, opts, backend, createChunkFile), and the store's
+// Create is concurrent-safe by contract.
 func (c *Compressor) writeChunk(id int, addrs []uint64) error {
 	start := time.Now()
-	f, err := c.createChunkFile(c.chunkName(id))
+	w, err := c.openChunk(id, min(c.opts.BufferAddrs, len(addrs)))
 	if err != nil {
-		return fmt.Errorf("atc: %w", err)
+		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	cw, err := c.backend.NewWriter(bw)
+	err = w.enc.WriteSlice(addrs)
+	if e := w.close(); err == nil {
+		err = e
+	}
 	if err != nil {
-		f.Close()
-		return err
-	}
-	bufAddrs := c.opts.BufferAddrs
-	if bufAddrs > len(addrs) {
-		bufAddrs = len(addrs)
-	}
-	enc := bytesort.NewEncoder(cw, bufAddrs)
-	if err := enc.WriteSlice(addrs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := enc.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := cw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	metCompressSec.ObserveDuration(time.Since(start))
@@ -941,11 +825,12 @@ func (c *Compressor) writeChunk(id int, addrs []uint64) error {
 	return nil
 }
 
-// Close flushes all state — draining the worker pool first — writes INFO
-// and MANIFEST (the paper's atc_close) and finalizes the store (a
-// single-file archive writes its table of contents here). Any deferred
-// chunk-compression error not yet surfaced by Code is returned here. The
-// Compressor cannot be used afterwards.
+// Close flushes all state — dispatching the final, possibly short chunk
+// and draining the pipeline — writes INFO and MANIFEST (the paper's
+// atc_close) and finalizes the store (a single-file archive writes its
+// table of contents here). Any deferred chunk-compression error not yet
+// surfaced by Code is returned here. The Compressor cannot be used
+// afterwards.
 func (c *Compressor) Close() error {
 	if c.err != nil {
 		c.shutdownPipeline()
@@ -955,49 +840,25 @@ func (c *Compressor) Close() error {
 	if c.closed {
 		return nil
 	}
-	switch {
-	case c.opts.Mode == Lossless && !c.opts.segmented():
-		if err := c.closeLosslessChunk(); err != nil {
-			c.err = err
-			c.abortCreate()
-			return err
+	var err error
+	if c.stream != nil {
+		err = c.stream.close()
+	} else {
+		// The final chunk rides the same pipeline as every other, so the
+		// record sequence stays in trace order.
+		if len(c.buf) > 0 {
+			c.dispatch(c.buf)
 		}
-	case c.opts.Mode == Lossless:
-		if err := c.endSegment(); err != nil {
-			c.shutdownPipeline()
-			c.abortCreate()
-			return err
-		}
-		if err := c.shutdownPipeline(); err != nil {
-			c.err = err
-			c.abortCreate()
-			return err
-		}
-	default:
-		// The final (possibly short) interval rides the same pipeline as
-		// every other, so the record sequence stays in trace order.
-		if c.histCh != nil {
-			if len(c.interval) > 0 {
-				c.histCh <- c.interval
-				c.interval = nil
-			}
-		} else if err := c.endInterval(true); err != nil {
-			c.shutdownPipeline()
-			c.abortCreate()
-			return err
-		}
-		if err := c.shutdownPipeline(); err != nil {
-			c.err = err
-			c.abortCreate()
-			return err
-		}
+		c.buf = nil
+		err = c.shutdownPipeline()
 	}
-	if err := c.writeInfo(); err != nil {
-		c.err = err
-		c.abortCreate()
-		return err
+	if err == nil {
+		err = c.writeInfo()
 	}
-	if err := c.writeManifest(); err != nil {
+	if err == nil {
+		err = c.writeManifest()
+	}
+	if err != nil {
 		c.err = err
 		c.abortCreate()
 		return err
@@ -1034,17 +895,11 @@ func (c *Compressor) writeManifest() error {
 }
 
 func (c *Compressor) writeInfo() error {
-	f, err := c.st.Create(infoBase + "." + c.opts.Backend)
+	blob, err := c.openBlob(c.st.Create, infoBase+"."+c.opts.Backend)
 	if err != nil {
-		return fmt.Errorf("atc: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	cw, err := c.backend.NewWriter(bw)
-	if err != nil {
-		f.Close()
 		return err
 	}
-	w := &infoWriter{w: bufio.NewWriter(cw)}
+	w := &infoWriter{w: bufio.NewWriter(blob.cw)}
 	w.string(infoMagic)
 	w.byte(byte(c.opts.formatVersion()))
 	w.byte(byte(c.opts.Mode))
@@ -1070,19 +925,11 @@ func (c *Compressor) writeInfo() error {
 	}
 	w.byte(recEnd)
 	w.uvarint(uint64(c.total))
-	if err := w.flush(); err != nil {
-		f.Close()
-		return err
+	err = w.flush()
+	if e := blob.close(); err == nil {
+		err = e
 	}
-	if err := cw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return err
 }
 
 // infoWriter latches the first write error so every INFO field write is

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,13 +182,11 @@ type Decompressor struct {
 	// private one sized at Open from the trace's stride.
 	cache *TraceChunkCache
 
-	// statefulBackend is backend's optional pooled-reader extension,
-	// captured once at Open. When set, readerFree recycles complete
-	// per-chunk decode units (blob-front bufio buffer, backend decode
-	// state, bytesort inverse-sort scratch) across chunks, so
-	// steady-state decompression stops allocating working memory.
-	statefulBackend xcompress.StatefulBackend
-	readerFree      chan *backendReader
+	// readerFree recycles complete per-chunk decode units (blob-front
+	// bufio buffer, backend decode state, bytesort inverse-sort scratch)
+	// across chunks, so steady-state decompression stops allocating
+	// working memory.
+	readerFree chan *backendReader
 
 	// imitated, for lossy traces, holds every chunk ID that some
 	// imitation record replays. A chunk absent from it has exactly one
@@ -281,13 +280,10 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 	}
 	d.backend = backend
 	d.backendName = backendName
-	d.statefulBackend, _ = backend.(xcompress.StatefulBackend)
 	// Bound retained decode state to the pipeline's concurrency: at most
 	// Readahead span tasks decode at once, plus the random-access path.
 	par := max(d.opts.Readahead, 1)
-	if d.statefulBackend != nil {
-		d.readerFree = make(chan *backendReader, par+2)
-	}
+	d.readerFree = make(chan *backendReader, par+2)
 	// Enough batch buffers for the ahead channel, the consumer's pending
 	// batch, and every in-flight span task's slot plus working buffer;
 	// they survive pipeline restarts, so a seek-heavy consumer allocates
@@ -1122,19 +1118,18 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 		if err := d.seekStream(from); err != nil {
 			return nil, err
 		}
-		for d.streamPos < to {
-			v, err := d.losslessDec.Read()
-			if err == io.EOF {
-				return nil, fmt.Errorf("%w: trace ends at %d addresses, trailer says %d",
-					ErrCorrupt, d.streamPos, d.total)
-			}
-			if err != nil {
-				return nil, err
-			}
-			d.streamPos++
-			dst = append(dst, v)
+		n0, want := len(dst), int(to-from)
+		dst = slices.Grow(dst, want)
+		n, err := d.losslessDec.ReadSlice(dst[n0 : n0+want])
+		d.streamPos += int64(n)
+		if err == io.EOF {
+			return nil, fmt.Errorf("%w: trace ends at %d addresses, trailer says %d",
+				ErrCorrupt, d.streamPos, d.total)
 		}
-		return dst, nil
+		if err != nil {
+			return nil, err
+		}
+		return dst[:n0+n], nil
 	}
 	// Per-request tracing: the index walk and the copy-out are timed only
 	// when a recorder is attached — too fine-grained to time every call.
@@ -1355,11 +1350,9 @@ const chunkBufSize = 1 << 16
 // backendReader bundles one complete per-chunk decode unit: the buffered
 // reader fronting the chunk blob, the backend's decompressing reader over
 // it, and the bytesort decoder consuming that. dec is the decoder to
-// read addresses from. For stateful back ends the unit is pooled on
-// Decompressor.readerFree and every layer's working state (bufio buffer,
-// backend block/transform scratch, bytesort inverse-sort scratch) is
-// recycled across chunks; rr is nil for one-shot units, which are built,
-// used and dropped exactly like the historical path.
+// read addresses from. The unit is pooled on Decompressor.readerFree and
+// every layer's working state (bufio buffer, backend block/transform
+// scratch, bytesort inverse-sort scratch) is recycled across chunks.
 type backendReader struct {
 	dec *bytesort.Decoder
 	br  *bufio.Reader
@@ -1373,13 +1366,6 @@ type backendReader struct {
 //
 //atc:pool put=putBackendReader
 func (d *Decompressor) getBackendReader(src io.Reader) (*backendReader, error) {
-	if d.statefulBackend == nil {
-		cr, err := d.backend.NewReader(bufio.NewReaderSize(src, chunkBufSize))
-		if err != nil {
-			return nil, err
-		}
-		return &backendReader{dec: bytesort.NewDecoder(cr)}, nil
-	}
 	select {
 	case pr := <-d.readerFree:
 		pr.br.Reset(src)
@@ -1392,7 +1378,7 @@ func (d *Decompressor) getBackendReader(src io.Reader) (*backendReader, error) {
 	default:
 	}
 	br := bufio.NewReaderSize(src, chunkBufSize)
-	rr, err := d.statefulBackend.NewResetReader(br)
+	rr, err := d.backend.NewReader(br)
 	if err != nil {
 		return nil, err
 	}
@@ -1401,9 +1387,9 @@ func (d *Decompressor) getBackendReader(src io.Reader) (*backendReader, error) {
 
 // putBackendReader returns a pooled decode unit to the free list,
 // detaching it from the blob it was reading so the pool never pins a
-// store handle. One-shot units (and nil, from a failed get) are dropped.
+// store handle. nil, from a failed get, is ignored.
 func (d *Decompressor) putBackendReader(pr *backendReader) {
-	if pr == nil || pr.rr == nil {
+	if pr == nil {
 		return
 	}
 	pr.br.Reset(depletedReader{})
@@ -1463,7 +1449,7 @@ func (d *Decompressor) readChunkFile(id int) ([]uint64, error) {
 // decompression.
 func (d *Decompressor) loadChunk(id int) ([]uint64, error) {
 	loaded := false
-	addrs, err := d.cache.GetOrLoad(id, true, func() ([]uint64, error) {
+	addrs, err := d.cache.GetOrLoad(id, func() ([]uint64, error) {
 		loaded = true
 		return d.readChunkFile(id)
 	})

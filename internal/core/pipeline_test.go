@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // phasedTrace builds a trace whose intervals have distinct sorted-histogram
@@ -251,6 +252,44 @@ func TestCodeFailsFastAfterWorkerError(t *testing.T) {
 		if err := c.Close(); !errors.Is(err, errInjected) {
 			t.Fatalf("useSlice=%v: Close = %v, want injected error", useSlice, err)
 		}
+	}
+}
+
+// TestLossyWorkers1WritesOnPool pins the Workers=1 lossy encoder: the
+// caller classifies a full interval and hands the chunk to the single
+// pool worker, so CodeSlice returns while that chunk's write is still
+// blocked, and the trace completes once the write goes through.
+func TestLossyWorkers1WritesOnPool(t *testing.T) {
+	c, err := Create(t.TempDir(), Options{Mode: Lossy, IntervalLen: 1000, BufferAddrs: 300, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	inner := c.createChunkFile
+	c.createChunkFile = func(name string) (io.WriteCloser, error) {
+		<-release
+		return inner(name)
+	}
+	// One full interval (chunk 1, handed to the worker) and half of the
+	// next, which stays in the caller's buffer until Close.
+	addrs := phasedTrace(2, 1000)[:1500]
+	done := make(chan error, 1)
+	go func() { done <- c.CodeSlice(addrs) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("CodeSlice blocked on the chunk write: Workers=1 wrote on the caller")
+	}
+	close(release)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Chunks != 2 {
+		t.Fatalf("chunks = %d, want 2", st.Chunks)
 	}
 }
 

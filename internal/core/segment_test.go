@@ -293,9 +293,11 @@ func TestV1GoldenLossyDecodes(t *testing.T) {
 }
 
 func TestLegacyWriterReproducesV1Golden(t *testing.T) {
-	// The legacy layouts must keep writing byte-identical version-1 output:
-	// re-compress the golden trace with today's writer and diff the
-	// directories against the checked-in files from the pre-v2 code path.
+	// Today's writer must reproduce the checked-in golden traces byte for
+	// byte at every worker count: the version-1 layouts come from the
+	// pre-v2 code path and v2-lossless from the segmented writer as it
+	// stood before the encode path was unified. The files, not a second
+	// writer, are the reference for every Workers value.
 	addrs := goldenTrace(10_000)
 	for _, tc := range []struct {
 		golden string
@@ -303,12 +305,17 @@ func TestLegacyWriterReproducesV1Golden(t *testing.T) {
 	}{
 		{"testdata/v1-lossless", Options{Mode: Lossless, BufferAddrs: 512, SegmentAddrs: -1}},
 		{"testdata/v1-lossy", Options{Mode: Lossy, IntervalLen: 1000, BufferAddrs: 300, Epsilon: 0.1}},
+		{"testdata/v2-lossless", Options{Mode: Lossless, BufferAddrs: 512, SegmentAddrs: 2500}},
 	} {
-		dir := t.TempDir()
-		if _, err := WriteTrace(dir, addrs, tc.opts); err != nil {
-			t.Fatalf("%s: %v", tc.golden, err)
+		for _, workers := range []int{1, 2, 8} {
+			opts := tc.opts
+			opts.Workers = workers
+			dir := t.TempDir()
+			if _, err := WriteTrace(dir, addrs, opts); err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.golden, workers, err)
+			}
+			dirsEqual(t, tc.golden, dir)
 		}
-		dirsEqual(t, tc.golden, dir)
 	}
 }
 

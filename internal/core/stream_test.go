@@ -6,7 +6,6 @@ package core
 // byte-identity against the materializing paths they replace.
 
 import (
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,6 @@ import (
 	"testing"
 
 	"atc/internal/store"
-	"atc/internal/xcompress"
 )
 
 // mixedLossyTrace builds a lossy workload with both kinds of chunk: one
@@ -187,8 +185,8 @@ func TestBackendReaderPoolRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.statefulBackend == nil || d.readerFree == nil {
-		t.Fatal("bsc backend did not enable the reader pool")
+	if d.readerFree == nil {
+		t.Fatal("Open did not create the reader pool")
 	}
 
 	first, err := d.readChunkFile(1)
@@ -263,49 +261,6 @@ func TestPoolOverflowDropsUnit(t *testing.T) {
 	}
 	if len(d.readerFree) > n {
 		t.Fatalf("pool grew past its bound: %d > %d", len(d.readerFree), n)
-	}
-}
-
-// plainBackend hides a back end's StatefulBackend extension, exercising
-// the one-shot fallback the pool must preserve for unadapted back ends.
-type plainBackend struct{ b xcompress.Backend }
-
-func (p plainBackend) Name() string { return "plainbsc" }
-func (p plainBackend) NewWriter(w io.Writer) (io.WriteCloser, error) {
-	return p.b.NewWriter(w)
-}
-func (p plainBackend) NewReader(r io.Reader) (io.Reader, error) {
-	return p.b.NewReader(r)
-}
-
-// TestStatelessBackendFallback checks a back end without pooled-reader
-// support still decodes through the historical one-shot path.
-func TestStatelessBackendFallback(t *testing.T) {
-	b, err := xcompress.Lookup("bsc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	xcompress.Register(plainBackend{b: b})
-	const intervalLen = 1500
-	addrs := mixedLossyTrace(intervalLen, 2, 3)
-	dir := filepath.Join(t.TempDir(), "trace")
-	if _, err := WriteTrace(dir, addrs, Options{Mode: Lossy, IntervalLen: intervalLen, BufferAddrs: 300, Backend: "plainbsc"}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(dir, DecodeOptions{Readahead: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.statefulBackend != nil || d.readerFree != nil {
-		t.Fatal("stateless backend unexpectedly enabled the reader pool")
-	}
-	got, err := d.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(addrs) {
-		t.Fatalf("decoded %d addresses, want %d", len(got), len(addrs))
 	}
 }
 

@@ -66,9 +66,13 @@ func TestPrefetchSequentialReads(t *testing.T) {
 	}
 	before := h.requests.Load()
 	hitsBefore := metRemotePrefetchHit.Value()
-	read(2) // served by the prefetched block: no new origin request
-	if n := h.requests.Load(); n != before {
-		t.Fatalf("read of prefetched block issued a request: %d -> %d", before, n)
+	read(2) // served by the prefetched block: no demand request
+	// read(2) advanced the frontier again with a doubled window: blocks 3
+	// and 4 speculate as one coalesced run in the background. Once it has
+	// landed, that GET must be the only new origin request.
+	waitFor(t, "prefetch of blocks 3 and 4", func() bool { return ra.blockResident(3) && ra.blockResident(4) })
+	if n := h.requests.Load(); n != before+1 {
+		t.Fatalf("requests %d -> %d across read of prefetched block, want exactly one more (the 3-4 prefetch)", before, n)
 	}
 	st = ra.Stats()
 	if st.PrefetchHits != 1 {
@@ -77,10 +81,7 @@ func TestPrefetchSequentialReads(t *testing.T) {
 	if d := metRemotePrefetchHit.Value() - hitsBefore; d != 1 {
 		t.Fatalf("atc_remote_prefetch_total{result=hit} advanced by %d, want 1", d)
 	}
-	// read(2) advanced the frontier again with a doubled window: blocks 3
-	// and 4 speculate as one coalesced run. A jump backwards must not
-	// speculate (and halves the window).
-	waitFor(t, "prefetch of blocks 3 and 4", func() bool { return ra.blockResident(3) && ra.blockResident(4) })
+	// A jump backwards must not speculate (and halves the window).
 	read(0)
 	if n := ra.Stats().Prefetches; n != 3 {
 		t.Fatalf("prefetches after backwards jump = %d, want 3", n)
@@ -270,7 +271,7 @@ func TestPrefetchFixedDepthCap(t *testing.T) {
 	data := testObject(16 << 10)
 	h := &rangeHost{data: data}
 	ra := newPrefetchReader(t, h, 1024, 64)
-	ra.maxPrefetch = 1 // MaxPrefetchBlocks: 1 pins the pre-adaptive behavior
+	ra.maxPrefetch = 1 // pins the fixed depth-1 readahead
 
 	buf := make([]byte, 1024)
 	for block := int64(0); block < 8; block++ {

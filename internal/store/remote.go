@@ -48,9 +48,22 @@ var errTransient = fmt.Errorf("%w (transient)", ErrRemote)
 const (
 	DefaultRemoteBlockSize   = 256 << 10 // 256 KiB per ranged GET
 	DefaultRemoteCacheBlocks = 64        // 16 MiB cached at the default block size
-	DefaultRemoteRetries     = 2         // 3 attempts in total
-	DefaultRemoteRetryDelay  = 100 * time.Millisecond
-	DefaultRemoteMaxPrefetch = 16 // adaptive readahead window cap, in blocks
+)
+
+// Fixed remote fetch policy. A transient failure (HTTP 5xx or a
+// transport error) is retried remoteRetries times, after a backoff of
+// remoteRetryDelay doubling per attempt. A read continuing the previous
+// read's frontier triggers a background fetch of the blocks after it,
+// overlapping origin latency with decompression of the current one;
+// sustained sequential reads double the number of blocks speculated
+// ahead (1, 2, 4, …, issued as one coalesced ranged GET) up to
+// remoteMaxPrefetch, and any non-sequential read or wasted prefetch
+// halves it. Prefetched blocks land in the same LRU and are counted hit
+// or wasted (evicted untouched) on atc_remote_prefetch_total.
+const (
+	remoteRetries     = 2 // 3 attempts in total
+	remoteRetryDelay  = 100 * time.Millisecond
+	remoteMaxPrefetch = 16 // adaptive readahead window cap, in blocks
 )
 
 // RemoteOptions tunes OpenRemote. The zero value selects the defaults.
@@ -62,27 +75,9 @@ type RemoteOptions struct {
 	// CacheBlocks bounds the LRU block cache, in blocks. Default
 	// DefaultRemoteCacheBlocks.
 	CacheBlocks int
-	// Retries is the number of additional attempts after a transient
-	// failure (HTTP 5xx or a transport error). Default
-	// DefaultRemoteRetries.
-	Retries int
-	// RetryDelay is the backoff before the first retry, doubling per
-	// attempt. Default DefaultRemoteRetryDelay.
-	RetryDelay time.Duration
 	// Client overrides the HTTP client (timeouts, proxies, auth
 	// round-trippers for private buckets). Default http.DefaultClient.
 	Client *http.Client
-	// MaxPrefetchBlocks caps the adaptive sequential readahead. A read
-	// continuing the previous read's frontier triggers a background
-	// fetch of the blocks after it, overlapping origin latency with
-	// decompression of the current one. Prefetched blocks land in the
-	// same LRU and are counted hit or wasted (evicted untouched) on
-	// atc_remote_prefetch_total. Sustained sequential reads double the
-	// number of blocks speculated ahead (1, 2, 4, …, issued as one
-	// coalesced ranged GET) up to this cap, and any non-sequential read
-	// or wasted prefetch halves it. 1 pins the pre-adaptive fixed
-	// depth-1 behavior. Default DefaultRemoteMaxPrefetch.
-	MaxPrefetchBlocks int
 }
 
 // IsRemoteURL reports whether path names a remote archive — an http(s)
@@ -106,32 +101,23 @@ func OpenRemote(url string, opts RemoteOptions) (*RemoteStore, error) {
 	if opts.CacheBlocks <= 0 {
 		opts.CacheBlocks = DefaultRemoteCacheBlocks
 	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = DefaultRemoteRetries
-	}
-	if opts.RetryDelay <= 0 {
-		opts.RetryDelay = DefaultRemoteRetryDelay
-	}
 	if opts.Client == nil {
 		opts.Client = http.DefaultClient
 	}
-	size, etag, err := probeRemote(opts.Client, url, opts.Retries, opts.RetryDelay)
+	size, etag, err := probeRemote(opts.Client, url, remoteRetries, remoteRetryDelay)
 	if err != nil {
 		return nil, err
 	}
 	ra := &RangeReaderAt{
-		url:         url,
-		client:      opts.Client,
-		size:        size,
-		etag:        etag,
-		blockSize:   int64(opts.BlockSize),
-		retries:     opts.Retries,
-		retryDelay:  opts.RetryDelay,
-		maxPrefetch: int64(opts.MaxPrefetchBlocks),
-		cache:       blockLRU{cap: opts.CacheBlocks, m: map[int64]*list.Element{}},
-		inflight:    map[int64]*blockFetch{},
+		url:        url,
+		client:     opts.Client,
+		size:       size,
+		etag:       etag,
+		blockSize:  int64(opts.BlockSize),
+		retries:    remoteRetries,
+		retryDelay: remoteRetryDelay,
+		cache:      blockLRU{cap: opts.CacheBlocks, m: map[int64]*list.Element{}},
+		inflight:   map[int64]*blockFetch{},
 	}
 	ast, err := OpenArchiveReaderAt(ra, size)
 	if err != nil {
@@ -159,7 +145,7 @@ func RemoteSize(url string) (int64, error) {
 	if !IsRemoteURL(url) {
 		return 0, fmt.Errorf("%w: not an http(s) URL: %q", ErrRemote, url)
 	}
-	size, _, err := probeRemote(http.DefaultClient, url, DefaultRemoteRetries, DefaultRemoteRetryDelay)
+	size, _, err := probeRemote(http.DefaultClient, url, remoteRetries, remoteRetryDelay)
 	return size, err
 }
 
@@ -207,8 +193,7 @@ type RangeReaderAt struct {
 	// GETs set it.
 	noPrefetch bool
 	// maxPrefetch caps the adaptive readahead window in blocks (0 means
-	// DefaultRemoteMaxPrefetch, resolved lazily so zero-value readers in
-	// tests behave like the default).
+	// remoteMaxPrefetch); tests set it to pin a fixed depth.
 	maxPrefetch int64
 
 	mu       sync.Mutex
@@ -271,7 +256,7 @@ func (r *RangeReaderAt) maxDepth() int64 {
 	if r.maxPrefetch > 0 {
 		return r.maxPrefetch
 	}
-	return DefaultRemoteMaxPrefetch
+	return remoteMaxPrefetch
 }
 
 // Stats reports fetch counters.
@@ -320,8 +305,9 @@ func (r *RangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		i int
 		f *blockFetch
 	}
-	var waits []waiter
-	var runs [][2]int64 // inclusive block ranges this call claimed to fetch
+	var waits []waiter   // blocks another reader is fetching
+	var claimed []waiter // blocks this call fetches
+	var runs [][2]int64  // inclusive block ranges this call claimed to fetch
 	r.mu.Lock()
 	sequential := r.hasRead && first <= r.prevLast+1 && last > r.prevLast
 	// Adapt the readahead window to how committed the consumer is to the
@@ -365,7 +351,9 @@ func (r *RangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		// read's end: the run is served by one coalesced ranged GET.
 		start := b
 		for {
-			r.inflight[b] = &blockFetch{done: make(chan struct{})}
+			f := &blockFetch{done: make(chan struct{})}
+			r.inflight[b] = f
+			claimed = append(claimed, waiter{int(b - first), f})
 			if b == last {
 				break
 			}
@@ -395,12 +383,13 @@ func (r *RangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 			r.failRun(run[0], run[1], fetchErr)
 			continue
 		}
-		if err := r.fetchRun(run[0], run[1], first, blocks); err != nil {
-			fetchErr = err
-		}
+		fetchErr = r.fetchRun(run[0], run[1])
 	}
 	if fetchErr != nil {
 		return 0, fetchErr
+	}
+	for _, w := range claimed {
+		blocks[w.i] = w.f.data
 	}
 	for _, w := range waits {
 		<-w.f.done
@@ -480,43 +469,13 @@ func (r *RangeReaderAt) maybePrefetch(b, depth int64) {
 		r.mu.Unlock()
 		return
 	}
-	fetches := make([]*blockFetch, stop-start+1)
-	for i := range fetches {
-		fetches[i] = &blockFetch{done: make(chan struct{}), prefetch: true}
-		r.inflight[start+int64(i)] = fetches[i]
+	for blk := start; blk <= stop; blk++ {
+		r.inflight[blk] = &blockFetch{done: make(chan struct{}), prefetch: true}
 	}
 	r.mu.Unlock()
-	r.prefetches.Add(int64(len(fetches)))
-	metRemotePrefetchDepth.Observe(float64(len(fetches)))
-	go func() {
-		off := start * r.blockSize
-		length := (stop+1)*r.blockSize - off
-		if off+length > r.size {
-			length = r.size - off
-		}
-		data, err := r.fetchRange(off, length)
-		r.mu.Lock()
-		for i, f := range fetches {
-			blk := start + int64(i)
-			delete(r.inflight, blk)
-			if err != nil {
-				f.err = err
-			} else {
-				lo := int64(i) * r.blockSize
-				hi := lo + r.blockSize
-				if hi > int64(len(data)) {
-					hi = int64(len(data))
-				}
-				f.data = data[lo:hi]
-				// A reader that deduped onto this fetch already cleared
-				// f.prefetch and took the hit; only a still-speculative
-				// block enters the cache flagged.
-				r.noteWasted(r.cache.put(blk, f.data, f.prefetch))
-			}
-			close(f.done)
-		}
-		r.mu.Unlock()
-	}()
+	r.prefetches.Add(stop - start + 1)
+	metRemotePrefetchDepth.Observe(float64(stop - start + 1))
+	go r.fetchRun(start, stop)
 }
 
 // noteWasted tallies prefetched blocks evicted before any read used them
@@ -530,17 +489,18 @@ func (r *RangeReaderAt) noteWasted(n int) {
 	}
 }
 
-// fetchRun fetches blocks [start, end] in one ranged GET, resolves their
-// in-flight registrations, inserts them into the LRU and fills the calling
-// ReadAt's assembly slots.
-func (r *RangeReaderAt) fetchRun(start, end, first int64, blocks [][]byte) error {
+// fetchRun fetches the claimed blocks [start, end] in one ranged GET —
+// for a demand read or a background prefetch alike — and resolves their
+// in-flight registrations: each block takes its data and enters the LRU,
+// or takes the error, and its waiters are released. A prefetched block
+// that a reader deduped onto has already had its prefetch flag cleared
+// (and taken the hit); only a still-speculative block enters the cache
+// flagged.
+func (r *RangeReaderAt) fetchRun(start, end int64) error {
 	off := start * r.blockSize
-	length := (end+1)*r.blockSize - off
-	if off+length > r.size {
-		length = r.size - off
-	}
-	data, err := r.fetchRange(off, length)
+	data, err := r.fetchRange(off, min((end+1)*r.blockSize, r.size)-off)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for b := start; b <= end; b++ {
 		f := r.inflight[b]
 		delete(r.inflight, b)
@@ -548,19 +508,11 @@ func (r *RangeReaderAt) fetchRun(start, end, first int64, blocks [][]byte) error
 			f.err = err
 		} else {
 			lo := (b - start) * r.blockSize
-			hi := lo + r.blockSize
-			if hi > int64(len(data)) {
-				hi = int64(len(data))
-			}
-			f.data = data[lo:hi]
-			r.noteWasted(r.cache.put(b, f.data, false))
-			if i := int(b - first); i >= 0 && i < len(blocks) {
-				blocks[i] = f.data
-			}
+			f.data = data[lo:min(lo+r.blockSize, int64(len(data)))]
+			r.noteWasted(r.cache.put(b, f.data, f.prefetch))
 		}
 		close(f.done)
 	}
-	r.mu.Unlock()
 	return err
 }
 

@@ -30,8 +30,11 @@ type Backend interface {
 	// NewWriter returns a WriteCloser compressing onto w. Closing it must
 	// flush all data but must not close w.
 	NewWriter(w io.Writer) (io.WriteCloser, error)
-	// NewReader returns a Reader decompressing from r.
-	NewReader(r io.Reader) (io.Reader, error)
+	// NewReader returns a reader decompressing from r. The caller may
+	// Reset it across any number of streams: the decode pipeline pools
+	// these per Decompressor so per-chunk decompression stops allocating
+	// working memory.
+	NewReader(r io.Reader) (ResetReader, error)
 }
 
 // ResetReader is a decompressing reader that can be re-targeted at a new
@@ -41,18 +44,6 @@ type Backend interface {
 type ResetReader interface {
 	io.Reader
 	Reset(src io.Reader) error
-}
-
-// StatefulBackend is implemented by back ends whose readers carry
-// reusable decode state worth recycling. NewResetReader returns a reader
-// the caller may Reset across any number of streams — the decode
-// pipeline pools these per Decompressor so per-chunk decompression stops
-// allocating working memory. Back ends without meaningful state (or not
-// yet adapted) simply don't implement the interface; callers fall back
-// to NewReader per stream.
-type StatefulBackend interface {
-	Backend
-	NewResetReader(r io.Reader) (ResetReader, error)
 }
 
 var (
@@ -104,11 +95,7 @@ func (b bscBackend) NewWriter(w io.Writer) (io.WriteCloser, error) {
 	return bsc.NewWriterSize(w, b.blockSize), nil
 }
 
-func (b bscBackend) NewReader(r io.Reader) (io.Reader, error) {
-	return bsc.NewReader(r), nil
-}
-
-func (b bscBackend) NewResetReader(r io.Reader) (ResetReader, error) {
+func (b bscBackend) NewReader(r io.Reader) (ResetReader, error) {
 	return bsc.NewReader(r), nil
 }
 
@@ -121,11 +108,7 @@ func (f flateBackend) NewWriter(w io.Writer) (io.WriteCloser, error) {
 	return flate.NewWriter(w, f.level)
 }
 
-func (f flateBackend) NewReader(r io.Reader) (io.Reader, error) {
-	return flate.NewReader(r), nil
-}
-
-func (f flateBackend) NewResetReader(r io.Reader) (ResetReader, error) {
+func (f flateBackend) NewReader(r io.Reader) (ResetReader, error) {
 	return &flateResetReader{rc: flate.NewReader(r)}, nil
 }
 
@@ -149,9 +132,7 @@ func (storeBackend) NewWriter(w io.Writer) (io.WriteCloser, error) {
 	return nopWriteCloser{w}, nil
 }
 
-func (storeBackend) NewReader(r io.Reader) (io.Reader, error) { return r, nil }
-
-func (storeBackend) NewResetReader(r io.Reader) (ResetReader, error) {
+func (storeBackend) NewReader(r io.Reader) (ResetReader, error) {
 	return &passthroughReader{src: r}, nil
 }
 
