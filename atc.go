@@ -81,10 +81,11 @@
 // addresses of an arbitrary window [from, to) while decompressing only
 // the chunks overlapping it, and Reader.ReadAddrsAt offers the same as an
 // io.ReaderAt-style call in address units. On lossy and segmented
-// lossless traces these are O(chunks touched); the legacy v1 single-chunk
-// lossless layout supports them too, by streaming from the nearest known
-// position. cmd/atcserve serves this capability over HTTP from a
-// directory, archive, or memory store.
+// lossless traces these are O(chunks touched). The legacy v1 single-chunk
+// lossless layout supports them too, through the same chunk reader: its
+// one stream resumes when a read lies ahead of where the last one stopped
+// and reopens from the start otherwise. cmd/atcserve serves this
+// capability over HTTP from a directory, archive, or memory store.
 package atc
 
 import (
@@ -131,8 +132,9 @@ var ErrUnsupportedVersion = core.ErrUnsupportedVersion
 // caller bug rather than bad data.
 var ErrClosed = core.ErrClosed
 
-// ErrOutOfRange reports a SeekTo or DecodeRange target outside the
-// trace's address positions: the trace is intact, the request is not.
+// ErrOutOfRange reports a SeekTo, DecodeRange or ReadAddrsAt target
+// outside the trace's address positions: the trace is intact, the
+// request is not.
 var ErrOutOfRange = core.ErrOutOfRange
 
 // Stats summarises a finished compression.
@@ -413,10 +415,10 @@ type ChunkSpan = core.ChunkSpan
 // by, and what atcinfo -chunks prints.
 func (r *Reader) ChunkIndex() []ChunkSpan { return r.d.ChunkIndex() }
 
-// ChunkReads reports how many chunk blobs this Reader has decompressed so
-// far (chunk-cache hits do not count) — an observability hook for serving
-// tiers and for tests asserting that range decodes touch only the chunks
-// they must.
+// ChunkReads reports how many chunk blobs this Reader has opened for
+// decoding (chunk-cache hits and resumed v1 streams do not count) — an
+// observability hook for serving tiers and for tests asserting that range
+// decodes touch only the chunks they must.
 func (r *Reader) ChunkReads() int64 { return r.d.ChunkReads() }
 
 // DecodeTrace records per-stage wall time (admission wait, index walk,
@@ -444,9 +446,10 @@ func (r *Reader) Position() int64 { return r.d.Position() }
 // seeking past either end is an error (position TotalAddrs() itself is
 // allowed; the next Decode then returns io.EOF). Seeking backwards is
 // supported in every format; on lossy and segmented traces a seek costs
-// at most one chunk decode, while legacy v1 lossless traces re-stream
-// from the start when seeking backwards. Seek clears a pending io.EOF,
-// so a Reader can be rewound and decoded again.
+// at most one chunk decode, while legacy v1 lossless traces resume their
+// stream when seeking ahead of where it stopped and re-stream from the
+// start otherwise. Seek clears a pending io.EOF, so a Reader can be
+// rewound and decoded again.
 func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 	var base int64
 	switch whence {
@@ -469,7 +472,9 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 // byte-for-byte the slice DecodeAll would have produced there —
 // decompressing only the chunks overlapping the window. Touched chunks
 // are pinned in the chunk cache (WithChunkCache), so a hot working set of
-// ranges is served from memory. The streaming position is unaffected.
+// ranges is served from memory; on a legacy v1 trace the window decodes
+// straight from its stream, which a later window ahead of it resumes. The
+// streaming position is unaffected.
 func (r *Reader) DecodeRange(from, to int64) ([]uint64, error) {
 	return r.d.DecodeRange(from, to)
 }
@@ -490,17 +495,15 @@ func (r *Reader) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64, erro
 func (r *Reader) ReadAddrsAt(p []uint64, off int64) (int, error) {
 	total := r.d.TotalAddrs()
 	if off < 0 || off > total {
-		return 0, fmt.Errorf("atc: read at %d outside trace [0, %d]", off, total)
+		return 0, fmt.Errorf("%w: read at %d outside trace [0, %d]", ErrOutOfRange, off, total)
 	}
 	end := off + int64(len(p))
 	if end > total {
 		end = total
 	}
+	// p[:0] has capacity for the window, so the addresses land in p.
 	got, err := r.d.DecodeRangeAppend(p[:0], off, end)
 	n := len(got)
-	if n > 0 && &got[0] != &p[0] {
-		n = copy(p, got) // unreachable while cap(p[:0]) covers the window
-	}
 	if err != nil {
 		return n, err
 	}

@@ -1021,7 +1021,7 @@ func (s *server) handleAddrs(w http.ResponseWriter, r *http.Request) {
 		dFrom = from + rng.start/8
 		dTo = from + rng.end/8 + 1
 	}
-	buf, err := rd.DecodeRange(dFrom, min64(dFrom+serveBatchAddrs, dTo))
+	buf, err := rd.DecodeRange(dFrom, min(dFrom+serveBatchAddrs, dTo))
 	if err != nil {
 		writeDecodeError(w, p.name, err)
 		return
@@ -1048,7 +1048,7 @@ func (s *server) handleAddrs(w http.ResponseWriter, r *http.Request) {
 			// Finish decoding before the first write commits the headers.
 			rest := [][]uint64{}
 			for next := dFrom + int64(len(buf)); next < dTo; {
-				batch, err := rd.DecodeRange(next, min64(next+serveBatchAddrs, dTo))
+				batch, err := rd.DecodeRange(next, min(next+serveBatchAddrs, dTo))
 				if err != nil {
 					writeDecodeError(w, p.name, err)
 					return
@@ -1080,7 +1080,14 @@ func (s *server) handleAddrs(w http.ResponseWriter, r *http.Request) {
 		if pos >= dTo {
 			break
 		}
-		if buf, err = rd.DecodeRangeAppend(buf[:0], pos, min64(pos+serveBatchAddrs, dTo)); err != nil {
+		if buf, err = rd.DecodeRangeAppend(buf[:0], pos, min(pos+serveBatchAddrs, dTo)); err != nil {
+			// The status is already sent: the client sees a body short of
+			// Content-Length, the operator this line. The window was
+			// checked before the first batch, so the failure is corruption
+			// (an error in writeDecodeError) or a store fault, also the
+			// server's.
+			logger.Error("decode failed mid-body",
+				"trace", p.name, "from", dFrom, "to", dTo, "pos", pos, "err", err)
 			return
 		}
 	}
@@ -1196,10 +1203,3 @@ func (bw *byteWindowWriter) Write(p []byte) (int, error) {
 // serveBatchAddrs is the binary response's per-batch decode size: 256 Ki
 // addresses, 2 MB on the wire.
 const serveBatchAddrs = 256 << 10
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,7 +96,7 @@ func TestServeConcurrentRanges(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(i)))
 			from := rng.Int63n(n)
-			to := from + rng.Int63n(min64(n-from, 9000))
+			to := from + rng.Int63n(min(n-from, 9000))
 			resp, err := http.Get(fmt.Sprintf("%s/traces/unit/addrs?from=%d&to=%d", srv.URL, from, to))
 			if err != nil {
 				errs <- err
@@ -347,6 +349,77 @@ func TestServeCorruptTrace502(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("corrupt chunk: status %d, want 502; body: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServeMidBodyDecodeErrorLogged damages a chunk the binary /addrs
+// response reaches only after its first batch is sent: the client gets a
+// 200 whose body falls short of Content-Length, and the operator gets one
+// error log line naming the trace.
+func TestServeMidBodyDecodeErrorLogged(t *testing.T) {
+	const n, segment = 400_000, 50_000
+	rng := rand.New(rand.NewSource(15))
+	addrs := make([]uint64, n)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(1 << 26))
+	}
+	dir := t.TempDir()
+	w, err := atc.NewWriter(dir, atc.WithMode(atc.Lossless), atc.WithBackend("store"),
+		atc.WithSegmentAddrs(segment), atc.WithBufferAddrs(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CodeSlice(addrs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Chunk 7 covers [300000, 350000), past the first 256 Ki-address batch.
+	victim := filepath.Join(dir, "7.store")
+	fi, err := os.Stat(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(victim, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	defer func(l *slog.Logger) { logger = l }(logger)
+	logger = slog.New(slog.NewTextHandler(&logs, nil))
+
+	pool, err := openTrace("unit", dir, poolConfig{readers: 1, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer((&server{pools: map[string]*tracePool{"unit": pool}, maxRange: n, maxWait: time.Second}).handler())
+	defer func() {
+		srv.Close()
+		pool.close()
+	}()
+
+	resp, err := http.Get(srv.URL + "/traces/unit/addrs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if int64(len(body)) >= resp.ContentLength {
+		t.Fatalf("body of %d bytes, want short of Content-Length %d", len(body), resp.ContentLength)
+	}
+	srv.Close() // waits for the handler, which has logged by then
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		if strings.Contains(line, "decode failed mid-body") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "level=ERROR") || !strings.Contains(lines[0], "trace=unit") {
+		t.Fatalf("mid-body log lines = %q, want one ERROR line naming trace unit", lines)
 	}
 }
 

@@ -363,7 +363,7 @@ func (r *Reader) nextBlock() error {
 			break
 		}
 	}
-	transformed, _, err := mtf.DecodeInto(r.mtfOut, r.syms)
+	transformed, _, err := mtf.DecodeIntoLimit(r.mtfOut, r.syms, int(origLen))
 	if transformed != nil {
 		r.mtfOut = transformed
 	}

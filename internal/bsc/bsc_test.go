@@ -7,6 +7,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"atc/internal/bitio"
+	"atc/internal/huffman"
+	"atc/internal/mtf"
 )
 
 func roundTrip(t *testing.T, data []byte, blockSize int) []byte {
@@ -273,5 +277,43 @@ func BenchmarkDecompress(b *testing.B) {
 		if _, err := Decompress(c); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestHostileZeroRunBounded frames a block that declares 100 bytes but
+// whose symbols are 40 RUNA digits — a zero run of 2^40-1 bytes — and
+// EOB. The reader must reject it without expanding the run.
+func TestHostileZeroRunBounded(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	hdr := [13]byte{1, 100}
+	buf.Write(hdr[:])
+	lengths := make([]uint8, mtf.NumSyms)
+	lengths[mtf.RunA], lengths[mtf.EOB] = 1, 1
+	cb, err := huffman.NewCodebook(lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := bitio.NewWriter(&buf)
+	for _, l := range lengths {
+		if err := bw.WriteBits(uint64(l), lenBits); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := huffman.NewEncoder(cb, bw)
+	for i := 0; i < 40; i++ {
+		if err := enc.WriteSymbol(mtf.RunA); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.WriteSymbol(mtf.EOB); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(0)
+	if _, err := Decompress(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }

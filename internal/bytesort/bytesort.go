@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Mode selects the transformation variant.
@@ -253,27 +254,6 @@ func (d *Decoder) Reset(r io.Reader) {
 	d.err = nil
 }
 
-// Read returns the next decoded address, or io.EOF after the terminator
-// (or clean end of stream).
-func (d *Decoder) Read() (uint64, error) {
-	if d.err != nil {
-		return 0, d.err
-	}
-	for d.pos >= len(d.pending) {
-		if d.done {
-			d.err = io.EOF
-			return 0, io.EOF
-		}
-		if err := d.readSegment(); err != nil {
-			d.err = err
-			return 0, err
-		}
-	}
-	v := d.pending[d.pos]
-	d.pos++
-	return v, nil
-}
-
 // ReadSlice fills dst with decoded addresses, copying in bulk from each
 // inverted segment. It returns the number of addresses written and
 // io.EOF only when the stream ended before dst was full (n may then
@@ -310,14 +290,17 @@ func (d *Decoder) ReadSlice(dst []uint64) (int, error) {
 func (d *Decoder) ReadAll() ([]uint64, error) {
 	var out []uint64
 	for {
-		v, err := d.Read()
+		if len(out) == cap(out) {
+			out = slices.Grow(out, max(len(out), 1<<10))
+		}
+		n, err := d.ReadSlice(out[len(out):cap(out)])
+		out = out[:len(out)+n]
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, v)
 	}
 }
 

@@ -206,11 +206,12 @@ func TestReadAfterEOF(t *testing.T) {
 	e := NewEncoder(&buf, 10)
 	_ = e.Close()
 	d := NewDecoder(&buf)
-	if _, err := d.Read(); err != io.EOF {
-		t.Fatalf("first read err = %v", err)
+	var one [1]uint64
+	if n, err := d.ReadSlice(one[:]); n != 0 || err != io.EOF {
+		t.Fatalf("first read = %d, %v", n, err)
 	}
-	if _, err := d.Read(); err != io.EOF {
-		t.Fatalf("second read err = %v", err)
+	if n, err := d.ReadSlice(one[:]); n != 0 || err != io.EOF {
+		t.Fatalf("second read = %d, %v", n, err)
 	}
 }
 

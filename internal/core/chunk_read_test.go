@@ -1,0 +1,183 @@
+package core
+
+// Tests of the one chunk reader: the legacy v1 stream resumes forward
+// across range windows, a chunk load never decodes past the index's
+// address count, and any chunk blob decodes to the index's count or
+// fails with ErrCorrupt.
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"atc/internal/store"
+)
+
+// TestLegacyRangeResumesStream checks that range windows over a v1
+// trace share one stream while they move forward, and that a backward
+// window reopens it.
+func TestLegacyRangeResumesStream(t *testing.T) {
+	addrs := rangeTrace()
+	dir := t.TempDir()
+	if _, err := WriteTrace(dir, addrs, Options{Mode: Lossless, BufferAddrs: 200, SegmentAddrs: -1}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadTrace(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	window := func(from, to int64) {
+		t.Helper()
+		got, err := d.DecodeRange(from, to)
+		if err != nil {
+			t.Fatalf("DecodeRange(%d, %d): %v", from, to, err)
+		}
+		if len(got) != int(to-from) {
+			t.Fatalf("DecodeRange(%d, %d) returned %d addresses", from, to, len(got))
+		}
+		for i, v := range got {
+			if v != want[from+int64(i)] {
+				t.Fatalf("DecodeRange(%d, %d) diverges at %d", from, to, from+int64(i))
+			}
+		}
+	}
+	for _, w := range [][2]int64{{0, 100}, {100, 1500}, {2000, 2001}, {5000, 9000}, {9000, 9500}} {
+		window(w[0], w[1])
+	}
+	if n := d.ChunkReads(); n != 1 {
+		t.Fatalf("forward windows opened the stream %d times, want 1", n)
+	}
+	window(3000, 4000)
+	if n := d.ChunkReads(); n != 2 {
+		t.Fatalf("backward window: %d stream opens, want 2", n)
+	}
+	// The readahead pipeline takes the parked reader too: a Decode from
+	// where the last window stopped resumes the stream.
+	if err := d.SeekTo(4000); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := d.DecodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rest) != len(want)-4000 || rest[0] != want[4000] || rest[len(rest)-1] != want[len(want)-1] {
+		t.Fatalf("Decode after the windows: %d addresses, want %d", len(rest), len(want)-4000)
+	}
+	if n := d.ChunkReads(); n != 2 {
+		t.Fatalf("Decode resuming the parked stream: %d stream opens, want 2", n)
+	}
+}
+
+// TestChunkLoadBoundedByIndex swaps a 1000-address segment's blob for a
+// 34 KB one that decodes to 4 Mi addresses. Loading it must fail at the
+// first address past the index's count, not decode (and allocate) the
+// whole blob first.
+func TestChunkLoadBoundedByIndex(t *testing.T) {
+	small := t.TempDir()
+	if _, err := WriteTrace(small, rangeTrace()[:1000], Options{
+		Mode: Lossless, Backend: "flate", BufferAddrs: 200, SegmentAddrs: 1000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	big := t.TempDir()
+	if _, err := WriteTrace(big, make([]uint64, 4<<20), Options{
+		Mode: Lossless, Backend: "flate", BufferAddrs: 4096, SegmentAddrs: 4 << 20,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(big, "1.flate"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(small, "1.flate"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(small, DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = d.DecodeRange(0, 10)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("loading the %d-byte blob allocated %d bytes, want < 4 MiB", len(blob), alloc)
+	}
+}
+
+// FuzzChunkBlob replaces chunk 2 of the golden segmented trace with
+// arbitrary bytes: a range over its span and a full decode must each
+// return the index's address count or an error wrapping ErrCorrupt.
+func FuzzChunkBlob(f *testing.F) {
+	const golden = "testdata/v2-lossless"
+	entries, err := os.ReadDir(golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	blobs := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(golden, e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		blobs[e.Name()] = data
+		if strings.HasSuffix(e.Name(), ".bsc") {
+			f.Add(data)
+		}
+	}
+	open := func(t *testing.T, chunk2 []byte) *Decompressor {
+		st := store.NewMem()
+		for name, data := range blobs {
+			if name == "2.bsc" {
+				data = chunk2
+			}
+			if err := store.WriteBlob(st, name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := Open("", DecodeOptions{Store: st})
+		if err != nil {
+			t.Fatalf("Open with an intact INFO: %v", err)
+		}
+		return d
+	}
+	check := func(t *testing.T, what string, got []uint64, err error, want int64) {
+		t.Helper()
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: error without ErrCorrupt: %v", what, err)
+		}
+		if err == nil && int64(len(got)) != want {
+			t.Fatalf("%s: %d addresses, index says %d", what, len(got), want)
+		}
+	}
+	f.Fuzz(func(t *testing.T, chunk2 []byte) {
+		d := open(t, chunk2)
+		defer d.Close()
+		var sp ChunkSpan
+		for _, s := range d.ChunkIndex() {
+			if s.ChunkID == 2 {
+				sp = s
+			}
+		}
+		got, err := d.DecodeRange(sp.Start, sp.End)
+		check(t, "DecodeRange", got, err, sp.End-sp.Start)
+
+		full := open(t, chunk2)
+		defer full.Close()
+		got, err = full.DecodeAll()
+		check(t, "DecodeAll", got, err, full.TotalAddrs())
+	})
+}

@@ -37,7 +37,8 @@ type DecodeOptions struct {
 	// once per reader. When nil the Decompressor gets a private cache
 	// holding privateCacheChunks chunks of the trace's interval or
 	// segment length. Sequential lossy decoding pins imitated chunks
-	// here; random access (Seek/DecodeRange) pins every chunk it touches.
+	// here; DecodeRange pins every chunk it touches except the legacy v1
+	// stream, which is never materialized.
 	ChunkCache *TraceChunkCache
 	// Readahead bounds the number of decoded batches a background
 	// pipeline decompresses ahead of Decode, overlapping back-end
@@ -116,7 +117,9 @@ type ChunkSpan struct {
 // chunk index built at Open — a table mapping every interval/segment
 // record to its absolute address range and backing chunk — so Seek and
 // DecodeRange can jump straight to the chunks covering a window instead
-// of consuming records in order.
+// of consuming records in order. One span reader decodes every chunk
+// read; the legacy v1 layout is a single span whose reader parks between
+// reads, so forward access resumes it.
 type Decompressor struct {
 	st          store.Store
 	ownStore    bool // opened from a path: Close releases it
@@ -135,23 +138,22 @@ type Decompressor struct {
 
 	// index maps every record to its absolute address range, in trace
 	// order: index[i] covers [index[i].start, index[i].end). It is the
-	// single source of decoding truth for lossy and segmented traces.
+	// single source of decoding truth for every format.
 	index []span
 
 	// segmented marks a version-2 lossless trace (one chunk per segment);
-	// streaming marks the legacy v1 lossless layout, whose single chunk
-	// is decoded as a stream rather than materialized whole.
+	// legacy marks the v1 lossless layout, whose single chunk is one span
+	// covering the whole trace, always stream-decoded.
 	segmented bool
-	streaming bool
+	legacy    bool
 
 	storeClosed bool
 	closed      bool
 
-	// Legacy lossless stream state: the open chunk-1 stream, positioned
-	// at absolute trace position streamPos. Seeking backwards reopens it.
-	losslessFile io.Closer
-	losslessDec  *bytesort.Decoder
-	streamPos    int64
+	// parked is the legacy span's reader between reads (legacyReader):
+	// only the path reading v1 touches it — a pipeline span task, the
+	// inline decode or DecodeRangeAppend.
+	parked *spanReader
 
 	// Consumption state: cursor is the absolute trace position of the
 	// next address Decode returns; pending/pos hold the current batch.
@@ -171,13 +173,6 @@ type Decompressor struct {
 	// from it on the caller's goroutine instead of from a pipeline.
 	inline *spanReader
 
-	// intervalFree recycles the interval-sized buffers imitation records
-	// translate into on the copy-out decode paths (DecodeRangeAppend), so
-	// random access over a phase-heavy lossy trace stops allocating one
-	// interval per materialization. Created at open for lossy traces;
-	// nil otherwise.
-	intervalFree chan []uint64
-
 	// cache holds decompressed chunks: the caller's shared view, or a
 	// private one sized at Open from the trace's stride.
 	cache *TraceChunkCache
@@ -195,7 +190,7 @@ type Decompressor struct {
 	// instead of materializing and caching the whole interval.
 	imitated map[int]struct{}
 
-	// chunkReads counts chunk-blob decompressions (not cache hits) — the
+	// chunkReads counts chunk-blob opens (not cache hits) — the
 	// observable that range decoding touches only the chunks it must.
 	chunkReads atomic.Int64
 
@@ -205,8 +200,8 @@ type Decompressor struct {
 	traceRec *obs.Trace
 
 	// Readahead pipeline. When ahead is non-nil a producer goroutine owns
-	// the decoding state (losslessDec, cache) and streams batches into
-	// the channel; Decode only touches pending/pos/cursor. The pipeline
+	// the decoding state (parked, cache) and streams batches into the
+	// channel; Decode only touches pending/pos/cursor. The pipeline
 	// starts lazily at the current cursor and is quiesced (stopReadahead)
 	// before any state the producer owns is touched from the caller.
 	ahead     chan aheadBatch
@@ -294,7 +289,7 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 		return nil, err
 	}
 	d.segmented = d.mode == Lossless && d.version >= infoVersion2
-	d.streaming = d.mode == Lossless && !d.segmented
+	d.legacy = d.mode == Lossless && !d.segmented
 	if err := d.buildIndex(); err != nil {
 		closeStore()
 		return nil, err
@@ -305,17 +300,11 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 	}
 	// A batch never spans records, so a batchAddrs above the trace's
 	// stride would only oversize the recycled buffers: clamp it.
-	if !d.streaming && stride > 0 && int64(d.opts.batchAddrs) > stride {
+	if !d.legacy && stride > 0 && int64(d.opts.batchAddrs) > stride {
 		d.opts.batchAddrs = int(stride)
 	}
 	if d.cache == nil {
 		d.cache = NewSharedChunkCacheBytes(privateCacheChunks * stride * 8).ForTrace("")
-	}
-	if d.streaming {
-		if err := d.openLossless(); err != nil {
-			closeStore()
-			return nil, err
-		}
 	}
 	return d, nil
 }
@@ -326,10 +315,9 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 // last, which covers the nonzero remainder. The untrusted INFO trailer
 // total must be consistent with the record count, so a corrupt trailer is
 // rejected at Open instead of surfacing as a mid-decode length mismatch.
-// The legacy v1 lossless layout is one streaming span covering the whole
-// trace.
+// The legacy v1 lossless layout is one span covering the whole trace.
 func (d *Decompressor) buildIndex() error {
-	if d.streaming {
+	if d.legacy {
 		if len(d.records) != 1 || d.records[0].tag != recChunk {
 			return fmt.Errorf("%w: legacy lossless trace has %d records, want one chunk record",
 				ErrCorrupt, len(d.records))
@@ -377,11 +365,6 @@ func (d *Decompressor) buildIndex() error {
 				d.imitated[rec.chunkID] = struct{}{}
 			}
 		}
-		if len(d.imitated) > 0 {
-			// Two slots cover the copy-out decode paths: one buffer being
-			// filled while the previous one drains back.
-			d.intervalFree = make(chan []uint64, 2)
-		}
 	}
 	return nil
 }
@@ -395,8 +378,8 @@ func (d *Decompressor) spanIndex(addr int64) int {
 
 // startReadahead launches the producer pipeline that decompresses up to n
 // batches ahead of Decode, starting at the current cursor. It takes
-// ownership of the legacy stream and the chunk cache; Decode then only
-// consumes from the ahead channel.
+// ownership of the parked legacy reader and the chunk cache; Decode then
+// only consumes from the ahead channel.
 func (d *Decompressor) startReadahead(n int) {
 	d.ahead = make(chan aheadBatch, n)
 	d.aheadStop = make(chan struct{})
@@ -405,11 +388,7 @@ func (d *Decompressor) startReadahead(n int) {
 	go func() {
 		defer d.aheadWG.Done()
 		defer close(d.ahead)
-		if d.streaming {
-			d.produceStream(start)
-		} else {
-			d.produceSpansBatched(n, start)
-		}
+		d.produceSpansBatched(n, start)
 	}()
 }
 
@@ -464,64 +443,37 @@ func (d *Decompressor) stopReadahead() {
 	d.aheadStop = nil
 }
 
-// deliver sends one batch, aborting if the pipeline was stopped. It
-// reports whether production should continue. The stop channel is polled
-// first so a stop that is draining the ahead channel cannot keep the
-// producer decoding to the end of the trace.
-func (d *Decompressor) deliver(b aheadBatch) bool {
+// stopping reports whether the readahead pipeline is being torn down;
+// it is always false outside the pipeline.
+func (d *Decompressor) stopping() bool {
 	select {
 	case <-d.aheadStop:
-		return false
+		return true
 	default:
+		return false
+	}
+}
+
+// deliver sends one batch on ch — the ahead channel, or a span task's
+// slot — aborting if the pipeline was stopped. It reports whether
+// production should continue. The stop channel is polled first so a stop
+// that is draining the ahead channel cannot keep the producer decoding to
+// the end of the trace.
+func (d *Decompressor) deliver(ch chan aheadBatch, b aheadBatch) bool {
+	if d.stopping() {
+		return false
 	}
 	select {
-	case d.ahead <- b:
+	case ch <- b:
 		return b.err == nil
 	case <-d.aheadStop:
 		return false
 	}
 }
 
-// errStopped aborts a long legacy seek-skip when the pipeline is being
-// torn down; it is never delivered (deliver refuses after a stop).
-var errStopped = errors.New("atc: decode stopped")
-
-// produceStream decodes the legacy v1 lossless stream from trace position
-// start into the ahead channel.
-func (d *Decompressor) produceStream(start int64) {
-	if err := d.seekStream(start); err != nil {
-		d.deliver(aheadBatch{err: err})
-		return
-	}
-	for {
-		b, ok := d.streamBatch()
-		if !ok || !d.deliver(b) {
-			return
-		}
-	}
-}
-
-// streamBatch reads the next batch of the legacy v1 stream into a
-// recycled buffer; ok is false at the end of the stream. A read error
-// after some addresses is reported by the next call: the decoder's error
-// is sticky.
-func (d *Decompressor) streamBatch() (b aheadBatch, ok bool) {
-	buf := d.batchBuf()
-	n, err := d.losslessDec.ReadSlice(buf[:cap(buf)])
-	d.streamPos += int64(n)
-	if n > 0 {
-		return aheadBatch{addrs: buf[:n], buf: buf[:n]}, true
-	}
-	d.recycleBatch(buf)
-	if err == io.EOF {
-		return aheadBatch{}, false
-	}
-	return aheadBatch{err: err}, true
-}
-
-// produceSpansBatched is the pipeline for lossy and segmented traces:
-// every span streams through its own bounded slot of batches, up to par
-// spans decoding concurrently, with delivery strictly in trace order.
+// produceSpansBatched is the decode pipeline for every format: every
+// span streams through its own bounded slot of batches, up to par spans
+// decoding concurrently, with delivery strictly in trace order.
 // Peak buffered memory is a multiple of batchAddrs, not of
 // IntervalLen/SegmentAddrs. The dispatcher opens the spans, so chunks
 // that imitations replay load (and pin) there, serially, while slicing,
@@ -547,7 +499,7 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 				return
 			}
 			if err != nil {
-				d.sendSpanBatch(slot, aheadBatch{err: err})
+				d.deliver(slot, aheadBatch{err: err})
 				close(slot)
 				return
 			}
@@ -558,7 +510,7 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 				defer r.close()
 				for {
 					b, ok := r.next()
-					if !ok || !d.sendSpanBatch(slot, b) {
+					if !ok || !d.deliver(slot, b) {
 						return
 					}
 				}
@@ -569,27 +521,17 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 	// moving to the next.
 	for slot := range slots {
 		for b := range slot {
-			if !d.deliver(b) {
+			if !d.deliver(d.ahead, b) {
 				return
 			}
 		}
 	}
 }
 
-// sendSpanBatch sends one batch into a span slot, aborting on pipeline
-// stop; it reports whether the task should continue producing.
-func (d *Decompressor) sendSpanBatch(slot chan aheadBatch, b aheadBatch) bool {
-	select {
-	case slot <- b:
-		return b.err == nil
-	case <-d.aheadStop:
-		return false
-	}
-}
-
-// spanReader yields one span's addresses a batch at a time. The
-// pipeline's span tasks and the inline (Readahead < 0) decode both pull
-// from it, so the two deliver the same batches.
+// spanReader yields one span's addresses a batch at a time. It is the
+// one reader of chunk blobs: the pipeline's span tasks, the inline
+// (Readahead < 0) decode, range windows over the legacy v1 stream and
+// chunk loads into the cache (readChunkFile) all decode through it.
 type spanReader struct {
 	d  *Decompressor
 	sp span
@@ -600,29 +542,36 @@ type spanReader struct {
 	// reads from, at offset off; nil when the span stream-decodes.
 	chunk []uint64
 	off   int
-	// Stream decoding state, opened on the first next: the chunk blob,
-	// the pooled decode unit reading it, and the addresses decoded so far.
+	// Stream state, opened by the first fill: the timed chunk blob, its
+	// pooled decode unit and the count of addresses decoded so far.
 	blob io.Closer
+	tf   timedReader
 	pr   *backendReader
 	got  int64
 	eof  bool
+	// fetchNS and decNS split the stream's wall time between the blob's
+	// reads and the back-end/bytesort decode, for the stage histograms.
+	fetchNS, decNS int64
 }
 
 // openSpan prepares a reader over sp from trace position start on.
 // Chunks that imitations replay are materialized and pinned in the chunk
-// cache here. Segments and lossy chunks no imitation replays have exactly
-// one consumer, this pass, so they stream-decode straight into batch
-// buffers (materializing would cost a transient span-sized buffer, and
-// caching would only evict chunks imitations still need) — unless a
-// random-access pass already left them in the cache.
+// cache here. Segments, lossy chunks no imitation replays and the legacy
+// v1 span have exactly one consumer, this pass, so they stream-decode
+// straight into batch buffers (materializing would cost a transient
+// span-sized buffer, and caching would only evict chunks imitations still
+// need) — unless a random-access pass already left them in the cache.
 func (d *Decompressor) openSpan(sp span, start int64) (*spanReader, error) {
+	if d.legacy {
+		return d.legacyReader(sp, start), nil
+	}
 	r := &spanReader{d: d, sp: sp, skip: max(start-sp.start, 0)}
 	_, hot := d.imitated[sp.rec.chunkID]
 	var err error
-	if d.segmented || (sp.rec.tag == recChunk && !hot) {
+	if sp.rec.tag == recChunk && !hot {
 		cached, ok := d.cache.Get(sp.rec.chunkID)
 		if !ok {
-			if !d.segmented {
+			if d.mode == Lossy {
 				metChunksStreamed.Inc()
 			}
 			return r, nil
@@ -631,24 +580,40 @@ func (d *Decompressor) openSpan(sp span, start int64) (*spanReader, error) {
 			tr.CacheHit()
 		}
 		r.chunk = cached
-	} else if r.chunk, err = d.loadChunk(sp.rec.chunkID); err != nil {
+	} else if r.chunk, err = d.loadChunk(sp); err != nil {
 		return nil, err
 	}
-	if int64(len(r.chunk)) != sp.end-sp.start {
-		return nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-			ErrCorrupt, sp.rec.chunkID, len(r.chunk), sp.end-sp.start)
+	if err := checkChunk(sp, r.chunk); err != nil {
+		return nil, err
 	}
 	r.off = int(r.skip)
 	return r, nil
 }
 
-// next returns the span's next batch; ok is false once the span is
-// exhausted. A batch carrying an error is the span's last.
-func (r *spanReader) next() (b aheadBatch, ok bool) {
-	if r.chunk != nil {
-		return r.nextSlice()
+// legacyReader returns the reader of the legacy v1 span from trace
+// position start on: the parked reader when it has not passed start, so
+// it resumes by skipping forward, else a fresh one from the start of the
+// stream, the layout's only entry point.
+func (d *Decompressor) legacyReader(sp span, start int64) *spanReader {
+	r := d.parked
+	d.parked = nil
+	if r == nil || sp.start+r.got > start {
+		r.release()
+		r = &spanReader{d: d, sp: sp}
 	}
-	return r.nextStream()
+	r.skip = start - (sp.start + r.got)
+	return r
+}
+
+// checkChunk verifies a materialized chunk holds exactly the addresses
+// the index assigns sp: a wrong-length chunk must surface as corruption,
+// not as a silently shifted tail.
+func checkChunk(sp span, chunk []uint64) error {
+	if int64(len(chunk)) != sp.end-sp.start {
+		return fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
+			ErrCorrupt, sp.rec.chunkID, len(chunk), sp.end-sp.start)
+	}
+	return nil
 }
 
 // nextSlice serves a materialized span: chunk records as zero-copy
@@ -675,55 +640,95 @@ func (r *spanReader) nextSlice() (aheadBatch, bool) {
 	return aheadBatch{addrs: buf, buf: buf}, true
 }
 
-// nextStream stream-decodes the chunk blob directly into recycled batch
-// buffers: the chunk is never materialized whole, so per-span memory is
-// one batch plus the pooled decode unit's working buffers. The address
-// count is verified against the index — both overruns (detected before
-// the excess is delivered) and underruns surface as ErrCorrupt.
+// next returns the span's next batch; ok is false once the span is
+// exhausted. A batch carrying an error is the span's last. Materialized
+// spans slice (nextSlice); the rest stream-decode the chunk blob directly
+// into recycled batch buffers: the chunk is never materialized whole, so
+// per-span memory is one batch plus the pooled decode unit's working
+// buffers.
 //
 //atc:hotpath
-func (r *spanReader) nextStream() (aheadBatch, bool) {
+func (r *spanReader) next() (aheadBatch, bool) {
+	if r.chunk != nil {
+		return r.nextSlice()
+	}
+	d := r.d
+	buf := d.batchBuf()
+	n, err := r.fill(buf[:cap(buf)])
+	if err != nil || n == 0 {
+		d.recycleBatch(buf)
+		return aheadBatch{err: err}, err != nil
+	}
+	return aheadBatch{addrs: buf[:n], buf: buf[:n]}, true
+}
+
+// fill decodes the span's next addresses into dst, opening the chunk
+// blob on first use and first dropping the skip leading addresses through
+// a batch buffer, checking for a pipeline stop once per batch. It returns
+// how many addresses it left in dst (0 once the span is exhausted or a
+// stop cut the skip short) and ErrCorrupt when the chunk disagrees with
+// the index (checkStream).
+func (r *spanReader) fill(dst []uint64) (int, error) {
 	if r.pr == nil && !r.eof {
 		if err := r.openStream(); err != nil {
 			r.eof = true
-			return aheadBatch{err: err}, true
+			return 0, err
 		}
 	}
-	d := r.d
-	for !r.eof {
-		buf := d.batchBuf()
-		n, err := r.pr.dec.ReadSlice(buf[:cap(buf)])
-		buf = buf[:n]
-		r.got += int64(n)
-		r.eof = err != nil
-		if err = r.checkStream(err); err != nil {
-			d.recycleBatch(buf)
-			return aheadBatch{err: err}, true
+	if r.skip > 0 {
+		buf := r.d.batchBuf()
+		defer r.d.recycleBatch(buf)
+		for r.skip > 0 && !r.eof {
+			if r.d.stopping() {
+				return 0, nil
+			}
+			n, err := r.read(buf[:min(r.skip, int64(cap(buf)))])
+			r.skip -= int64(n)
+			if err != nil {
+				return 0, err
+			}
 		}
-		lo := min(r.skip, int64(n))
-		r.skip -= lo
-		if int(lo) == n {
-			// Nothing left to deliver (skipped, or a trailing ReadSlice
-			// that only found EOF): the buffer never enters a batch, so
-			// recycle it here or the pool bleeds one buffer per span.
-			d.recycleBatch(buf)
-			continue
-		}
-		return aheadBatch{addrs: buf[lo:], buf: buf}, true
 	}
-	return aheadBatch{}, false
+	if r.eof {
+		return 0, nil
+	}
+	return r.read(dst)
 }
 
-// openStream opens the span's chunk blob behind a pooled decode unit.
+// read is one timed ReadSlice from the decode unit, checked against the
+// index's address count. An error ends the stream.
+func (r *spanReader) read(dst []uint64) (int, error) {
+	start, fetched := time.Now(), r.tf.ns
+	n, err := r.pr.dec.ReadSlice(dst)
+	r.observeFill(start, fetched)
+	r.got += int64(n)
+	r.eof = err != nil
+	if err = r.checkStream(err); err != nil {
+		r.eof = true
+	}
+	return n, err
+}
+
+// openStream opens the span's chunk blob behind a pooled decode unit. It
+// is the one place a chunk blob is opened for decoding, so every open
+// counts as a chunk read: in ChunkReads, atc_decode_chunk_loads_total
+// and the request trace. The blob is timed, splitting fetch from
+// decompress time.
 func (r *spanReader) openStream() error {
 	d := r.d
 	d.chunkReads.Add(1)
 	metChunkLoads.Inc()
-	f, err := d.st.Open(d.chunkName(r.sp.rec.chunkID))
+	if tr := d.traceRec; tr != nil {
+		tr.ChunkLoad()
+	}
+	f, err := d.st.Open(d.ChunkBlobName(r.sp.rec.chunkID))
 	if err != nil {
 		return fmt.Errorf("%w: missing chunk %d: %v", ErrCorrupt, r.sp.rec.chunkID, err)
 	}
-	pr, err := d.getBackendReader(f)
+	r.tf = timedReader{r: f}
+	start := time.Now()
+	pr, err := d.getBackendReader(&r.tf)
+	r.observeFill(start, 0)
 	if err != nil {
 		d.putBackendReader(pr)
 		f.Close()
@@ -752,11 +757,30 @@ func (r *spanReader) checkStream(err error) error {
 	return nil
 }
 
-// close releases the span's blob and decode unit; nil-safe.
+// close ends a read of the span. The legacy v1 reader parks for the next
+// read to resume from, unless its stream ended or failed; any other
+// reader is released. nil-safe.
 func (r *spanReader) close() {
+	if r == nil {
+		return
+	}
+	if d := r.d; d.legacy && !r.eof {
+		d.parked.release()
+		d.parked = r
+		return
+	}
+	r.release()
+}
+
+// release hands the span's decode unit back to the pool and closes its
+// blob, observing the chunk's fetch/decompress split in the stage
+// histograms once; nil-safe.
+func (r *spanReader) release() {
 	if r == nil || r.pr == nil {
 		return
 	}
+	metDecodeStage[obs.StageFetch].Observe(float64(r.fetchNS) / 1e9)
+	metDecodeStage[obs.StageDecompress].Observe(float64(r.decNS) / 1e9)
 	r.d.putBackendReader(r.pr)
 	r.blob.Close()
 	r.pr, r.blob = nil, nil
@@ -936,65 +960,11 @@ func (d *Decompressor) readInfo(backendName string, wantVersion int) error {
 	}
 }
 
-func (d *Decompressor) chunkName(id int) string {
-	return fmt.Sprintf("%d.%s", id, d.backend.Name())
-}
-
 // ChunkBlobName reports the store blob name of a chunk id — the single
-// source of the naming scheme, for tooling that opens chunk blobs
-// directly (atcinfo -chunks).
-func (d *Decompressor) ChunkBlobName(id int) string { return d.chunkName(id) }
-
-// openLossless opens the legacy single-chunk stream at trace position 0.
-func (d *Decompressor) openLossless() error {
-	f, err := d.st.Open(d.chunkName(1))
-	if err != nil {
-		return fmt.Errorf("%w: missing chunk 1: %v", ErrCorrupt, err)
-	}
-	cr, err := d.backend.NewReader(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		f.Close()
-		return err
-	}
-	d.losslessFile = f
-	d.losslessDec = bytesort.NewDecoder(cr)
-	d.streamPos = 0
-	return nil
-}
-
-// seekStream positions the legacy lossless stream at trace position addr:
-// forward by decoding and discarding, backward by reopening chunk 1 and
-// skipping from the start (the v1 layout has no finer-grained entry
-// points — that is what the segmented v2 layout is for).
-func (d *Decompressor) seekStream(addr int64) error {
-	if d.losslessDec == nil || addr < d.streamPos {
-		if d.losslessFile != nil {
-			d.losslessFile.Close()
-			d.losslessFile = nil
-			d.losslessDec = nil
-		}
-		if err := d.openLossless(); err != nil {
-			return err
-		}
-	}
-	for d.streamPos < addr {
-		if d.streamPos&0xffff == 0 && d.aheadStop != nil {
-			select {
-			case <-d.aheadStop:
-				return errStopped
-			default:
-			}
-		}
-		if _, err := d.losslessDec.Read(); err != nil {
-			if err == io.EOF {
-				return fmt.Errorf("%w: trace ends at %d addresses, seek wanted %d",
-					ErrCorrupt, d.streamPos, addr)
-			}
-			return err
-		}
-		d.streamPos++
-	}
-	return nil
+// source of the naming scheme, for the decoder and for tooling that opens
+// chunk blobs directly (atcinfo -chunks).
+func (d *Decompressor) ChunkBlobName(id int) string {
+	return fmt.Sprintf("%d.%s", id, d.backend.Name())
 }
 
 // Mode reports the stored trace's compression mode.
@@ -1027,9 +997,9 @@ func (d *Decompressor) Backend() string { return d.backend.Name() }
 // value Decode will return.
 func (d *Decompressor) Position() int64 { return d.cursor }
 
-// ChunkReads reports how many chunk blobs have been decompressed so far —
-// chunk-cache hits do not count. It is safe to call while a readahead
-// pipeline is running.
+// ChunkReads reports how many times a chunk blob has been opened for
+// decoding — chunk-cache hits and resumed legacy v1 streams do not count.
+// It is safe to call while a readahead pipeline is running.
 func (d *Decompressor) ChunkReads() int64 { return d.chunkReads.Load() }
 
 // SetTrace attaches a per-request trace recorder: subsequent synchronous
@@ -1062,8 +1032,9 @@ func (d *Decompressor) ChunkIndex() []ChunkSpan {
 // from the new position on the next Decode) and, for lossy and segmented
 // traces, costs only the decode of the chunk covering addr when it is not
 // already cached. Legacy v1 lossless traces are a single compressed
-// stream, so seeking there decodes and discards addr addresses in the
-// worst case.
+// stream: the next read resumes it when addr lies ahead of where it
+// stopped and reopens it otherwise, decoding and discarding up to addr
+// addresses.
 func (d *Decompressor) SeekTo(addr int64) error {
 	if d.closed {
 		return fmt.Errorf("%w: SeekTo", ErrClosed)
@@ -1085,18 +1056,12 @@ func (d *Decompressor) SeekTo(addr int64) error {
 // exactly the slice DecodeAll()[from:to] would hold — decompressing only
 // the chunks overlapping the window (every touched chunk is pinned in the
 // chunk cache, so repeated ranges over a working set are served from
-// memory). The streaming position is unaffected: a Decode after a
-// DecodeRange continues where it left off, though any readahead in flight
-// is quiesced and restarts lazily.
+// memory; a legacy v1 window decodes straight from the stream, resuming
+// it when the window lies ahead). The streaming position is unaffected: a
+// Decode after a DecodeRange continues where it left off, though any
+// readahead in flight is quiesced and restarts lazily.
 func (d *Decompressor) DecodeRange(from, to int64) ([]uint64, error) {
-	capHint := to - from
-	if capHint < 0 {
-		capHint = 0
-	}
-	if capHint > maxDecodeAllPrealloc {
-		capHint = maxDecodeAllPrealloc
-	}
-	return d.DecodeRangeAppend(make([]uint64, 0, capHint), from, to)
+	return d.DecodeRangeAppend([]uint64{}, from, to)
 }
 
 // DecodeRangeAppend is DecodeRange decoding into a caller-provided
@@ -1114,23 +1079,9 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 		return dst, nil
 	}
 	d.stopReadahead()
-	if d.streaming {
-		if err := d.seekStream(from); err != nil {
-			return nil, err
-		}
-		n0, want := len(dst), int(to-from)
-		dst = slices.Grow(dst, want)
-		n, err := d.losslessDec.ReadSlice(dst[n0 : n0+want])
-		d.streamPos += int64(n)
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: trace ends at %d addresses, trailer says %d",
-				ErrCorrupt, d.streamPos, d.total)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return dst[:n0+n], nil
-	}
+	// One growth covers the window, capped because the trace's bounds
+	// come from the untrusted INFO trailer.
+	dst = slices.Grow(dst, int(min(to-from, maxDecodeAllPrealloc)))
 	// Per-request tracing: the index walk and the copy-out are timed only
 	// when a recorder is attached — too fine-grained to time every call.
 	tr := d.traceRec
@@ -1144,25 +1095,39 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 	}
 	for i := start; i < len(d.index) && d.index[i].start < to; i++ {
 		sp := d.index[i]
-		addrs, owned, err := d.materializeSpan(sp)
+		lo, hi := max(from, sp.start), min(to, sp.end)
+		n0, n := len(dst), int(hi-lo)
+		if d.legacy {
+			// The v1 stream decodes the window straight into dst.
+			dst = slices.Grow(dst, n)
+			r := d.legacyReader(sp, lo)
+			got, err := r.fill(dst[n0 : n0+n])
+			r.close()
+			if err != nil {
+				return nil, err
+			}
+			dst = dst[:n0+got]
+			continue
+		}
+		chunk, err := d.loadChunk(sp)
+		if err == nil {
+			err = checkChunk(sp, chunk)
+		}
 		if err != nil {
 			return nil, err
-		}
-		lo := int64(0)
-		if from > sp.start {
-			lo = from - sp.start
-		}
-		hi := sp.end
-		if to < hi {
-			hi = to
 		}
 		if tr != nil {
 			t0 = time.Now()
 		}
-		dst = append(dst, addrs[lo:hi-sp.start]...)
-		d.recycleInterval(owned)
+		dst = append(dst, chunk[lo-sp.start:hi-sp.start]...)
 		if tr != nil {
 			tr.Add(obs.StageDeliver, time.Since(t0))
+		}
+		if sp.rec.tag == recImitate && !d.opts.IgnoreTranslations {
+			// Only the window's addresses translate, in place in dst.
+			t1 := time.Now()
+			sp.rec.trans.ApplySlice(dst[n0:])
+			d.observeTranslate(time.Since(t1))
 		}
 	}
 	return dst, nil
@@ -1218,7 +1183,7 @@ func (d *Decompressor) refill() bool {
 // nextBatch returns the batch starting at the cursor; ok is false at the
 // end of the trace. With Readahead > 0 it comes from the pipeline;
 // otherwise it is decoded inline, on the calling goroutine, by the same
-// stream and span readers the pipeline runs.
+// span readers the pipeline runs.
 func (d *Decompressor) nextBatch() (aheadBatch, bool) {
 	if d.opts.Readahead > 0 {
 		if d.ahead == nil {
@@ -1226,14 +1191,6 @@ func (d *Decompressor) nextBatch() (aheadBatch, bool) {
 		}
 		b, ok := <-d.ahead
 		return b, ok
-	}
-	if d.streaming {
-		if d.streamPos != d.cursor {
-			if err := d.seekStream(d.cursor); err != nil {
-				return aheadBatch{err: err}, true
-			}
-		}
-		return d.streamBatch()
 	}
 	for {
 		if d.inline == nil {
@@ -1255,10 +1212,11 @@ func (d *Decompressor) nextBatch() (aheadBatch, bool) {
 	}
 }
 
-// maxDecodeAllPrealloc caps the slice capacity DecodeAll commits before
-// the first address decodes: 4 Mi addresses (32 MB). d.total comes from
-// the untrusted INFO trailer, and a corrupt trailer must not demand an
-// enormous allocation before any decode error can surface.
+// maxDecodeAllPrealloc caps the slice capacity DecodeAll, a range decode
+// or a chunk load commits before the first address decodes: 4 Mi
+// addresses (32 MB). Counts come from the untrusted INFO, and a corrupt
+// one must not demand an enormous allocation before any decode error can
+// surface.
 const maxDecodeAllPrealloc = 1 << 22
 
 // DecodeAll decodes the remaining trace into memory.
@@ -1281,67 +1239,6 @@ func (d *Decompressor) DecodeAll() ([]uint64, error) {
 		}
 		out = append(out, v)
 	}
-}
-
-// intervalBuf takes a recycled imitation-interval buffer of length n, or
-// allocates a fresh one. A recycled buffer too small for n is dropped —
-// intervals of one trace share a length, so in practice the pool is
-// right-sized after the first materialization.
-//
-//atc:pool put=recycleInterval
-func (d *Decompressor) intervalBuf(n int) []uint64 {
-	if d.intervalFree != nil {
-		select {
-		case b := <-d.intervalFree:
-			if cap(b) >= n {
-				return b[:n]
-			}
-		default:
-		}
-	}
-	return make([]uint64, n)
-}
-
-// recycleInterval returns a drained interval buffer to the free list
-// (dropped when full; nil is ignored).
-func (d *Decompressor) recycleInterval(buf []uint64) {
-	if buf == nil || d.intervalFree == nil {
-		return
-	}
-	select {
-	case d.intervalFree <- buf:
-	default:
-	}
-}
-
-// materializeSpan decodes one index entry into its full address range
-// for a consumer that copies the addresses out before touching the span
-// again (DecodeRangeAppend). The chunk is loaded and pinned in the chunk
-// cache, and must hold exactly the number of addresses the index assigns
-// it — a wrong-length chunk must surface as corruption, not as a silently
-// shifted tail. An imitation record's translated interval is built in a
-// pooled buffer, returned as owned for the caller to hand back with
-// recycleInterval once copied out. For chunk records — and under
-// IgnoreTranslations, where the cached chunk itself is the
-// materialization — owned is nil and addrs aliases cache-owned memory.
-func (d *Decompressor) materializeSpan(sp span) (addrs, owned []uint64, err error) {
-	chunk, err := d.loadChunk(sp.rec.chunkID)
-	if err != nil {
-		return nil, nil, err
-	}
-	if int64(len(chunk)) != sp.end-sp.start {
-		return nil, nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-			ErrCorrupt, sp.rec.chunkID, len(chunk), sp.end-sp.start)
-	}
-	if sp.rec.tag != recImitate || d.opts.IgnoreTranslations {
-		return chunk, nil, nil
-	}
-	start := time.Now()
-	buf := d.intervalBuf(len(chunk))
-	copy(buf, chunk)
-	sp.rec.trans.ApplySlice(buf)
-	d.observeTranslate(time.Since(start))
-	return buf, buf, nil
 }
 
 // chunkBufSize is the buffered-read size fronting chunk blobs.
@@ -1405,53 +1302,47 @@ type depletedReader struct{}
 
 func (depletedReader) Read([]byte) (int, error) { return 0, io.EOF }
 
-// readChunkFile decompresses one chunk blob into addresses. It touches
-// only immutable Decompressor state (st, backend), the atomic read
-// counter and the concurrency-safe reader pool, so segmented-lossless
-// decode goroutines call it concurrently: each holds its own Blob, and
-// an archive store serves them from one shared io.ReaderAt with no
-// per-chunk open(2).
-func (d *Decompressor) readChunkFile(id int) ([]uint64, error) {
-	d.chunkReads.Add(1)
-	metChunkLoads.Inc()
-	start := time.Now()
-	f, err := d.st.Open(d.chunkName(id))
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing chunk %d: %v", ErrCorrupt, id, err)
+// readChunkFile decompresses sp's chunk blob through a span reader into a
+// buffer of exactly the index's address count, then checks that the chunk
+// ends there: a longer blob fails at its first excess address instead of
+// being decoded whole. The count comes from the untrusted INFO, so past
+// maxDecodeAllPrealloc the buffer grows only as decoded addresses arrive.
+// Concurrent decode goroutines may call it.
+func (d *Decompressor) readChunkFile(sp span) ([]uint64, error) {
+	r := &spanReader{d: d, sp: sp}
+	defer r.release()
+	want := sp.end - sp.start
+	addrs := make([]uint64, 0, min(want, maxDecodeAllPrealloc))
+	for int64(len(addrs)) < want {
+		if len(addrs) == cap(addrs) {
+			addrs = slices.Grow(addrs, int(min(want-int64(len(addrs)), int64(len(addrs)))))
+		}
+		n, err := r.fill(addrs[len(addrs):cap(addrs)])
+		if err != nil {
+			return nil, err
+		}
+		addrs = addrs[:len(addrs)+n]
 	}
-	defer f.Close()
-	// Time spent inside the blob's Read calls is fetch (store/remote
-	// I/O); the rest of the wall time here is backend decompression.
-	tf := &timedReader{r: f}
-	pr, err := d.getBackendReader(tf)
-	defer d.putBackendReader(pr)
-	if err != nil {
+	var past [1]uint64
+	if _, err := r.fill(past[:]); err != nil {
 		return nil, err
 	}
-	addrs, err := pr.dec.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorrupt, id, err)
-	}
-	decNS := time.Since(start).Nanoseconds() - tf.ns
-	if decNS < 0 {
-		decNS = 0
-	}
-	d.observeChunkStages(tf.ns, decNS)
 	return addrs, nil
 }
 
-// loadChunk returns the decoded addresses of a chunk through the chunk
+// loadChunk returns the decoded addresses of sp's chunk through the chunk
 // cache, pinning a freshly read chunk there (subject to the cache's
 // eviction policy): the sequential lossy pipeline pins chunks so
 // imitations avoid re-reading them, and random access pins everything it
 // touches so a hot range working set decompresses once. Concurrent
 // readers of one chunk through a shared cache trigger a single
-// decompression.
-func (d *Decompressor) loadChunk(id int) ([]uint64, error) {
+// decompression. Callers check the result's length with checkChunk: a
+// cached chunk may have been loaded for another span.
+func (d *Decompressor) loadChunk(sp span) ([]uint64, error) {
 	loaded := false
-	addrs, err := d.cache.GetOrLoad(id, func() ([]uint64, error) {
+	addrs, err := d.cache.GetOrLoad(sp.rec.chunkID, func() ([]uint64, error) {
 		loaded = true
-		return d.readChunkFile(id)
+		return d.readChunkFile(sp)
 	})
 	// Served without invoking our load — a cache (or in-flight dedup) hit
 	// from this request's point of view. The cache bumps the process-wide
@@ -1477,19 +1368,13 @@ func (d *Decompressor) Close() error {
 			d.err = fmt.Errorf("%w: Decode", ErrClosed)
 		}
 	}
-	var err error
-	if d.losslessFile != nil {
-		err = d.losslessFile.Close()
-		d.losslessFile = nil
-		d.losslessDec = nil
-	}
+	d.parked.release()
+	d.parked = nil
 	if d.ownStore && !d.storeClosed {
 		d.storeClosed = true
-		if e := d.st.Close(); err == nil {
-			err = e
-		}
+		return d.st.Close()
 	}
-	return err
+	return nil
 }
 
 // Store exposes the blob container the trace is being read from, for

@@ -33,10 +33,12 @@ var (
 )
 
 // metDecodeStage holds one histogram per decode stage
-// (atc_decode_stage_seconds{stage=...}). Fetch, decompress and translate
-// are observed for every sync-path chunk; wait, index and deliver are
-// request-scoped — they land here only through a traced request's
-// recorder path (atcserve observes wait separately as pool-wait).
+// (atc_decode_stage_seconds{stage=...}). Fetch and decompress are
+// observed once for every chunk read, streamed or materialized, when its
+// reader is released; translate for every imitation window a range
+// decode copies out. Wait, index and deliver are request-scoped — they
+// land here only through a traced request's recorder path (atcserve
+// observes wait separately as pool-wait).
 var metDecodeStage = func() [obs.NumStages]*obs.Histogram {
 	var hs [obs.NumStages]*obs.Histogram
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
@@ -47,20 +49,24 @@ var metDecodeStage = func() [obs.NumStages]*obs.Histogram {
 	return hs
 }()
 
-// observeChunkStages feeds one chunk read's fetch/decompress time split
-// into the stage histograms and the per-request trace recorder, if one
-// is attached.
-func (d *Decompressor) observeChunkStages(fetchNS, decNS int64) {
-	metDecodeStage[obs.StageFetch].Observe(float64(fetchNS) / 1e9)
-	metDecodeStage[obs.StageDecompress].Observe(float64(decNS) / 1e9)
-	if tr := d.traceRec; tr != nil {
+// observeFill splits the time since start — one fill of a span reader's
+// stream, which read blob bytes for r.tf.ns-fetched nanoseconds — into
+// fetch and decompress, accumulating both for the chunk's stage
+// histograms (observed once, at release) and adding them to the request
+// trace, if one is attached. The trace gets every fill as it happens
+// because a parked legacy reader outlives the request that opened it.
+func (r *spanReader) observeFill(start time.Time, fetched int64) {
+	fetchNS := r.tf.ns - fetched
+	decNS := max(time.Since(start).Nanoseconds()-fetchNS, 0)
+	r.fetchNS += fetchNS
+	r.decNS += decNS
+	if tr := r.d.traceRec; tr != nil {
 		tr.AddNS(obs.StageFetch, fetchNS)
 		tr.AddNS(obs.StageDecompress, decNS)
-		tr.ChunkLoad()
 	}
 }
 
-// observeTranslate records imitation-translation time (sync decode path).
+// observeTranslate records imitation-translation time (range decode).
 func (d *Decompressor) observeTranslate(dur time.Duration) {
 	metDecodeStage[obs.StageTranslate].ObserveDuration(dur)
 	if tr := d.traceRec; tr != nil {
@@ -70,7 +76,8 @@ func (d *Decompressor) observeTranslate(dur time.Duration) {
 
 // timedReader accumulates time spent inside the wrapped reader's Read —
 // isolating store/remote fetch time from the decompression consuming it.
-// One lives per readChunkFile call, so no synchronization is needed.
+// One lives in each span reader, read by one goroutine at a time, so no
+// synchronization is needed.
 type timedReader struct {
 	r  io.Reader
 	ns int64

@@ -189,7 +189,7 @@ func TestBackendReaderPoolRecycles(t *testing.T) {
 		t.Fatal("Open did not create the reader pool")
 	}
 
-	first, err := d.readChunkFile(1)
+	first, err := d.readChunkFile(d.index[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBackendReaderPoolRecycles(t *testing.T) {
 	unit := <-d.readerFree
 	d.readerFree <- unit
 
-	second, err := d.readChunkFile(2)
+	second, err := d.readChunkFile(d.index[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBackendReaderPoolRecycles(t *testing.T) {
 
 	// Re-decoding chunk 1 through the recycled unit must reproduce the
 	// fresh decode exactly — no state bleed from chunk 2.
-	again, err := d.readChunkFile(1)
+	again, err := d.readChunkFile(d.index[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ package mtf
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Symbol constants for the run-length encoded MTF stream.
@@ -90,6 +91,15 @@ func Decode(syms []uint16) ([]byte, int, error) {
 // workload's block size. The returned slice shares dst's storage unless
 // growth forced a reallocation.
 func DecodeInto(dst []byte, syms []uint16) ([]byte, int, error) {
+	return DecodeIntoLimit(dst, syms, math.MaxInt)
+}
+
+// DecodeIntoLimit is DecodeInto failing when a zero run would take the
+// output past limit bytes. Runs are the one symbol whose expansion the
+// symbol count does not bound — n RUNA/RUNB digits expand to as many as
+// 2^(n+1)-2 bytes — so a decoder of untrusted symbols passes the length
+// it expects.
+func DecodeIntoLimit(dst []byte, syms []uint16, limit int) ([]byte, int, error) {
 	var order [256]byte
 	for i := range order {
 		order[i] = byte(i)
@@ -113,6 +123,9 @@ func DecodeInto(dst []byte, syms []uint16) ([]byte, int, error) {
 				}
 				shift++
 				i++
+				if run > limit-len(out) {
+					return nil, 0, fmt.Errorf("%w: output exceeds %d bytes", errCorrupt, limit)
+				}
 			}
 			front := order[0]
 			for k := 0; k < run; k++ {

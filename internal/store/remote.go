@@ -24,7 +24,9 @@ import (
 // The store is read-only: Create and Remove fail exactly as they do on any
 // archive opened for reading. The archive's TOC is fetched and fully
 // validated at open (footer + TOC are one or two ranged GETs), after which
-// every blob is served through the shared block cache.
+// every blob is served through the shared block cache. Close is the
+// embedded archive's: no connection state is pinned per store, since the
+// HTTP client's idle pool is shared.
 //
 // Consistency: the object's size and ETag are captured at open. Every
 // later response is checked against them — and an `If-Match` header asks
@@ -132,11 +134,6 @@ func (s *RemoteStore) URL() string { return s.ra.url }
 
 // ReaderStats reports the underlying RangeReaderAt's fetch counters.
 func (s *RemoteStore) ReaderStats() RemoteStats { return s.ra.Stats() }
-
-// Close releases the store. No connection state is pinned per store — the
-// HTTP client's idle pool is shared — so this only finalizes the embedded
-// archive bookkeeping.
-func (s *RemoteStore) Close() error { return s.ArchiveStore.Close() }
 
 // RemoteSize probes the size of a remote object without opening it as an
 // archive — one HEAD (or one-byte ranged GET). It backs StoreSize-style

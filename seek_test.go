@@ -6,6 +6,7 @@ package atc_test
 // backwards), and out-of-range requests must fail cleanly.
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -259,8 +260,10 @@ func TestReadAddrsAt(t *testing.T) {
 	if n, err := r.ReadAddrsAt(buf, r.TotalAddrs()); n != 0 || err != io.EOF {
 		t.Fatalf("ReadAddrsAt(end) = %d, %v; want 0, io.EOF", n, err)
 	}
-	if _, err := r.ReadAddrsAt(buf, -1); err == nil {
-		t.Fatal("negative offset accepted")
+	for _, off := range []int64{-1, r.TotalAddrs() + 1} {
+		if _, err := r.ReadAddrsAt(buf, off); !errors.Is(err, atc.ErrOutOfRange) {
+			t.Fatalf("ReadAddrsAt(%d) err = %v, want ErrOutOfRange", off, err)
+		}
 	}
 }
 
