@@ -1100,9 +1100,8 @@ func BenchmarkSharedCacheBytes(b *testing.B) {
 	}
 }
 
-// remoteBenchTrace writes a 32-segment archive — several megabytes, so a
-// sequential decode crosses enough 32 KiB remote blocks for the adaptive
-// window to reach and hold its steady state.
+// remoteBenchTrace writes a 32-segment archive of several megabytes: a
+// sequential decode reads 32 chunk blobs from the remote origin.
 func remoteBenchTrace(b *testing.B) (string, int64) {
 	const segments = 32
 	rng := rand.New(rand.NewSource(2009))
@@ -1133,10 +1132,11 @@ func remoteBenchTrace(b *testing.B) (string, int64) {
 }
 
 // BenchmarkRemotePrefetchAdaptive decodes the whole segmented archive
-// front-to-back over a local Range-speaking origin with a cold block
-// cache each iteration, and reports the origin round-trips. The adaptive
-// readahead doubles its window on sequential hits, up to 16 blocks per
-// coalesced GET.
+// front-to-back over a local Range-speaking origin, opening the remote
+// store afresh each iteration, and reports the origin round-trips: the
+// open-time HEAD and header/footer/TOC reads plus one ranged GET per
+// blob read. The name predates the removal of the remote readahead; it is
+// kept because the CI benchmark gate tracks it.
 func BenchmarkRemotePrefetchAdaptive(b *testing.B) {
 	path, total := remoteBenchTrace(b)
 	var gets atomic.Int64
@@ -1148,10 +1148,7 @@ func BenchmarkRemotePrefetchAdaptive(b *testing.B) {
 	b.SetBytes(total * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rst, err := store.OpenRemote(srv.URL, store.RemoteOptions{
-			BlockSize:   32768,
-			CacheBlocks: 128,
-		})
+		rst, err := store.OpenRemote(srv.URL, store.RemoteOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

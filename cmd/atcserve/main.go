@@ -12,8 +12,9 @@
 //	atcserve [-addr :8405] [-readers 4] [-mem] [-remote <url>] <trace>...
 //
 // Remote traces (-remote, or http(s):// positional arguments) are read
-// over HTTP Range requests through a block cache (-remote-block,
-// -remote-blocks) without ever downloading the archive: atcserve is then
+// over HTTP Range requests without ever downloading the archive: the TOC
+// is fetched at open, and each chunk load is one ranged GET of exactly
+// that chunk's extent, cached decoded in the chunk cache. atcserve is then
 // a stateless tier in front of object storage — any instance can serve
 // any trace, and instances can scale horizontally with no local state
 // beyond warm caches.
@@ -117,8 +118,7 @@ func main() {
 	maxWait := flag.Duration("max-wait", 2*time.Second, "longest a request waits for a pooled reader before 429")
 	var remotes multiFlag
 	flag.Var(&remotes, "remote", "serve a remote .atc archive by URL over HTTP Range reads (repeatable)")
-	remoteBlock := flag.Int("remote-block", store.DefaultRemoteBlockSize, "remote fetch granularity, bytes per ranged GET")
-	remoteBlocks := flag.Int("remote-blocks", store.DefaultRemoteCacheBlocks, "remote block cache size per trace, in blocks")
+	flag.Int("remote-blocks", 0, "ignored: remote reads fetch whole chunk extents and keep no block cache (accepted so existing command lines still parse)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: atcserve [flags] <directory | file.atc | http(s)://...>...\n")
 		flag.PrintDefaults()
@@ -142,7 +142,6 @@ func main() {
 		mem:         *mem,
 		readers:     *readers,
 		sharedBytes: atc.NewSharedChunkCacheBytes(*cacheBytes),
-		remote:      store.RemoteOptions{BlockSize: *remoteBlock, CacheBlocks: *remoteBlocks},
 		registrar:   newTraceRegistrar(obs.Default(), *metricTraces),
 	}
 	cfg.sharedBytes.Register(obs.Default())
@@ -264,7 +263,7 @@ type traceMeta struct {
 	SharedCacheHits  int64 `json:"sharedCacheHits,omitempty"`
 	SharedCacheLoads int64 `json:"sharedCacheLoads,omitempty"`
 	SharedCacheBytes int64 `json:"sharedCacheBytes,omitempty"`
-	// RemoteFetches/RemoteBytes report the remote block reader's origin
+	// RemoteFetches/RemoteBytes report the remote store's origin
 	// traffic for -remote traces (absent for local ones).
 	RemoteFetches int64 `json:"remoteFetches,omitempty"`
 	RemoteBytes   int64 `json:"remoteBytes,omitempty"`
@@ -321,7 +320,6 @@ type poolConfig struct {
 	// its ForTrace view, so one memory cap covers all pooled readers of
 	// all traces.
 	sharedBytes *atc.SharedChunkCacheBytes
-	remote      store.RemoteOptions
 	// registrar, when set, registers each pool's per-trace labeled func
 	// metrics (chunk reads, shared-cache and remote counters) at open,
 	// under the per-trace cardinality cap (-metric-traces). Nil in tests
@@ -346,7 +344,7 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 		if cfg.mem {
 			return nil, fmt.Errorf("-mem applies to local archives only (remote traces already read on demand)")
 		}
-		rst, err := store.OpenRemote(path, cfg.remote)
+		rst, err := store.OpenRemote(path, store.RemoteOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"atc"
-	"atc/internal/store"
 	"atc/internal/trace"
 )
 
@@ -586,7 +585,6 @@ func TestServeRemoteByteIdentity(t *testing.T) {
 	}
 	remotePool, err := openTrace("unit", origin.URL+"/unit.atc", poolConfig{
 		readers: 2, sharedBytes: atc.NewSharedChunkCacheBytes(1 << 20),
-		remote: store.RemoteOptions{BlockSize: 32 << 10, CacheBlocks: 32},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,17 @@ package core
 // fails with ErrCorrupt.
 
 import (
+	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"atc/internal/store"
 )
@@ -73,6 +78,59 @@ func TestLegacyRangeResumesStream(t *testing.T) {
 	}
 	if n := d.ChunkReads(); n != 2 {
 		t.Fatalf("Decode resuming the parked stream: %d stream opens, want 2", n)
+	}
+}
+
+// TestRemoteLegacyWindowsAcrossDroppedConnections packs the golden v1
+// trace into an archive behind an HTTP origin that drops every client
+// connection between range windows. The forward windows share the parked
+// stream and must still match the local decode.
+func TestRemoteLegacyWindowsAcrossDroppedConnections(t *testing.T) {
+	const golden = "testdata/v1-lossless"
+	want, err := ReadTrace(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.atc")
+	ar, err := store.CreateArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CopyAll(ar, store.OpenDir(golden)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Etag", `"golden-v1"`)
+		http.ServeContent(w, r, "v1.atc", time.Time{}, bytes.NewReader(raw))
+	}))
+	defer srv.Close()
+	d, err := Open(srv.URL+"/v1.atc", DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	total := int64(len(want))
+	step := total / 6
+	for from := int64(0); from < total; from += step {
+		to := min(from+step/2, total)
+		srv.CloseClientConnections()
+		got, err := d.DecodeRange(from, to)
+		if err != nil {
+			t.Fatalf("DecodeRange(%d, %d): %v", from, to, err)
+		}
+		if !slices.Equal(got, want[from:to]) {
+			t.Fatalf("DecodeRange(%d, %d) diverges from the local decode", from, to)
+		}
+	}
+	if n := d.ChunkReads(); n != 1 {
+		t.Fatalf("forward windows opened the stream %d times, want 1", n)
 	}
 }
 

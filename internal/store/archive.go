@@ -35,7 +35,7 @@ import (
 // Read phase: OpenArchive parses and fully validates the TOC up front
 // (bounds, overlaps, duplicate names, TOC checksum) and serves each Open
 // as an independent io.SectionReader, safe for concurrent use. A blob read
-// sequentially to its end additionally has its payload CRC verified.
+// to its end additionally has its payload CRC verified.
 type ArchiveStore struct {
 	path string
 
@@ -236,32 +236,39 @@ func (w *archiveWriter) Close() error {
 // the write phase committed blobs are readable back from the file, which
 // lets the trace's own writer check for a pre-existing MANIFEST.
 func (s *ArchiveStore) Open(name string) (Blob, error) {
+	e, err := s.entry(name)
+	if err != nil {
+		return nil, err
+	}
+	r := s.r // both fixed when the store was created or opened
+	if s.writing {
+		r = s.f
+	}
+	return &archiveBlob{r: io.NopCloser(io.NewSectionReader(r, e.off, e.length)), size: e.length, want: e.crc}, nil
+}
+
+// entry looks up a blob's TOC record by name.
+func (s *ArchiveStore) entry(name string) (tocEntry, error) {
 	if !validName(name) {
-		return nil, errBadName(name)
+		return tocEntry{}, errBadName(name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.index[name]
 	if !ok {
-		return nil, notExist(name)
+		return tocEntry{}, notExist(name)
 	}
-	e := s.entries[i]
-	var r io.ReaderAt = s.r
-	if s.writing {
-		r = s.f
-	}
-	return &archiveBlob{
-		sr:   io.NewSectionReader(r, e.off, e.length),
-		want: e.crc,
-	}, nil
+	return s.entries[i], nil
 }
 
-// archiveBlob reads one blob. Sequential reads feed a running CRC32; when
-// the final byte has been consumed the checksum is verified, so a full
-// read of a bit-rotted payload fails with ErrCorrupt instead of silently
-// handing corrupt bytes to the decoder. ReadAt is raw random access.
+// archiveBlob reads one blob's payload from r, a local section or a
+// remote extent stream. Reads feed a running CRC32; when the final byte
+// has been consumed the checksum is verified, so a full read of a
+// bit-rotted payload fails with ErrCorrupt instead of silently handing
+// corrupt bytes to the decoder.
 type archiveBlob struct {
-	sr      *io.SectionReader
+	r       io.ReadCloser
+	size    int64
 	want    uint32
 	crc     uint32
 	read    int64
@@ -269,12 +276,12 @@ type archiveBlob struct {
 }
 
 func (b *archiveBlob) Read(p []byte) (int, error) {
-	n, err := b.sr.Read(p)
+	n, err := b.r.Read(p)
 	if n > 0 {
 		b.crc = crc32.Update(b.crc, crc32.IEEETable, p[:n])
 		b.read += int64(n)
 	}
-	if b.read == b.sr.Size() && !b.checked {
+	if b.read == b.size && !b.checked {
 		b.checked = true
 		if b.crc != b.want {
 			return n, fmt.Errorf("%w: blob CRC mismatch (have %08x, want %08x)", ErrCorrupt, b.crc, b.want)
@@ -283,11 +290,9 @@ func (b *archiveBlob) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (b *archiveBlob) ReadAt(p []byte, off int64) (int, error) { return b.sr.ReadAt(p, off) }
+func (b *archiveBlob) Size() int64 { return b.size }
 
-func (b *archiveBlob) Size() int64 { return b.sr.Size() }
-
-func (b *archiveBlob) Close() error { return nil }
+func (b *archiveBlob) Close() error { return b.r.Close() }
 
 // List implements Store: blob names in archive (TOC) order.
 func (s *ArchiveStore) List() ([]string, error) {

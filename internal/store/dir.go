@@ -49,7 +49,7 @@ func (s *DirStore) Create(name string) (io.WriteCloser, error) {
 	return os.Create(filepath.Join(s.dir, name))
 }
 
-// fileBlob adapts an *os.File (which already has Read/ReadAt/Close) with
+// fileBlob adapts an *os.File (which already has Read and Close) with
 // the stat-derived size.
 type fileBlob struct {
 	*os.File

@@ -58,7 +58,7 @@ func (w *memWriter) Close() error {
 	return nil
 }
 
-// memBlob serves one committed blob; bytes.Reader provides Read and ReadAt.
+// memBlob serves one committed blob through a bytes.Reader.
 type memBlob struct {
 	*bytes.Reader
 }

@@ -10,21 +10,11 @@ import "atc/internal/obs"
 // traffic" from "not instrumented".
 var (
 	metRemoteFetches = obs.Default().Counter("atc_remote_fetches_total",
-		"ranged GETs issued to remote origins (including retries)")
+		"ranged GETs issued to remote origins (including retries and resumes)")
 	metRemoteBytes = obs.Default().Counter("atc_remote_fetch_bytes_total",
 		"payload bytes fetched from remote origins")
 	metRemoteRetries = obs.Default().Counter("atc_remote_retries_total",
 		"transient remote failures retried with backoff")
-	metRemoteBlockHits = obs.Default().Counter("atc_remote_block_hits_total",
-		"block reads served from the block cache or deduplicated onto an in-flight fetch")
 	metRemoteFetchSec = obs.Default().Histogram("atc_remote_fetch_seconds",
-		"remote ranged-GET latency (per attempt, success or failure)", obs.DurationBuckets)
-	metRemoteRunBlocks = obs.Default().Histogram("atc_remote_run_blocks",
-		"blocks per coalesced fetch run", obs.CountBuckets)
-	metRemotePrefetchHit = obs.Default().Counter("atc_remote_prefetch_total",
-		"sequential-readahead block prefetches by outcome", obs.Label{Key: "result", Value: "hit"})
-	metRemotePrefetchWasted = obs.Default().Counter("atc_remote_prefetch_total",
-		"sequential-readahead block prefetches by outcome", obs.Label{Key: "result", Value: "wasted"})
-	metRemotePrefetchDepth = obs.Default().Histogram("atc_remote_prefetch_depth_blocks",
-		"blocks launched per adaptive sequential-readahead run", obs.CountBuckets)
+		"remote ranged-GET latency to the response headers (per attempt, success or failure)", obs.DurationBuckets)
 )

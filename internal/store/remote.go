@@ -1,32 +1,30 @@
 package store
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // RemoteStore opens a single-file .atc archive held behind an HTTP(S) URL
 // — an object-storage bucket, a CDN, any server honoring `Range` requests
-// (S3-compatible semantics) — without downloading it. All reads go through
-// a caching RangeReaderAt: block-aligned ranged GETs, a bounded LRU block
-// cache, adjacent-read coalescing and in-flight deduplication, so a
-// serving tier in front of object storage touches the origin once per
-// block, not once per read.
+// (S3-compatible semantics) — without downloading it.
 //
 // The store is read-only: Create and Remove fail exactly as they do on any
-// archive opened for reading. The archive's TOC is fetched and fully
-// validated at open (footer + TOC are one or two ranged GETs), after which
-// every blob is served through the shared block cache. Close is the
-// embedded archive's: no connection state is pinned per store, since the
-// HTTP client's idle pool is shared.
+// archive opened for reading. The archive's header, footer and TOC are
+// fetched and fully validated at open, one ranged GET each. After that,
+// Open(name) returns a blob that streams exactly that blob's TOC extent
+// in one ranged GET, so the origin sees one request per chunk read. The
+// store keeps no cache of its own: the decode pipeline already opens
+// chunks concurrently, and the chunk cache already decodes each chunk
+// once. Close is the embedded archive's: no connection state is pinned
+// per store, since the HTTP client's idle pool is shared.
 //
 // Consistency: the object's size and ETag are captured at open. Every
 // later response is checked against them — and an `If-Match` header asks
@@ -46,37 +44,19 @@ var ErrRemote = errors.New("atc: remote store fetch failed")
 // It wraps ErrRemote so callers classifying with errors.Is see one class.
 var errTransient = fmt.Errorf("%w (transient)", ErrRemote)
 
-// Remote tuning defaults; see RemoteOptions.
+// Fixed remote fetch policy. A transient failure (HTTP 5xx, a transport
+// error, a body cut short) is retried remoteRetries times, after a
+// backoff of remoteRetryDelay doubling per attempt. Every delivered byte
+// restores a stream's full budget, so a blob stream held open across
+// requests survives any number of dropped connections that its resumed
+// GETs make progress past.
 const (
-	DefaultRemoteBlockSize   = 256 << 10 // 256 KiB per ranged GET
-	DefaultRemoteCacheBlocks = 64        // 16 MiB cached at the default block size
-)
-
-// Fixed remote fetch policy. A transient failure (HTTP 5xx or a
-// transport error) is retried remoteRetries times, after a backoff of
-// remoteRetryDelay doubling per attempt. A read continuing the previous
-// read's frontier triggers a background fetch of the blocks after it,
-// overlapping origin latency with decompression of the current one;
-// sustained sequential reads double the number of blocks speculated
-// ahead (1, 2, 4, …, issued as one coalesced ranged GET) up to
-// remoteMaxPrefetch, and any non-sequential read or wasted prefetch
-// halves it. Prefetched blocks land in the same LRU and are counted hit
-// or wasted (evicted untouched) on atc_remote_prefetch_total.
-const (
-	remoteRetries     = 2 // 3 attempts in total
-	remoteRetryDelay  = 100 * time.Millisecond
-	remoteMaxPrefetch = 16 // adaptive readahead window cap, in blocks
+	remoteRetries    = 2 // 3 attempts in total
+	remoteRetryDelay = 100 * time.Millisecond
 )
 
 // RemoteOptions tunes OpenRemote. The zero value selects the defaults.
 type RemoteOptions struct {
-	// BlockSize is the fetch granularity in bytes: every ranged GET is
-	// aligned to and sized in whole blocks (the final block of the object
-	// may be short). Default DefaultRemoteBlockSize.
-	BlockSize int
-	// CacheBlocks bounds the LRU block cache, in blocks. Default
-	// DefaultRemoteCacheBlocks.
-	CacheBlocks int
 	// Client overrides the HTTP client (timeouts, proxies, auth
 	// round-trippers for private buckets). Default http.DefaultClient.
 	Client *http.Client
@@ -97,12 +77,6 @@ func OpenRemote(url string, opts RemoteOptions) (*RemoteStore, error) {
 	if !IsRemoteURL(url) {
 		return nil, fmt.Errorf("%w: not an http(s) URL: %q", ErrRemote, url)
 	}
-	if opts.BlockSize <= 0 {
-		opts.BlockSize = DefaultRemoteBlockSize
-	}
-	if opts.CacheBlocks <= 0 {
-		opts.CacheBlocks = DefaultRemoteCacheBlocks
-	}
 	if opts.Client == nil {
 		opts.Client = http.DefaultClient
 	}
@@ -115,11 +89,8 @@ func OpenRemote(url string, opts RemoteOptions) (*RemoteStore, error) {
 		client:     opts.Client,
 		size:       size,
 		etag:       etag,
-		blockSize:  int64(opts.BlockSize),
 		retries:    remoteRetries,
 		retryDelay: remoteRetryDelay,
-		cache:      blockLRU{cap: opts.CacheBlocks, m: map[int64]*list.Element{}},
-		inflight:   map[int64]*blockFetch{},
 	}
 	ast, err := OpenArchiveReaderAt(ra, size)
 	if err != nil {
@@ -127,6 +98,18 @@ func OpenRemote(url string, opts RemoteOptions) (*RemoteStore, error) {
 	}
 	ast.path = url
 	return &RemoteStore{ArchiveStore: ast, ra: ra}, nil
+}
+
+// Open implements Store: the blob streams its TOC extent through one
+// ranged GET, issued on the first Read (an empty blob issues none) and
+// resumed from the first undelivered byte after a transient failure. A
+// full read verifies the payload CRC, as on a local archive.
+func (s *RemoteStore) Open(name string) (Blob, error) {
+	e, err := s.entry(name)
+	if err != nil {
+		return nil, err
+	}
+	return &archiveBlob{r: s.ra.fetchRange(e.off, e.length), size: e.length, want: e.crc}, nil
 }
 
 // URL reports the archive's remote location.
@@ -148,89 +131,32 @@ func RemoteSize(url string) (int64, error) {
 
 // RemoteStats counts a RangeReaderAt's traffic.
 type RemoteStats struct {
-	// Fetches is the number of HTTP requests issued (including retries
-	// and the open-time probe's ranged fallback, excluding HEAD).
+	// Fetches is the number of ranged GETs issued (including retries and
+	// resumes; the open-time probe is not counted).
 	Fetches int64
-	// BytesFetched is the payload bytes successfully fetched.
+	// BytesFetched is the payload bytes delivered, each byte counted once
+	// even when a resumed stream fetched it.
 	BytesFetched int64
-	// BlockHits is the number of block lookups served from the cache.
-	BlockHits int64
 	// Retries is the number of transient failures retried with backoff.
 	Retries int64
-	// Prefetches is the number of background block fetches launched by
-	// the sequential-readahead heuristic.
-	Prefetches int64
-	// PrefetchHits is the number of prefetched blocks a later read used
-	// (from the cache, or deduplicated onto the fetch in flight).
-	PrefetchHits int64
-	// PrefetchWasted is the number of prefetched blocks evicted without
-	// ever being read.
-	PrefetchWasted int64
-	// PrefetchDepth is the current adaptive readahead window, in blocks:
-	// doubled (up to the configured cap) on each sustained sequential
-	// read, halved on a non-sequential read or a wasted prefetch.
-	PrefetchDepth int64
 }
 
-// RangeReaderAt is a caching io.ReaderAt over one remote object. Reads are
-// decomposed into aligned blocks; missing adjacent blocks coalesce into a
-// single ranged GET, concurrent fetches of one block deduplicate onto a
-// single request, and fetched blocks land in a bounded LRU. It is safe for
-// concurrent use — the access pattern of the archive decoder's readahead
-// fan-out.
+// RangeReaderAt reads one remote object through ranged GETs pinned to the
+// size and ETag captured at open. It caches nothing: ReadAt is one ranged
+// GET of exactly the bytes asked for (the archive opener reads the header,
+// footer and TOC through it), and fetchRange streams one extent for a
+// blob. It is safe for concurrent use.
 type RangeReaderAt struct {
 	url        string
 	client     *http.Client
 	size       int64
 	etag       string
-	blockSize  int64
 	retries    int
 	retryDelay time.Duration
-	// noPrefetch turns readahead off; demand-fetch tests that count exact
-	// GETs set it.
-	noPrefetch bool
-	// maxPrefetch caps the adaptive readahead window in blocks (0 means
-	// remoteMaxPrefetch); tests set it to pin a fixed depth.
-	maxPrefetch int64
 
-	mu       sync.Mutex
-	cache    blockLRU
-	inflight map[int64]*blockFetch
-	// prevLast is the last block the previous ReadAt touched (valid once
-	// hasRead is set): a read starting at or adjacent to that frontier
-	// AND advancing past it is "sequential" and prefetches the blocks
-	// after its own end. Requiring progress keeps repeated reads inside
-	// one block (a bufio draining it) from re-triggering speculation.
-	prevLast int64
-	hasRead  bool
-	// prefDepth is the adaptive readahead window in blocks (0 reads as
-	// 1): each sequential read speculates prefDepth blocks ahead and
-	// doubles it up to maxPrefetch; a non-sequential read or a wasted
-	// prefetch halves it, so the window tracks how committed the consumer
-	// actually is to the sequential pattern. Guarded by mu.
-	prefDepth int64
-
-	fetches        atomic.Int64
-	bytesFetched   atomic.Int64
-	blockHits      atomic.Int64
-	retried        atomic.Int64
-	prefetches     atomic.Int64
-	prefetchHits   atomic.Int64
-	prefetchWasted atomic.Int64
-}
-
-// blockFetch is one in-flight block: done closes once data/err are set, so
-// readers needing a block another goroutine is already fetching wait here
-// instead of issuing a duplicate request.
-type blockFetch struct {
-	done chan struct{}
-	data []byte
-	err  error
-	// prefetch marks a speculative background fetch. The first reader to
-	// dedupe onto it (or hit the cached result) clears the flag and
-	// counts a prefetch hit; eviction with the flag still set counts it
-	// wasted. Mutated only under RangeReaderAt.mu.
-	prefetch bool
+	fetches      atomic.Int64
+	bytesFetched atomic.Int64
+	retried      atomic.Int64
 }
 
 // Size reports the remote object's length captured at open.
@@ -240,313 +166,133 @@ func (r *RangeReaderAt) Size() int64 { return r.size }
 // none; consistency then degrades to size checks).
 func (r *RangeReaderAt) ETag() string { return r.etag }
 
-// depthLocked resolves the current readahead window; callers hold mu.
-func (r *RangeReaderAt) depthLocked() int64 {
-	if r.prefDepth < 1 {
-		return 1
-	}
-	return r.prefDepth
-}
-
-// maxDepth resolves the configured window cap (immutable after open).
-func (r *RangeReaderAt) maxDepth() int64 {
-	if r.maxPrefetch > 0 {
-		return r.maxPrefetch
-	}
-	return remoteMaxPrefetch
-}
-
 // Stats reports fetch counters.
 func (r *RangeReaderAt) Stats() RemoteStats {
-	r.mu.Lock()
-	depth := r.depthLocked()
-	r.mu.Unlock()
 	return RemoteStats{
-		PrefetchDepth:  depth,
-		Fetches:        r.fetches.Load(),
-		BytesFetched:   r.bytesFetched.Load(),
-		BlockHits:      r.blockHits.Load(),
-		Retries:        r.retried.Load(),
-		Prefetches:     r.prefetches.Load(),
-		PrefetchHits:   r.prefetchHits.Load(),
-		PrefetchWasted: r.prefetchWasted.Load(),
+		Fetches:      r.fetches.Load(),
+		BytesFetched: r.bytesFetched.Load(),
+		Retries:      r.retried.Load(),
 	}
 }
 
-// ReadAt implements io.ReaderAt over the block cache.
+// ReadAt implements io.ReaderAt: one ranged GET of [off, off+len(p)),
+// clipped to the object's end.
 func (r *RangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative read offset %d", ErrRemote, off)
 	}
+	if len(p) == 0 {
+		return 0, nil
+	}
 	if off >= r.size {
-		if len(p) == 0 {
-			return 0, nil
-		}
 		return 0, io.EOF
 	}
-	short := false
-	if off+int64(len(p)) > r.size {
-		p = p[:r.size-off]
-		short = true
+	n := min(int64(len(p)), r.size-off)
+	rs := r.fetchRange(off, n)
+	defer rs.Close()
+	if _, err := io.ReadFull(rs, p[:n]); err != nil {
+		return 0, err
+	}
+	if n < int64(len(p)) {
+		return int(n), io.EOF
+	}
+	return int(n), nil
+}
+
+// fetchRange returns a stream of the object's bytes [off, off+n). The GET
+// is issued on the first Read; after a transient failure the stream
+// re-requests only the bytes not yet delivered.
+func (r *RangeReaderAt) fetchRange(off, n int64) *rangeStream {
+	return &rangeStream{r: r, off: off, end: off + n}
+}
+
+// rangeStream is one extent of the remote object read through a single
+// ranged GET, resumed from off when a response fails or ends early.
+type rangeStream struct {
+	r        *RangeReaderAt
+	off, end int64 // next byte to deliver; end of the extent
+	body     io.ReadCloser
+	failures int // transient failures since the last delivered byte
+	closed   bool
+}
+
+func (s *rangeStream) Read(p []byte) (int, error) {
+	if s.closed {
+		return 0, fs.ErrClosed
+	}
+	if s.off >= s.end {
+		return 0, io.EOF
 	}
 	if len(p) == 0 {
 		return 0, nil
 	}
-	first := off / r.blockSize
-	last := (off + int64(len(p)) - 1) / r.blockSize
-	// blocks gathers each needed block's payload; cache references are
-	// taken under the lock and stay valid after eviction (payloads are
-	// immutable once fetched).
-	blocks := make([][]byte, last-first+1)
-	type waiter struct {
-		i int
-		f *blockFetch
-	}
-	var waits []waiter   // blocks another reader is fetching
-	var claimed []waiter // blocks this call fetches
-	var runs [][2]int64  // inclusive block ranges this call claimed to fetch
-	r.mu.Lock()
-	sequential := r.hasRead && first <= r.prevLast+1 && last > r.prevLast
-	// Adapt the readahead window to how committed the consumer is to the
-	// sequential pattern: sustained sequential reads double it (capped),
-	// any departure halves it.
-	var depth int64
-	if sequential {
-		depth = r.depthLocked()
-		if next := depth * 2; next <= r.maxDepth() {
-			r.prefDepth = next
-		} else {
-			r.prefDepth = r.maxDepth()
-		}
-	} else if r.hasRead {
-		r.prefDepth = r.depthLocked() / 2
-	}
-	r.prevLast = last
-	r.hasRead = true
-	for b := first; b <= last; b++ {
-		i := int(b - first)
-		if data, pref, ok := r.cache.get(b); ok {
-			r.blockHits.Add(1)
-			metRemoteBlockHits.Inc()
-			if pref {
-				r.prefetchHits.Add(1)
-				metRemotePrefetchHit.Inc()
+	for {
+		if s.body == nil {
+			body, err := s.r.get(s.off, s.end-s.off)
+			if err != nil {
+				if s.backoff(err) {
+					continue
+				}
+				return 0, err
 			}
-			blocks[i] = data
-			continue
+			s.body = body
 		}
-		if f, ok := r.inflight[b]; ok {
-			if f.prefetch {
-				f.prefetch = false
-				r.prefetchHits.Add(1)
-				metRemotePrefetchHit.Inc()
+		n, err := s.body.Read(p[:min(int64(len(p)), s.end-s.off)])
+		if n > 0 {
+			s.off += int64(n)
+			s.failures = 0
+			s.r.bytesFetched.Add(int64(n))
+			metRemoteBytes.Add(int64(n))
+		}
+		switch {
+		case s.off == s.end:
+			s.closeBody()
+			return n, nil
+		case err != nil:
+			// The response failed or ended before the extent did: drop
+			// it, and the next GET resumes from the first undelivered byte.
+			s.closeBody()
+			err = fmt.Errorf("%w: GET %s: body ended at %d of range ending %d: %v", errTransient, s.r.url, s.off, s.end, err)
+			if !s.backoff(err) {
+				return n, err
 			}
-			waits = append(waits, waiter{i, f})
-			continue
 		}
-		// Claim this block and every adjacent unclaimed miss up to the
-		// read's end: the run is served by one coalesced ranged GET.
-		start := b
-		for {
-			f := &blockFetch{done: make(chan struct{})}
-			r.inflight[b] = f
-			claimed = append(claimed, waiter{int(b - first), f})
-			if b == last {
-				break
-			}
-			if _, cached := r.cache.m[b+1]; cached {
-				break
-			}
-			if _, busy := r.inflight[b+1]; busy {
-				break
-			}
-			b++
+		if n > 0 {
+			return n, nil
 		}
-		runs = append(runs, [2]int64{start, b})
-	}
-	r.mu.Unlock()
-	if sequential {
-		r.maybePrefetch(last+1, depth)
-	}
-	for _, run := range runs {
-		metRemoteRunBlocks.Observe(float64(run[1] - run[0] + 1))
-	}
-	// Fetch the claimed runs. Every claimed block must be resolved even
-	// after a failure — other readers may be parked on its done channel —
-	// so later runs are failed explicitly rather than skipped.
-	var fetchErr error
-	for _, run := range runs {
-		if fetchErr != nil {
-			r.failRun(run[0], run[1], fetchErr)
-			continue
-		}
-		fetchErr = r.fetchRun(run[0], run[1])
-	}
-	if fetchErr != nil {
-		return 0, fetchErr
-	}
-	for _, w := range claimed {
-		blocks[w.i] = w.f.data
-	}
-	for _, w := range waits {
-		<-w.f.done
-		if w.f.err != nil {
-			return 0, w.f.err
-		}
-		r.blockHits.Add(1) // deduplicated onto another reader's fetch
-		metRemoteBlockHits.Inc()
-		blocks[w.i] = w.f.data
-	}
-	// Assemble the caller's window from the gathered blocks.
-	n := 0
-	for i, data := range blocks {
-		blockOff := (first + int64(i)) * r.blockSize
-		lo := int64(0)
-		if off > blockOff {
-			lo = off - blockOff
-		}
-		hi := int64(len(data))
-		if end := off + int64(len(p)) - blockOff; end < hi {
-			hi = end
-		}
-		if lo > hi {
-			lo = hi
-		}
-		n += copy(p[n:], data[lo:hi])
-	}
-	if n != len(p) {
-		return n, fmt.Errorf("%w: remote read at %d assembled %d of %d bytes", ErrCorrupt, off, n, len(p))
-	}
-	if short {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// maybePrefetch launches a background fetch of up to depth blocks
-// starting at b after a sequential read, so the next ReadAts find them
-// cached (or dedupe onto the fetch in flight) instead of paying a full
-// origin round trip per block. The first contiguous run of missing
-// blocks inside the window is claimed and fetched as one coalesced
-// ranged GET; already-cached, already-in-flight and past-EOF blocks are
-// skipped. A failed prefetch is discarded silently — the demand fetch
-// that would have needed it retries from scratch with full error
-// reporting.
-func (r *RangeReaderAt) maybePrefetch(b, depth int64) {
-	if r.noPrefetch || b*r.blockSize >= r.size {
-		return
-	}
-	nblocks := (r.size + r.blockSize - 1) / r.blockSize
-	end := b + depth
-	if end > nblocks {
-		end = nblocks
-	}
-	var start, stop int64 = -1, -1
-	r.mu.Lock()
-	for blk := b; blk < end; blk++ {
-		_, cached := r.cache.m[blk]
-		_, busy := r.inflight[blk]
-		if cached || busy {
-			if start >= 0 {
-				break // one contiguous run per GET; stop at the first gap
-			}
-			continue
-		}
-		if start < 0 {
-			start = blk
-		}
-		stop = blk
-	}
-	// Hysteresis: top up only once at least half the window has drained.
-	// Without it a consumer keeping pace with the readahead would extend
-	// the frontier by one block per read — a 1-block GET per read, the
-	// request rate adaptivity exists to avoid. With it, steady state is
-	// one half-window coalesced GET per half-window consumed.
-	if start < 0 || (stop-start+1)*2 < depth {
-		r.mu.Unlock()
-		return
-	}
-	for blk := start; blk <= stop; blk++ {
-		r.inflight[blk] = &blockFetch{done: make(chan struct{}), prefetch: true}
-	}
-	r.mu.Unlock()
-	r.prefetches.Add(stop - start + 1)
-	metRemotePrefetchDepth.Observe(float64(stop - start + 1))
-	go r.fetchRun(start, stop)
-}
-
-// noteWasted tallies prefetched blocks evicted before any read used them
-// and halves the adaptive window — speculation outran the consumer.
-// Always called with mu held.
-func (r *RangeReaderAt) noteWasted(n int) {
-	if n > 0 {
-		r.prefetchWasted.Add(int64(n))
-		metRemotePrefetchWasted.Add(int64(n))
-		r.prefDepth = r.depthLocked() / 2
 	}
 }
 
-// fetchRun fetches the claimed blocks [start, end] in one ranged GET —
-// for a demand read or a background prefetch alike — and resolves their
-// in-flight registrations: each block takes its data and enters the LRU,
-// or takes the error, and its waiters are released. A prefetched block
-// that a reader deduped onto has already had its prefetch flag cleared
-// (and taken the hit); only a still-speculative block enters the cache
-// flagged.
-func (r *RangeReaderAt) fetchRun(start, end int64) error {
-	off := start * r.blockSize
-	data, err := r.fetchRange(off, min((end+1)*r.blockSize, r.size)-off)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for b := start; b <= end; b++ {
-		f := r.inflight[b]
-		delete(r.inflight, b)
-		if err != nil {
-			f.err = err
-		} else {
-			lo := (b - start) * r.blockSize
-			f.data = data[lo:min(lo+r.blockSize, int64(len(data)))]
-			r.noteWasted(r.cache.put(b, f.data, f.prefetch))
-		}
-		close(f.done)
+// backoff reports whether a failed attempt should be retried, sleeping
+// first; a permanent error or an exhausted budget ends the stream.
+func (s *rangeStream) backoff(err error) bool {
+	if !errors.Is(err, errTransient) || s.failures >= s.r.retries {
+		return false
 	}
-	return err
+	s.r.retried.Add(1)
+	metRemoteRetries.Inc()
+	time.Sleep(s.r.retryDelay << s.failures)
+	s.failures++
+	return true
 }
 
-// failRun resolves claimed-but-unfetched blocks with err so waiters on
-// them never hang after an earlier run in the same ReadAt failed.
-func (r *RangeReaderAt) failRun(start, end int64, err error) {
-	r.mu.Lock()
-	for b := start; b <= end; b++ {
-		f := r.inflight[b]
-		delete(r.inflight, b)
-		f.err = err
-		close(f.done)
-	}
-	r.mu.Unlock()
-}
-
-// fetchRange GETs the byte range [off, off+n), retrying transient failures
-// (5xx, transport errors) with doubling backoff. Validation failures — a
-// changed ETag, an inconsistent total size, a server ignoring Range — are
-// permanent and surface immediately.
-func (r *RangeReaderAt) fetchRange(off, n int64) ([]byte, error) {
-	delay := r.retryDelay
-	for attempt := 0; ; attempt++ {
-		data, err := r.fetchOnce(off, n)
-		if err == nil || !errors.Is(err, errTransient) || attempt >= r.retries {
-			return data, err
-		}
-		r.retried.Add(1)
-		metRemoteRetries.Inc()
-		time.Sleep(delay)
-		delay *= 2
+func (s *rangeStream) closeBody() {
+	if s.body != nil {
+		s.body.Close()
+		s.body = nil
 	}
 }
 
-// fetchOnce issues one ranged GET and validates the response against the
-// identity captured at open.
-func (r *RangeReaderAt) fetchOnce(off, n int64) ([]byte, error) {
+// Close releases the response body of a stream stopped early.
+func (s *rangeStream) Close() error {
+	s.closed = true
+	s.closeBody()
+	return nil
+}
+
+// get issues one ranged GET of [off, off+n) and returns the body of the
+// validated response.
+func (r *RangeReaderAt) get(off, n int64) (io.ReadCloser, error) {
 	start := time.Now()
 	defer func() { metRemoteFetchSec.ObserveDuration(time.Since(start)) }()
 	req, err := http.NewRequest(http.MethodGet, r.url, nil)
@@ -565,64 +311,70 @@ func (r *RangeReaderAt) fetchOnce(off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: GET %s: %v", errTransient, r.url, err)
 	}
-	defer resp.Body.Close()
+	if err := r.validate(resp, off, n); err != nil {
+		resp.Body.Close()
+		return nil, err
+	}
+	return resp.Body, nil
+}
+
+// validate checks a ranged GET's response against the request and the
+// identity captured at open: a 206 whose ETag matches and whose
+// Content-Range covers exactly [off, off+n) of an object of the open-time
+// size. Anything else from the object is ErrCorrupt; 5xx is transient.
+func (r *RangeReaderAt) validate(resp *http.Response, off, n int64) error {
 	switch {
 	case resp.StatusCode == http.StatusPartialContent:
 	case resp.StatusCode == http.StatusOK:
-		return nil, fmt.Errorf("%w: %s ignored the Range request (an S3-compatible ranged-read server is required)", ErrRemote, r.url)
+		return fmt.Errorf("%w: %s ignored the Range request (an S3-compatible ranged-read server is required)", ErrRemote, r.url)
 	case resp.StatusCode == http.StatusPreconditionFailed:
-		return nil, fmt.Errorf("%w: remote archive %s changed mid-session (ETag %s no longer matches)", ErrCorrupt, r.url, r.etag)
+		return fmt.Errorf("%w: remote archive %s changed mid-session (ETag %s no longer matches)", ErrCorrupt, r.url, r.etag)
 	case resp.StatusCode == http.StatusRequestedRangeNotSatisfiable:
-		return nil, fmt.Errorf("%w: remote archive %s shrank mid-session (range [%d,+%d) unsatisfiable)", ErrCorrupt, r.url, off, n)
+		return fmt.Errorf("%w: remote archive %s shrank mid-session (range [%d,+%d) unsatisfiable)", ErrCorrupt, r.url, off, n)
 	case resp.StatusCode >= 500:
-		return nil, fmt.Errorf("%w: GET %s: %s", errTransient, r.url, resp.Status)
+		return fmt.Errorf("%w: GET %s: %s", errTransient, r.url, resp.Status)
 	default:
-		return nil, fmt.Errorf("%w: GET %s: %s", ErrRemote, r.url, resp.Status)
+		return fmt.Errorf("%w: GET %s: %s", ErrRemote, r.url, resp.Status)
 	}
 	if etag := resp.Header.Get("Etag"); etag != "" && r.etag != "" && etag != r.etag {
-		return nil, fmt.Errorf("%w: remote archive %s changed mid-session (ETag %s, had %s)", ErrCorrupt, r.url, etag, r.etag)
+		return fmt.Errorf("%w: remote archive %s changed mid-session (ETag %s, had %s)", ErrCorrupt, r.url, etag, r.etag)
 	}
-	gotOff, total, err := parseContentRange(resp.Header.Get("Content-Range"))
+	gotOff, gotEnd, total, err := parseContentRange(resp.Header.Get("Content-Range"))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if gotOff != off || total != r.size {
-		return nil, fmt.Errorf("%w: remote archive %s served range at %d of %d bytes, want %d of %d (object replaced mid-session?)",
-			ErrCorrupt, r.url, gotOff, total, off, r.size)
+	if gotOff != off || gotEnd != off+n-1 || total != r.size {
+		return fmt.Errorf("%w: remote archive %s served bytes %d-%d of %d, want %d-%d of %d (object replaced mid-session?)",
+			ErrCorrupt, r.url, gotOff, gotEnd, total, off, off+n-1, r.size)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, data); err != nil {
-		return nil, fmt.Errorf("%w: GET %s: short body: %v", errTransient, r.url, err)
-	}
-	r.bytesFetched.Add(n)
-	metRemoteBytes.Add(n)
-	return data, nil
+	return nil
 }
 
-// parseContentRange parses a "bytes a-b/total" Content-Range header. The
-// total is required — "*" would leave mid-session size validation blind.
-func parseContentRange(h string) (off, total int64, err error) {
+// parseContentRange parses a "bytes a-b/total" Content-Range header into
+// the first and last byte and the object size. The total is required —
+// "*" would leave mid-session size validation blind — and the range must
+// be ordered and lie inside it.
+func parseContentRange(h string) (off, end, total int64, err error) {
+	bad := fmt.Errorf("%w: remote response Content-Range %q invalid", ErrCorrupt, h)
 	span, ok := strings.CutPrefix(h, "bytes ")
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: remote response Content-Range %q unparseable", ErrCorrupt, h)
+		return 0, 0, 0, bad
 	}
 	rng, totalStr, ok := strings.Cut(span, "/")
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: remote response Content-Range %q unparseable", ErrCorrupt, h)
+		return 0, 0, 0, bad
 	}
-	offStr, _, ok := strings.Cut(rng, "-")
+	offStr, endStr, ok := strings.Cut(rng, "-")
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: remote response Content-Range %q unparseable", ErrCorrupt, h)
+		return 0, 0, 0, bad
 	}
-	off, err = strconv.ParseInt(offStr, 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: remote response Content-Range %q unparseable", ErrCorrupt, h)
+	off, err1 := strconv.ParseInt(offStr, 10, 64)
+	end, err2 := strconv.ParseInt(endStr, 10, 64)
+	total, err3 := strconv.ParseInt(totalStr, 10, 64)
+	if err1 != nil || err2 != nil || err3 != nil || off < 0 || end < off || end >= total {
+		return 0, 0, 0, bad
 	}
-	total, err = strconv.ParseInt(totalStr, 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: remote response Content-Range total %q unparseable", ErrCorrupt, totalStr)
-	}
-	return off, total, nil
+	return off, end, total, nil
 }
 
 // probeRemote learns the object's size and ETag: HEAD when the server
@@ -671,64 +423,9 @@ func probeOnce(client *http.Client, url string) (int64, string, error) {
 	default:
 		return 0, "", fmt.Errorf("%w: GET %s: %s", ErrRemote, url, resp.Status)
 	}
-	_, total, err := parseContentRange(resp.Header.Get("Content-Range"))
+	_, _, total, err := parseContentRange(resp.Header.Get("Content-Range"))
 	if err != nil {
 		return 0, "", err
 	}
 	return total, resp.Header.Get("Etag"), nil
-}
-
-// blockLRU is the bounded block cache; all access is under RangeReaderAt.mu.
-type blockLRU struct {
-	cap int
-	ll  list.List
-	m   map[int64]*list.Element
-}
-
-type lruBlock struct {
-	id   int64
-	data []byte
-	// prefetched marks a speculative block no read has used yet; see
-	// blockFetch.prefetch for the hit/wasted accounting protocol.
-	prefetched bool
-}
-
-// get returns a cached block and marks it most recently used. The second
-// result reports (and clears) the block's untouched-prefetch flag.
-//
-//atc:hotpath
-func (c *blockLRU) get(id int64) ([]byte, bool, bool) {
-	e, ok := c.m[id]
-	if !ok {
-		return nil, false, false
-	}
-	c.ll.MoveToFront(e)
-	blk := e.Value.(*lruBlock)
-	pref := blk.prefetched
-	blk.prefetched = false
-	return blk.data, pref, true
-}
-
-// put inserts a block, evicting from the least recently used end. It
-// returns the number of evicted blocks whose prefetched flag was never
-// cleared — speculative fetches that turned out wasted.
-func (c *blockLRU) put(id int64, data []byte, prefetched bool) (wasted int) {
-	if e, ok := c.m[id]; ok {
-		c.ll.MoveToFront(e)
-		blk := e.Value.(*lruBlock)
-		blk.data = data
-		blk.prefetched = blk.prefetched && prefetched
-		return 0
-	}
-	c.m[id] = c.ll.PushFront(&lruBlock{id: id, data: data, prefetched: prefetched})
-	for len(c.m) > c.cap {
-		e := c.ll.Back()
-		blk := e.Value.(*lruBlock)
-		if blk.prefetched {
-			wasted++
-		}
-		delete(c.m, blk.id)
-		c.ll.Remove(e)
-	}
-	return wasted
 }

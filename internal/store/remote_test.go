@@ -2,12 +2,13 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,8 +19,8 @@ import (
 
 // rangeHost serves one in-memory object with manually implemented single-
 // range semantics, instrumented for the tests: request/range capture, an
-// injectable run of 503s, a gate that parks requests (to prove
-// singleflight), and mutable payload/ETag (to prove mid-session change
+// injectable run of 503s, a connection dropped partway through a body,
+// clipped ranges, and mutable payload/ETag (to prove mid-session change
 // detection).
 type rangeHost struct {
 	mu       sync.Mutex
@@ -27,10 +28,15 @@ type rangeHost struct {
 	etag     string
 	noHead   bool
 	failures int // next N data GETs answer 503
+	// dropAfter, when > 0, makes the next data GET send that many body
+	// bytes and then drop the connection.
+	dropAfter int
+	// maxSpan, when > 0, clips every served range to that many bytes
+	// (with an honest Content-Range).
+	maxSpan int64
 
 	requests atomic.Int64 // data GETs served (not HEAD)
 	ranges   []string     // Range headers seen on data GETs
-	gate     chan struct{}
 }
 
 func (h *rangeHost) set(data []byte, etag string) {
@@ -68,10 +74,10 @@ func (h *rangeHost) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if fail {
 		h.failures--
 	}
+	drop := h.dropAfter
+	h.dropAfter = 0
+	maxSpan := h.maxSpan
 	h.mu.Unlock()
-	if h.gate != nil {
-		<-h.gate
-	}
 	if fail {
 		http.Error(w, "injected", http.StatusServiceUnavailable)
 		return
@@ -103,11 +109,20 @@ func (h *rangeHost) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if hi >= int64(len(data)) {
 		hi = int64(len(data)) - 1
 	}
+	if maxSpan > 0 && hi-lo+1 > maxSpan {
+		hi = lo + maxSpan - 1
+	}
 	if etag != "" {
 		w.Header().Set("Etag", etag)
 	}
 	w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", lo, hi, len(data)))
+	w.Header().Set("Content-Length", strconv.FormatInt(hi-lo+1, 10))
 	w.WriteHeader(http.StatusPartialContent)
+	if drop > 0 && int64(drop) < hi-lo+1 {
+		w.Write(data[lo : lo+int64(drop)])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // closes the connection mid-body
+	}
 	w.Write(data[lo : hi+1])
 }
 
@@ -119,7 +134,7 @@ func testObject(n int) []byte {
 	return data
 }
 
-func newRemoteReader(t *testing.T, h *rangeHost, blockSize, cacheBlocks, retries int) (*RangeReaderAt, *httptest.Server) {
+func newRemoteReader(t *testing.T, h *rangeHost, retries int) (*RangeReaderAt, *httptest.Server) {
 	t.Helper()
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
@@ -131,21 +146,15 @@ func newRemoteReader(t *testing.T, h *rangeHost, blockSize, cacheBlocks, retries
 		client:     srv.Client(),
 		size:       size,
 		etag:       etag,
-		blockSize:  int64(blockSize),
 		retries:    retries,
 		retryDelay: time.Millisecond,
-		// These tests pin exact demand-fetch request counts; sequential
-		// readahead has its own tests (prefetch_test.go).
-		noPrefetch: true,
-		cache:      blockLRU{cap: cacheBlocks, m: map[int64]*list.Element{}},
-		inflight:   map[int64]*blockFetch{},
 	}, srv
 }
 
 func TestRangeReaderAtBasic(t *testing.T) {
 	data := testObject(10_000)
 	h := &rangeHost{data: data, etag: `"v1"`}
-	ra, _ := newRemoteReader(t, h, 1024, 64, 0)
+	ra, _ := newRemoteReader(t, h, 0)
 
 	got := make([]byte, 3000)
 	if n, err := ra.ReadAt(got, 500); err != nil || n != 3000 {
@@ -154,19 +163,19 @@ func TestRangeReaderAtBasic(t *testing.T) {
 	if !bytes.Equal(got, data[500:3500]) {
 		t.Fatal("ReadAt bytes diverge")
 	}
-	// Blocks 0..3 were fetched in one coalesced GET with an aligned start.
+	// One GET of exactly the bytes asked for.
 	if n := h.requests.Load(); n != 1 {
-		t.Fatalf("requests = %d, want 1 coalesced fetch", n)
+		t.Fatalf("requests = %d, want 1", n)
 	}
-	if rngs := h.seenRanges(); len(rngs) != 1 || rngs[0] != "bytes=0-4095" {
-		t.Fatalf("ranges = %v, want [bytes=0-4095]", rngs)
+	if rngs := h.seenRanges(); len(rngs) != 1 || rngs[0] != "bytes=500-3499" {
+		t.Fatalf("ranges = %v, want [bytes=500-3499]", rngs)
 	}
-	// Same window again: all cache hits, no new requests.
+	// Same window again: the reader caches nothing, so one more GET.
 	if _, err := ra.ReadAt(got, 500); err != nil {
 		t.Fatal(err)
 	}
-	if n := h.requests.Load(); n != 1 {
-		t.Fatalf("requests after cached re-read = %d, want 1", n)
+	if n := h.requests.Load(); n != 2 {
+		t.Fatalf("requests after re-read = %d, want 2", n)
 	}
 	// Tail read past EOF returns the short count with io.EOF.
 	tail := make([]byte, 100)
@@ -185,106 +194,10 @@ func TestRangeReaderAtBasic(t *testing.T) {
 	}
 }
 
-func TestRangeReaderAtCoalescing(t *testing.T) {
-	data := testObject(64 << 10)
-	h := &rangeHost{data: data}
-	ra, _ := newRemoteReader(t, h, 4096, 64, 0)
-
-	// Warm one block in the middle; the next read spanning it must split
-	// into two runs around the cached block, not refetch it.
-	one := make([]byte, 10)
-	if _, err := ra.ReadAt(one, 3*4096); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 6*4096)
-	if _, err := ra.ReadAt(got, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data[4096:7*4096]) {
-		t.Fatal("bytes diverge")
-	}
-	want := []string{"bytes=12288-16383", "bytes=4096-12287", "bytes=16384-28671"}
-	rngs := h.seenRanges()
-	if len(rngs) != 3 {
-		t.Fatalf("ranges = %v, want 3 fetches (runs split around the cached block)", rngs)
-	}
-	for i, w := range want {
-		if rngs[i] != w {
-			t.Fatalf("ranges = %v, want %v", rngs, want)
-		}
-	}
-}
-
-func TestRangeReaderAtSingleflight(t *testing.T) {
-	data := testObject(8192)
-	h := &rangeHost{data: data, gate: make(chan struct{})}
-	ra, _ := newRemoteReader(t, h, 4096, 64, 0)
-
-	const readers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, readers)
-	bufs := make([][]byte, readers)
-	for i := 0; i < readers; i++ {
-		i := i
-		bufs[i] = make([]byte, 1000)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = ra.ReadAt(bufs[i], 100)
-		}()
-	}
-	// Let every goroutine reach the fetch-or-wait decision, then open the
-	// gate: only the single claimed fetch should have been issued.
-	for h.requests.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(h.gate)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("reader %d: %v", i, err)
-		}
-		if !bytes.Equal(bufs[i], data[100:1100]) {
-			t.Fatalf("reader %d bytes diverge", i)
-		}
-	}
-	if n := h.requests.Load(); n != 1 {
-		t.Fatalf("requests = %d, want 1 (singleflight)", n)
-	}
-}
-
-func TestRangeReaderAtLRU(t *testing.T) {
-	data := testObject(16 << 10)
-	h := &rangeHost{data: data}
-	ra, _ := newRemoteReader(t, h, 1024, 2, 0)
-
-	read := func(block int64) {
-		t.Helper()
-		buf := make([]byte, 10)
-		if _, err := ra.ReadAt(buf, block*1024); err != nil {
-			t.Fatal(err)
-		}
-	}
-	read(0) // cache: {0}
-	read(1) // cache: {0,1}
-	read(0) // touch 0 — 1 is now least recently used
-	read(2) // evicts 1 (LRU), not 0 (FIFO would)
-	before := h.requests.Load()
-	read(0)
-	if n := h.requests.Load(); n != before {
-		t.Fatalf("block 0 refetched after eviction pass: %d -> %d requests (FIFO, want LRU)", before, n)
-	}
-	read(1)
-	if n := h.requests.Load(); n != before+1 {
-		t.Fatalf("block 1 should have been evicted: requests %d -> %d", before, n)
-	}
-}
-
 func TestRangeReaderAtRetry(t *testing.T) {
 	data := testObject(4096)
 	h := &rangeHost{data: data, failures: 2}
-	ra, _ := newRemoteReader(t, h, 1024, 8, 2)
+	ra, _ := newRemoteReader(t, h, 2)
 
 	buf := make([]byte, 100)
 	if _, err := ra.ReadAt(buf, 0); err != nil {
@@ -308,7 +221,7 @@ func TestRangeReaderAtRetry(t *testing.T) {
 func TestRangeReaderAtETagChange(t *testing.T) {
 	data := testObject(8192)
 	h := &rangeHost{data: data, etag: `"v1"`}
-	ra, _ := newRemoteReader(t, h, 1024, 8, 0)
+	ra, _ := newRemoteReader(t, h, 0)
 
 	buf := make([]byte, 100)
 	if _, err := ra.ReadAt(buf, 0); err != nil {
@@ -327,7 +240,7 @@ func TestRangeReaderAtSizeChange(t *testing.T) {
 	// a replaced (resized) object still fails as ErrCorrupt.
 	data := testObject(8192)
 	h := &rangeHost{data: data}
-	ra, _ := newRemoteReader(t, h, 1024, 8, 0)
+	ra, _ := newRemoteReader(t, h, 0)
 
 	buf := make([]byte, 100)
 	if _, err := ra.ReadAt(buf, 0); err != nil {
@@ -370,18 +283,29 @@ func TestOpenRemoteArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer local.Close()
+	var mu sync.Mutex
+	var ranges []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			mu.Lock()
+			ranges = append(ranges, r.Header.Get("Range"))
+			mu.Unlock()
+		}
 		// http.ServeContent implements Range with no ETag (like a bare
 		// static server): the reader must cope without a validator.
 		http.ServeContent(w, r, "t.atc", time.Time{}, bytes.NewReader(raw))
 	}))
 	defer srv.Close()
 
-	rs, err := OpenRemote(srv.URL, RemoteOptions{BlockSize: 8 << 10, CacheBlocks: 16, Client: srv.Client()})
+	rs, err := OpenRemote(srv.URL, RemoteOptions{Client: srv.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
+	opened := rs.ReaderStats()
+	mu.Lock()
+	ranges = nil
+	mu.Unlock()
 	names, err := rs.List()
 	if err != nil {
 		t.Fatal(err)
@@ -389,12 +313,36 @@ func TestOpenRemoteArchive(t *testing.T) {
 	if len(names) != 5 {
 		t.Fatalf("List = %v", names)
 	}
+	var wantRanges []string
+	var payload int64
 	for _, name := range names {
 		want := readBlob(t, local, name)
 		got := readBlob(t, rs, name)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("blob %s diverges: %d vs %d bytes", name, len(got), len(want))
 		}
+		e, err := rs.entry(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.length > 0 {
+			wantRanges = append(wantRanges, fmt.Sprintf("bytes=%d-%d", e.off, e.off+e.length-1))
+		}
+		payload += e.length
+	}
+	// Each non-empty blob read is exactly one ranged GET of its TOC extent.
+	st := rs.ReaderStats()
+	if st.Fetches != opened.Fetches+int64(len(wantRanges)) || st.BytesFetched != opened.BytesFetched+payload {
+		t.Fatalf("stats after reading every blob = %+v, want %d fetches and %d bytes on top of the open's %+v",
+			st, len(wantRanges), payload, opened)
+	}
+	mu.Lock()
+	gotRanges := append([]string(nil), ranges...)
+	mu.Unlock()
+	sort.Strings(gotRanges)
+	sort.Strings(wantRanges)
+	if strings.Join(gotRanges, " ") != strings.Join(wantRanges, " ") {
+		t.Fatalf("data GET ranges = %v, want the TOC extents %v", gotRanges, wantRanges)
 	}
 	// Writes must be refused: this store is read-only by construction.
 	if _, err := rs.Create("new"); err == nil {
@@ -408,6 +356,146 @@ func TestOpenRemoteArchive(t *testing.T) {
 	}
 	if st := rs.ReaderStats(); st.Fetches == 0 || st.BytesFetched == 0 {
 		t.Fatalf("stats = %+v, want nonzero traffic", st)
+	}
+}
+
+// openRemoteHost packs blobs into an archive served by a rangeHost.
+func openRemoteHost(t *testing.T, blobs map[string][]byte) (*RemoteStore, *rangeHost) {
+	t.Helper()
+	h := &rangeHost{}
+	h.set(writeTestArchive(t, blobs), `"v1"`)
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	rs, err := OpenRemote(srv.URL, RemoteOptions{Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.ra.retryDelay = time.Millisecond
+	t.Cleanup(func() { rs.Close() })
+	return rs, h
+}
+
+func TestRemoteBlobResumesAfterDrop(t *testing.T) {
+	// The host drops the connection halfway through the blob's body: the
+	// stream re-requests only the undelivered bytes, once.
+	blob := testObject(100_000)
+	rs, h := openRemoteHost(t, map[string][]byte{"MANIFEST": []byte("m"), "1.bsc": blob})
+	e, err := rs.entry("1.bsc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(h.seenRanges())
+	h.mu.Lock()
+	h.dropAfter = 50_000
+	h.mu.Unlock()
+	if got := readBlob(t, rs, "1.bsc"); !bytes.Equal(got, blob) {
+		t.Fatalf("resumed read diverges: %d of %d bytes", len(got), len(blob))
+	}
+	if st := rs.ReaderStats(); st.Retries != 1 {
+		t.Fatalf("retries = %d, want 1", st.Retries)
+	}
+	want := []string{
+		fmt.Sprintf("bytes=%d-%d", e.off, e.off+e.length-1),
+		fmt.Sprintf("bytes=%d-%d", e.off+50_000, e.off+e.length-1),
+	}
+	if got := h.seenRanges()[before:]; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("ranges = %v, want %v", got, want)
+	}
+}
+
+func TestRemoteBlobEmptyAndClippedExtents(t *testing.T) {
+	rs, h := openRemoteHost(t, map[string][]byte{"MANIFEST": []byte("m"), "EMPTY": nil, "1.bsc": testObject(1000)})
+	// A zero-length blob issues no GET: bytes=a-(a-1) is not a range.
+	before := h.requests.Load()
+	if got := readBlob(t, rs, "EMPTY"); len(got) != 0 {
+		t.Fatalf("empty blob read %d bytes", len(got))
+	}
+	if n := h.requests.Load(); n != before {
+		t.Fatalf("empty blob issued %d GETs", n-before)
+	}
+	// A response covering less than the extent is ErrCorrupt, not retried.
+	h.mu.Lock()
+	h.maxSpan = 10
+	h.mu.Unlock()
+	b, err := rs.Open("1.bsc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if _, err := io.ReadAll(b); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("clipped extent err = %v, want ErrCorrupt", err)
+	}
+	if st := rs.ReaderStats(); st.Retries != 0 {
+		t.Fatalf("retries = %d, want 0", st.Retries)
+	}
+}
+
+// closeCountingTransport counts response bodies closed by their reader.
+type closeCountingTransport struct {
+	http.RoundTripper
+	closed atomic.Int64
+}
+
+type countingBody struct {
+	io.ReadCloser
+	closed *atomic.Int64
+}
+
+func (b countingBody) Close() error {
+	b.closed.Add(1)
+	return b.ReadCloser.Close()
+}
+
+func (t *closeCountingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := t.RoundTripper.RoundTrip(req)
+	if err == nil {
+		resp.Body = countingBody{resp.Body, &t.closed}
+	}
+	return resp, err
+}
+
+func TestRemoteBlobCloseReleasesBody(t *testing.T) {
+	// A blob closed halfway releases its response: the connection and the
+	// goroutines serving it go away.
+	blob := testObject(8 << 20)
+	h := &rangeHost{}
+	h.set(writeTestArchive(t, map[string][]byte{"MANIFEST": []byte("m"), "1.bsc": blob}), `"v1"`)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	tr := &closeCountingTransport{RoundTripper: &http.Transport{}}
+	client := &http.Client{Transport: tr}
+	baseline := runtime.NumGoroutine()
+
+	rs, err := OpenRemote(srv.URL, RemoteOptions{Client: client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	b, err := rs.Open("1.bsc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := make([]byte, len(blob)/2)
+	if _, err := io.ReadFull(b, half); err != nil {
+		t.Fatal(err)
+	}
+	closedBefore := tr.closed.Load()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.closed.Load() - closedBefore; n != 1 {
+		t.Fatalf("Close released %d response bodies, want 1", n)
+	}
+	client.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Close, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := b.Read(half); err == nil {
+		t.Fatal("Read after Close succeeded")
 	}
 }
 
@@ -459,12 +547,13 @@ func TestOpenRemoteErrors(t *testing.T) {
 }
 
 func TestParseContentRange(t *testing.T) {
-	off, total, err := parseContentRange("bytes 100-199/5000")
-	if err != nil || off != 100 || total != 5000 {
-		t.Fatalf("parseContentRange = %d, %d, %v", off, total, err)
+	off, end, total, err := parseContentRange("bytes 100-199/5000")
+	if err != nil || off != 100 || end != 199 || total != 5000 {
+		t.Fatalf("parseContentRange = %d, %d, %d, %v", off, end, total, err)
 	}
-	for _, bad := range []string{"", "bytes */5000", "bytes 100-199/*", "100-199/5000", "bytes x-y/z"} {
-		if _, _, err := parseContentRange(bad); !errors.Is(err, ErrCorrupt) {
+	for _, bad := range []string{"", "bytes */5000", "bytes 100-199/*", "100-199/5000", "bytes x-y/z",
+		"bytes 9-3/10", "bytes 5-10/10"} {
+		if _, _, _, err := parseContentRange(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("parseContentRange(%q) err = %v, want ErrCorrupt", bad, err)
 		}
 	}

@@ -2,7 +2,7 @@
 //
 // The paper's tooling (and this repo's seed) hard-coded one layout: a
 // filesystem directory holding MANIFEST, INFO.<backend> and numbered chunk
-// files. That layout is one Store implementation among three:
+// files. That layout is one Store implementation among four:
 //
 //   - DirStore — the historical directory layout, byte-identical to what
 //     the seed wrote, so golden v1/v2 traces keep decoding and the
@@ -12,6 +12,9 @@
 //     offset/length/CRC32 record per blob. Blobs are served from an
 //     io.ReaderAt, so concurrent segment readahead needs no per-chunk
 //     open(2) calls and the file can sit behind any random-access medium.
+//   - RemoteStore — an archive behind an http(s) URL, read in place: the
+//     TOC is fetched at open, then each blob streams exactly its TOC
+//     extent through one ranged GET.
 //   - MemStore — blobs in a map, for tests and in-memory serving tiers.
 //
 // The compressor and decompressor in atc/internal/core speak only this
@@ -34,13 +37,13 @@ import (
 // aliases it, so errors.Is(err, ErrCorrupt) matches across layers.
 var ErrCorrupt = errors.New("atc: corrupt compressed trace")
 
-// Blob is one named payload read back from a Store. Sequential reads and
-// random-access ReadAt may be mixed; implementations are safe for the
-// concurrent use pattern of the decode readahead fan-out (each goroutine
-// holds its own Blob).
+// Blob is one named payload read back from a Store, front to back.
+// Implementations are safe for the concurrent use pattern of the decode
+// readahead fan-out (each goroutine holds its own Blob). Close releases
+// whatever the blob holds open (a file, a remote response) even when it
+// was not read to the end.
 type Blob interface {
 	io.Reader
-	io.ReaderAt
 	io.Closer
 	// Size reports the blob's payload length in bytes.
 	Size() int64
