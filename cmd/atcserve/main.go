@@ -1118,8 +1118,8 @@ func parseByteRange(h string, size int64) (byteRange, bool, error) {
 	}
 	if first == "" {
 		// Suffix form bytes=-n: the final n bytes.
-		n, err := strconv.ParseInt(last, 10, 64)
-		if err != nil || n < 0 {
+		n, ok := rangeDigits(last)
+		if !ok {
 			return byteRange{}, false, nil
 		}
 		if n == 0 || size == 0 {
@@ -1131,13 +1131,13 @@ func parseByteRange(h string, size int64) (byteRange, bool, error) {
 		}
 		return byteRange{start, size - 1}, true, nil
 	}
-	start, err := strconv.ParseInt(first, 10, 64)
-	if err != nil || start < 0 {
+	start, ok := rangeDigits(first)
+	if !ok {
 		return byteRange{}, false, nil
 	}
 	end := size - 1
 	if last != "" {
-		if end, err = strconv.ParseInt(last, 10, 64); err != nil {
+		if end, ok = rangeDigits(last); !ok {
 			return byteRange{}, false, nil
 		}
 		if end < start {
@@ -1151,6 +1151,17 @@ func parseByteRange(h string, size int64) (byteRange, bool, error) {
 		return byteRange{}, false, fmt.Errorf("first byte %d of a %d-byte payload", start, size)
 	}
 	return byteRange{start, end}, true, nil
+}
+
+// rangeDigits parses one byte position of a Range header. RFC 9110
+// allows only 1*DIGIT there, so a sign, a space or a value past int64
+// makes the header garbage.
+func rangeDigits(s string) (int64, bool) {
+	if s == "" || strings.TrimLeft(s, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, err == nil
 }
 
 // ifRangeAllows reports whether an If-Range header permits a partial

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +119,9 @@ func TestServeAddrsRangeIgnoredAndUnsatisfiable(t *testing.T) {
 		"bytes=abc-def", // garbage
 		"bytes=12",      // no dash
 		"bytes=-0x10",   // non-decimal suffix
+		"bytes=+0-3",    // signed first byte
+		"bytes=0-+3",    // signed last byte
+		"bytes=-+5",     // signed suffix
 	} {
 		resp, body := fetchWithRange(t, url, map[string]string{"Range": h})
 		if resp.StatusCode != http.StatusOK {
@@ -176,6 +180,40 @@ func TestServeAddrsRangeIgnoredAndUnsatisfiable(t *testing.T) {
 	if err := json.Unmarshal(body, &payload); err != nil || len(payload.Addrs) != 1000 {
 		t.Fatalf("JSON + Range: %d addrs, err %v; want full 1000", len(payload.Addrs), err)
 	}
+}
+
+// wellFormedRange matches a single RFC 9110 byte range, as parseByteRange
+// reads it after the "bytes=" prefix: first-last, first- or -suffix, each
+// position 1*DIGIT.
+var wellFormedRange = regexp.MustCompile(`^([0-9]+-[0-9]*|-[0-9]+)$`)
+
+// FuzzParseByteRange checks parseByteRange on any header and payload
+// size: it never panics, a range it accepts lies inside the payload, and
+// it answers 416 (an error) or accepts only a single well-formed range.
+func FuzzParseByteRange(f *testing.F) {
+	for _, h := range []string{
+		"", "bytes=0-3", "bytes=16-79", "bytes=100-", "bytes=-5", "bytes=-0",
+		"bytes=5-2", "bytes=2-4,6-9", "chunks=0-99", "bytes=abc-def", "bytes=12",
+		"bytes=-0x10", "bytes=+0-3", "bytes=0-+3", "bytes=-+5", "bytes= 1-2 ",
+		"bytes=99999999999999999999-",
+	} {
+		f.Add(h, uint32(8000))
+	}
+	f.Add("bytes=0-", uint32(0))
+	f.Fuzz(func(t *testing.T, h string, size32 uint32) {
+		size := int64(size32)
+		rng, ok, err := parseByteRange(h, size)
+		if ok && err != nil {
+			t.Fatalf("%q size %d: both a range and an error (%v)", h, size, err)
+		}
+		if ok && (rng.start < 0 || rng.start > rng.end || rng.end >= size) {
+			t.Fatalf("%q size %d: range %d-%d outside the payload", h, size, rng.start, rng.end)
+		}
+		spec, prefixed := strings.CutPrefix(h, "bytes=")
+		if (ok || err != nil) && !(prefixed && wellFormedRange.MatchString(strings.TrimSpace(spec))) {
+			t.Fatalf("%q size %d: ok=%v err=%v from a header that is not one well-formed range", h, size, ok, err)
+		}
+	})
 }
 
 // TestServeAddrsRangeDecodesSubWindow proves the byte range maps to an

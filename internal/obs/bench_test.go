@@ -8,8 +8,8 @@ import (
 // BenchmarkObsOverhead is the acceptance gate for hot-path
 // instrumentation cost: every mutation op the decode/encode paths call
 // must run in a handful of ns with 0 B/op. TestObsAllocationFree
-// enforces the allocation half as a hard test; this benchmark records
-// the cycle cost for BENCH_prN.json.
+// enforces the allocation half as a hard test; this benchmark measures
+// the cycle cost (go test -run '^$' -bench ObsOverhead ./internal/obs).
 func BenchmarkObsOverhead(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("bench_total", "h")

@@ -51,12 +51,19 @@ func genIntervals(rng *rand.Rand, n, phases, intervalLen int) []*histogram.Set {
 func TestMatchEquivalentToExhaustive(t *testing.T) {
 	epsilons := []float64{0.01, 0.05, 0.1, 0.3, 1.0, 2.0}
 	capacities := []int{1, 2, 7, 32}
-	for trial := 0; trial < 40; trial++ {
+	// The last six trials, one per ε, run a default-capacity table: at
+	// the small ε values it fills to well over 100 resident phases, so
+	// Match also decides against a deep table, as it does on
+	// phase-diverse traces.
+	for trial := 0; trial < 46; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		eps := epsilons[trial%len(epsilons)]
-		capacity := capacities[trial%len(capacities)]
+		capacity, n := capacities[trial%len(capacities)], 120
+		if trial >= 40 {
+			capacity, n = DefaultCapacity, 2*DefaultCapacity
+		}
 		tab := New(capacity, eps)
-		intervals := genIntervals(rng, 120, 1+rng.Intn(6), 400)
+		intervals := genIntervals(rng, n, 1+rng.Intn(6), 400)
 		nextChunk := 0
 		for i, h := range intervals {
 			wantID, wantDist, wantOK := tab.MatchExhaustive(h)
