@@ -38,8 +38,8 @@
 // mode is bit exact. Lossy mode preserves the trace length and the
 // memory-locality structure (miss ratios, predictability) while storing
 // only one chunk per program phase; see the package documentation of
-// atc/internal/core for the on-disk format and DESIGN.md for the
-// reproduction notes.
+// atc/internal/core for the on-disk format and the README's "Trace format
+// versions" section for what each version stores.
 //
 // # Concurrency
 //

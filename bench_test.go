@@ -2,8 +2,9 @@ package atc_test
 
 // This file regenerates every table and figure of the paper as Go
 // benchmarks, one per experiment, at test-budget scale (the cmd/atcbench
-// tool runs the same experiments at configurable scale; DESIGN.md §4 maps
-// each benchmark to its paper counterpart).
+// tool runs the same experiments at configurable scale; see its row in the
+// README's "Command-line tools" table). Benchmark names follow the paper's
+// table and figure numbers.
 //
 // Custom metrics carry the paper's numbers:
 //

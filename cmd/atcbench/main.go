@@ -1,7 +1,7 @@
 // Command atcbench regenerates the paper's tables and figures from the
 // synthetic workload suite. Each experiment prints rows shaped like the
-// paper's; DESIGN.md §4 maps experiments to paper counterparts and
-// EXPERIMENTS.md records reference outputs.
+// paper's and is selected by the flag named after its paper counterpart
+// (see the atcbench row of the README's "Command-line tools" table).
 //
 // Usage:
 //

@@ -6,14 +6,15 @@
 // written to the output; its row index (the "primary index") is returned
 // alongside the n transformed bytes. This matches the suffix order produced
 // by a plain suffix array, so the forward transform reduces to suffix
-// sorting, done here with a Manber–Myers prefix-doubling sort that is
-// O(n log n) worst case (no pathological behaviour on repetitive inputs,
-// which BWT blocks frequently are).
+// sorting, done here by induced sorting (SA-IS) in O(n) time whatever the
+// input, including the long repeats BWT blocks frequently hold.
 package bwt
 
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 )
 
 // ErrBadPrimary is returned by Inverse when the primary index is out of range.
@@ -28,6 +29,8 @@ var ErrCorrupt = errors.New("bwt: corrupt transform data")
 // primary index p in [1, n] (row of the virtual sentinel in the sorted
 // rotation matrix). Transforming an empty slice returns (nil, 0).
 // The output slice is freshly allocated; data is not modified.
+// Suffix positions are int32, so len(data) must stay below 1<<31-1;
+// bsc.MaxBlockSize (16 MiB) keeps every block well inside that bound.
 func Transform(data []byte) (out []byte, primary int) {
 	n := len(data)
 	if n == 0 {
@@ -126,93 +129,213 @@ func InverseInto(dst []byte, next []int32, out []byte, primary int) ([]byte, []i
 	return s, next, nil
 }
 
-// suffixArray computes the suffix array of data using Manber–Myers prefix
-// doubling with counting sorts, O(n log n) time and O(n) auxiliary space.
+// suffixArray returns the suffix array of data: the start of every suffix,
+// in ascending order of the suffixes, where a suffix that is a prefix of
+// another sorts first (as if data ended with the virtual sentinel).
 func suffixArray(data []byte) []int32 {
-	n := len(data)
-	sa := make([]int32, n)
-	rank := make([]int32, n)
-	tmp := make([]int32, n)
-	// Initial ranks are the byte values; initial order by counting sort.
-	var cnt [257]int32
-	for _, b := range data {
-		cnt[int(b)+1]++
+	sa := make([]int32, len(data))
+	sais(data, sa, 256)
+	return sa
+}
+
+// symbol is the alphabet sais sorts: the input bytes at the top level and
+// the names of the reduced strings below it.
+type symbol interface{ byte | int32 }
+
+// sais fills sa with the suffix array of text, whose symbols lie in
+// [0, k), by induced sorting (SA-IS: Nong, Zhang and Chan, "Two Efficient
+// Algorithms for Linear Time Suffix Array Construction", IEEE TC 2011).
+//
+// Suffix i is S-type if it is smaller than suffix i+1 and L-type if it is
+// larger; suffix n-1 is L-type, being larger than the empty suffix that
+// the sentinel stands for. An S-type suffix with an L-type predecessor is
+// an LMS (leftmost-S) suffix. Given the LMS suffixes in order at the tails
+// of their first-symbol buckets, a left-to-right scan induces every L-type
+// suffix from its successor, and a right-to-left scan then every S-type
+// one. Inducing from the LMS suffixes in any order instead sorts the LMS
+// substrings (from one LMS position to the next, inclusive); naming equal
+// substrings alike gives a reduced string at most half as long whose suffix
+// array, found by recursion, is the order of the LMS suffixes. Each level
+// is linear, so the whole sort is O(n).
+//
+// The reduced string and its suffix array live in sa itself, so a level
+// allocates only its two k-entry bucket tables. A zero entry in sa is an
+// empty slot: suffix 0 has no predecessor to induce, so it never needs to
+// be told apart from one.
+func sais[T symbol](text []T, sa []int32, k int) {
+	clear(sa)
+	n := len(text)
+	if n < 2 {
+		return
 	}
-	for c := 1; c < 257; c++ {
-		cnt[c] += cnt[c-1]
+	freq := make([]int32, k)
+	for _, c := range text {
+		freq[c]++
 	}
-	for i := 0; i < n; i++ {
-		b := data[i]
-		sa[cnt[b]] = int32(i)
-		cnt[b]++
+	bkt := make([]int32, k)
+
+	// Sort the LMS substrings.
+	bucketEnds(freq, bkt)
+	n1 := 0
+	for p := range lmsDown(text) {
+		c := text[p]
+		bkt[c]--
+		sa[bkt[c]] = int32(p)
+		n1++
 	}
-	r := int32(0)
-	for i := 0; i < n; i++ {
-		if i > 0 && data[sa[i]] != data[sa[i-1]] {
-			r++
+	if n1 > 0 {
+		induceL(text, sa, freq, bkt)
+		induceS(text, sa, freq, bkt)
+		// bkt holds the start of each bucket's S-type run, so j is S-type
+		// exactly when its slot lies at or beyond it.
+		m := 0
+		for i, j := range sa {
+			if j > 0 && i >= int(bkt[text[j]]) && text[j-1] > text[j] {
+				sa[m] = j
+				m++
+			}
 		}
-		rank[sa[i]] = r
-	}
-	maxRank := r
-	if int(maxRank) == n-1 {
-		return sa
+
+		// Name the LMS substrings in their sorted order. The length of the
+		// substring at p is kept in the slot for p/2 (LMS positions are at
+		// least two apart) until its name replaces it; equal lengths and
+		// symbols make equal substrings, since the symbols fix the types.
+		// The last substring runs into the sentinel and so equals no other.
+		lms, names := sa[:n1], sa[n1:]
+		clear(names)
+		end := n
+		for p := range lmsDown(text) {
+			names[p/2] = int32(end - p + 1)
+			end = p
+		}
+		name := int32(0)
+		prev, prevLen := 0, int32(0)
+		for _, p := range lms {
+			q, l := int(p), names[p/2]
+			if l != prevLen || q+int(l) > n || prev+int(l) > n ||
+				!slices.Equal(text[q:q+int(l)], text[prev:prev+int(l)]) {
+				name++
+			}
+			names[p/2] = name
+			prev, prevLen = q, l
+		}
+
+		// Gather the names in text order into the top of sa: the reduced
+		// string, which the recursion sorts into lms.
+		reduced := sa[n-n1:]
+		w := n1
+		for i := len(names) - 1; w > 0; i-- {
+			if names[i] > 0 {
+				w--
+				reduced[w] = names[i] - 1
+			}
+		}
+		if int(name) < n1 {
+			sais(reduced, lms, int(name))
+		} else {
+			for i, c := range reduced {
+				lms[c] = int32(i)
+			}
+		}
+
+		// Map each reduced suffix back to its LMS position.
+		w = n1
+		for p := range lmsDown(text) {
+			w--
+			reduced[w] = int32(p)
+		}
+		for i, r := range lms {
+			lms[i] = reduced[r]
+		}
+		clear(sa[n1:])
 	}
 
-	count := make([]int32, n+1)
-	sa2 := make([]int32, n)
-	for k := 1; k < n; k *= 2 {
-		// Sort by second key (rank[i+k], -1 if out of range): suffixes with
-		// i+k >= n have the smallest second key and come first; others are
-		// appended in the order of the previous sa pass restricted to
-		// positions >= k (a counting-sort-free stable pass).
-		w := 0
-		for i := n - k; i < n; i++ {
-			sa2[w] = int32(i)
-			w++
-		}
-		for _, s := range sa {
-			if int(s) >= k {
-				sa2[w] = s - int32(k)
-				w++
+	// Put the sorted LMS suffixes at their bucket tails and induce the rest.
+	bucketEnds(freq, bkt)
+	for i := n1 - 1; i >= 0; i-- {
+		j := sa[i]
+		sa[i] = 0
+		c := text[j]
+		bkt[c]--
+		sa[bkt[c]] = j
+	}
+	induceL(text, sa, freq, bkt)
+	induceS(text, sa, freq, bkt)
+}
+
+// lmsDown yields the LMS positions of text from last to first.
+func lmsDown[T symbol](text []T) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		sType := false // type of suffix i+1; suffix n-1 is L-type
+		for i := len(text) - 2; i >= 0; i-- {
+			switch c0, c1 := text[i], text[i+1]; {
+			case c0 < c1:
+				sType = true
+			case c0 > c1:
+				if sType && !yield(i+1) {
+					return
+				}
+				sType = false
 			}
-		}
-		// Stable counting sort of sa2 by first key rank[i].
-		for i := range count[:maxRank+2] {
-			count[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			count[rank[i]+1]++
-		}
-		for c := int32(1); c <= maxRank+1; c++ {
-			count[c] += count[c-1]
-		}
-		for _, s := range sa2 {
-			sa[count[rank[s]]] = s
-			count[rank[s]]++
-		}
-		// Recompute ranks.
-		key := func(i int32) (int32, int32) {
-			second := int32(-1)
-			if int(i)+k < n {
-				second = rank[int(i)+k]
-			}
-			return rank[i], second
-		}
-		r = 0
-		tmp[sa[0]] = 0
-		for i := 1; i < n; i++ {
-			a1, a2 := key(sa[i-1])
-			b1, b2 := key(sa[i])
-			if a1 != b1 || a2 != b2 {
-				r++
-			}
-			tmp[sa[i]] = r
-		}
-		rank, tmp = tmp, rank
-		maxRank = r
-		if int(maxRank) == n-1 {
-			break
 		}
 	}
-	return sa
+}
+
+// induceL scans sa left to right and places each L-type suffix, starting
+// with n-1, at the head of its bucket once its successor has been seen.
+// The predecessor of a suffix already in place is L-type exactly when its
+// symbol is not smaller.
+func induceL[T symbol](text []T, sa, freq, bkt []int32) {
+	bucketStarts(freq, bkt)
+	n := len(text)
+	c := text[n-1]
+	sa[bkt[c]] = int32(n - 1)
+	bkt[c]++
+	for _, j := range sa {
+		if j > 0 {
+			if c0 := text[j-1]; c0 >= text[j] {
+				sa[bkt[c0]] = j - 1
+				bkt[c0]++
+			}
+		}
+	}
+}
+
+// induceS scans sa right to left and places each S-type suffix at the tail
+// of its bucket once its successor has been seen. Each bucket fills with
+// S-type suffixes from the tail down ahead of the scan, so a suffix whose
+// slot lies at or beyond its bucket's fill point is S-type; with an equal
+// symbol its predecessor shares its type. On return bkt holds the start of
+// each bucket's S-type run.
+func induceS[T symbol](text []T, sa, freq, bkt []int32) {
+	bucketEnds(freq, bkt)
+	for i := len(sa) - 1; i >= 0; i-- {
+		j := sa[i]
+		if j == 0 {
+			continue
+		}
+		c0, c1 := text[j-1], text[j]
+		if c0 < c1 || c0 == c1 && i >= int(bkt[c1]) {
+			bkt[c0]--
+			sa[bkt[c0]] = j - 1
+		}
+	}
+}
+
+// bucketStarts sets bkt[c] to the first slot of symbol c's bucket.
+func bucketStarts(freq, bkt []int32) {
+	sum := int32(0)
+	for c, f := range freq {
+		bkt[c] = sum
+		sum += f
+	}
+}
+
+// bucketEnds sets bkt[c] to one past the last slot of symbol c's bucket.
+func bucketEnds(freq, bkt []int32) {
+	sum := int32(0)
+	for c, f := range freq {
+		sum += f
+		bkt[c] = sum
+	}
 }

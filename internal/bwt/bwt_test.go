@@ -3,9 +3,14 @@ package bwt
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"atc/internal/bytesort"
+	"atc/internal/workload"
 )
 
 func TestTransformKnown(t *testing.T) {
@@ -124,6 +129,17 @@ func TestInverseWrongPrimaryDetected(t *testing.T) {
 }
 
 func TestSuffixArrayAgainstNaive(t *testing.T) {
+	decreasing := make([]byte, 256)
+	for i := range decreasing {
+		decreasing[i] = byte(255 - i)
+	}
+	// Lengths 0-2, then inputs whose only LMS suffix is the sentinel:
+	// no position is smaller than its successor, so there is nothing to
+	// recurse on.
+	inputs := [][]byte{
+		{}, {0}, {255}, {0, 0}, {0, 1}, {1, 0}, {255, 255},
+		decreasing, []byte("zyyxxxw"), bytes.Repeat([]byte{9}, 50),
+	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(200) + 1
@@ -132,20 +148,25 @@ func TestSuffixArrayAgainstNaive(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Intn(alpha))
 		}
-		got := suffixArray(data)
-		want := make([]int32, n)
-		for i := range want {
-			want[i] = int32(i)
-		}
-		sort.Slice(want, func(a, b int) bool {
-			return bytes.Compare(data[want[a]:], data[want[b]:]) < 0
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: sa[%d] = %d, want %d (data=%v)", trial, i, got[i], want[i], data)
-			}
+		inputs = append(inputs, data)
+	}
+	for trial, data := range inputs {
+		if got, want := suffixArray(data), naiveSuffixArray(data); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: sa = %v, want %v (data=%v)", trial, got, want, data)
 		}
 	}
+}
+
+// naiveSuffixArray sorts the suffixes of data by direct comparison.
+func naiveSuffixArray(data []byte) []int32 {
+	sa := make([]int32, len(data))
+	for i := range sa {
+		sa[i] = int32(i)
+	}
+	sort.Slice(sa, func(a, b int) bool {
+		return bytes.Compare(data[sa[a]:], data[sa[b]:]) < 0
+	})
+	return sa
 }
 
 func TestRoundTripProperty(t *testing.T) {
@@ -179,7 +200,7 @@ func TestLargeRandom(t *testing.T) {
 }
 
 func TestLargeRepetitive(t *testing.T) {
-	// Worst case for comparison sorts; must stay fast with doubling sort.
+	// Worst case for comparison sorts; must stay fast with the suffix sort.
 	in := bytes.Repeat([]byte("aaaaaaab"), 1<<15)
 	out, p := Transform(in)
 	got, err := Inverse(out, p)
@@ -188,17 +209,113 @@ func TestLargeRepetitive(t *testing.T) {
 	}
 }
 
+// fibonacciWord returns the first n bytes of the Fibonacci word over
+// {a, b}: each prefix F(k) = F(k-1)F(k-2), which keeps the reduced
+// strings of SA-IS repetitive through about log n levels of recursion
+// (13 at 1 MiB).
+func fibonacciWord(n int) []byte {
+	a, b := []byte("a"), []byte("ab")
+	for len(b) < n {
+		a, b = b, append(append([]byte(nil), b...), a...)
+	}
+	return b[:n]
+}
+
+// gccBlock returns the first n bytes of bytesort's output for a
+// cache-filtered 403.gcc trace: the kind of block bsc transforms.
+func gccBlock(tb testing.TB, n int) []byte {
+	addrs, err := workload.GenerateFiltered("403.gcc", n/8+1, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := bytesort.NewEncoder(&buf, len(addrs))
+	if err := enc.WriteSlice(addrs); err != nil {
+		tb.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()[:n]
+}
+
 func BenchmarkTransform1MB(b *testing.B) {
+	const n = 1 << 20
 	rng := rand.New(rand.NewSource(1))
-	in := make([]byte, 1<<20)
-	for i := range in {
-		in[i] = byte(rng.Intn(64))
+	random := make([]byte, n)
+	for i := range random {
+		random[i] = byte(rng.Intn(64))
 	}
-	b.SetBytes(int64(len(in)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	cases := []struct {
+		name string
+		in   func(b *testing.B) []byte
+	}{
+		{"random64", func(*testing.B) []byte { return random }},
+		{"allsame", func(*testing.B) []byte { return bytes.Repeat([]byte{'x'}, n) }},
+		{"period2", func(*testing.B) []byte { return bytes.Repeat([]byte("ab"), n/2) }},
+		{"fibonacci", func(*testing.B) []byte { return fibonacciWord(n) }},
+		{"gcc", func(b *testing.B) []byte { return gccBlock(b, n) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			in := c.in(b)
+			b.SetBytes(int64(len(in)))
+			for b.Loop() {
+				Transform(in)
+			}
+		})
+	}
+}
+
+// TestTransformAllocBound holds the forward transform to 16 bytes of
+// allocation per input byte on inputs that drive SA-IS deep (Fibonacci)
+// or leave it nothing to reduce (all-same).
+func TestTransformAllocBound(t *testing.T) {
+	const n = 1 << 20
+	for name, in := range map[string][]byte{
+		"allsame":   bytes.Repeat([]byte{'x'}, n),
+		"fibonacci": fibonacciWord(n),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		Transform(in)
+		runtime.ReadMemStats(&after)
+		if perByte := float64(after.TotalAlloc-before.TotalAlloc) / n; perByte > 16 {
+			t.Errorf("%s: Transform allocated %.1f B per input byte, want <= 16", name, perByte)
+		}
 	}
+}
+
+func FuzzTransform(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{7}, 64))
+	f.Add(bytes.Repeat([]byte("ab"), 40))
+	f.Add(bytes.Repeat([]byte("abc"), 30))
+	f.Add(fibonacciWord(300))
+	f.Add(append(bytes.Repeat([]byte{0x00}, 50), bytes.Repeat([]byte{0xFF}, 50)...))
+	f.Add(append(bytes.Repeat([]byte{0xFF}, 50), bytes.Repeat([]byte{0x00}, 50)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4<<10 {
+			return
+		}
+		if got, want := suffixArray(data), naiveSuffixArray(data); !slices.Equal(got, want) {
+			t.Fatalf("suffixArray = %v, want %v", got, want)
+		}
+		out, p := Transform(data)
+		var count [256]int
+		for _, c := range data {
+			count[c]++
+		}
+		for _, c := range out {
+			count[c]--
+		}
+		if len(out) != len(data) || count != [256]int{} {
+			t.Fatalf("Transform output %v is not a permutation of %v", out, data)
+		}
+		got, err := Inverse(out, p)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Inverse(Transform(x)) = %v, %v; want %v", got, err, data)
+		}
+	})
 }
 
 func BenchmarkInverse1MB(b *testing.B) {

@@ -6,9 +6,9 @@
 //
 // Scaling: the paper's traces are 100 M – 1 G addresses; the defaults here
 // are 50–500× smaller so the full suite runs in minutes, with every knob
-// exported so paper-scale runs remain possible. DESIGN.md §4 maps each
-// experiment to its paper counterpart; EXPERIMENTS.md records measured
-// values.
+// exported so paper-scale runs remain possible. cmd/atcbench runs them
+// from the command line (see its row in the README's "Command-line tools"
+// table).
 package experiment
 
 import (
