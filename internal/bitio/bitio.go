@@ -111,9 +111,14 @@ func (w *Writer) Close() error { return w.Flush() }
 
 // Reader reads bits from an underlying io.Reader.
 // The zero value is not usable; use NewReader.
+//
+// A Reader holds up to 64 bits taken from its source but not yet consumed.
+// It takes a byte from the source only when ReadBits needs more bits than
+// it holds, or when its caller asks with Fill, so it holds no byte past the
+// one with the last bit consumed unless its caller filled one.
 type Reader struct {
 	r     io.ByteReader
-	acc   uint64 // bit accumulator; low nacc bits are valid, MSB-first order
+	acc   uint64 // bit buffer, left-aligned: the top nacc bits are held, the rest zero
 	nacc  uint
 	count int64
 	err   error
@@ -156,24 +161,17 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	got := uint(0)
 	for got < n {
 		if r.nacc == 0 {
-			b, err := r.r.ReadByte()
-			if err != nil {
+			if err := r.Fill(); err != nil {
 				if err == io.EOF && got > 0 {
 					err = io.ErrUnexpectedEOF
+					r.err = err
 				}
-				r.err = err
 				return 0, err
 			}
-			r.acc = uint64(b)
-			r.nacc = 8
 		}
-		take := n - got
-		if take > r.nacc {
-			take = r.nacc
-		}
-		shift := r.nacc - take
-		chunk := (r.acc >> shift) & ((1 << take) - 1)
-		v = (v << take) | chunk
+		take := min(n-got, r.nacc)
+		v = v<<take | r.Peek(take)
+		r.acc <<= take
 		r.nacc -= take
 		got += take
 	}
@@ -187,10 +185,48 @@ func (r *Reader) ReadBit() (uint, error) {
 	return uint(v), err
 }
 
+// Buffered reports how many bits the Reader holds: taken from the source
+// but not yet consumed.
+func (r *Reader) Buffered() uint { return r.nacc }
+
+// Fill takes one byte from the source into the bit buffer, which must
+// hold at most 56 bits (ErrTooManyBits otherwise). At end of stream it
+// returns io.EOF; like any read error it is sticky.
+func (r *Reader) Fill() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.nacc > 56 {
+		return ErrTooManyBits
+	}
+	b, err := r.r.ReadByte()
+	if err != nil {
+		r.err = err
+		return err
+	}
+	r.acc |= uint64(b) << (56 - r.nacc)
+	r.nacc += 8
+	return nil
+}
+
+// Peek returns the next n bits (n in [0,64]) without consuming them. Bits
+// past those buffered read as zero; Peek never reads from the source.
+func (r *Reader) Peek(n uint) uint64 {
+	return r.acc >> (64 - n)
+}
+
+// Skip consumes n buffered bits; n must be at most Buffered().
+func (r *Reader) Skip(n uint) {
+	r.acc <<= n
+	r.nacc -= n
+	r.count += int64(n)
+}
+
 // BitsRead reports the total number of bits successfully read.
 func (r *Reader) BitsRead() int64 { return r.count }
 
 // AlignByte discards bits up to the next byte boundary.
 func (r *Reader) AlignByte() {
-	r.acc, r.nacc = 0, 0
+	r.acc <<= r.nacc % 8
+	r.nacc -= r.nacc % 8
 }

@@ -111,6 +111,65 @@ func TestEOFBehaviour(t *testing.T) {
 	}
 }
 
+// TestPeekFillSkipAtEOF walks the buffered-read methods over a two-byte
+// stream to its end: Peek zero-pads past the bits held and never reads,
+// Fill takes exactly one byte and fails with a sticky io.EOF after the
+// last, and Skip consumes buffered bits that ReadBits then continues from.
+func TestPeekFillSkipAtEOF(t *testing.T) {
+	src := bytes.NewReader([]byte{0xA5, 0x3C})
+	r := NewReader(src)
+	if got := r.Peek(10); got != 0 || r.Buffered() != 0 || src.Len() != 2 {
+		t.Fatalf("Peek on empty buffer = %#x, buffered %d, source left %d", got, r.Buffered(), src.Len())
+	}
+	if err := r.Fill(); err != nil || r.Buffered() != 8 || src.Len() != 1 {
+		t.Fatalf("Fill: err %v, buffered %d, source left %d", err, r.Buffered(), src.Len())
+	}
+	if got := r.Peek(10); got != 0xA5<<2 {
+		t.Fatalf("Peek(10) over 8 bits = %#x, want %#x", got, 0xA5<<2)
+	}
+	r.Skip(3)
+	if err := r.Fill(); err != nil || r.Buffered() != 13 || src.Len() != 0 {
+		t.Fatalf("second Fill: err %v, buffered %d, source left %d", err, r.Buffered(), src.Len())
+	}
+	if got := r.Peek(13); got != 0x053C {
+		t.Fatalf("Peek(13) = %#x, want 0x53c", got)
+	}
+	if err := r.Fill(); err != io.EOF {
+		t.Fatalf("Fill at end of stream = %v, want io.EOF", err)
+	}
+	if got := r.Peek(16); got != 0x053C<<3 || r.Buffered() != 13 {
+		t.Fatalf("Peek(16) after EOF = %#x, buffered %d", got, r.Buffered())
+	}
+	r.Skip(13)
+	if r.Buffered() != 0 || r.BitsRead() != 16 {
+		t.Fatalf("after Skip: buffered %d, BitsRead %d", r.Buffered(), r.BitsRead())
+	}
+	if _, err := r.ReadBits(1); err != io.EOF {
+		t.Fatalf("ReadBits after EOF = %v, want io.EOF", err)
+	}
+}
+
+// TestFillFullBuffer checks that Fill refuses to overflow the 64-bit
+// buffer and that ReadBits drains a multi-byte buffer before reading.
+func TestFillFullBuffer(t *testing.T) {
+	src := bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	r := NewReader(src)
+	for i := 0; i < 8; i++ {
+		if err := r.Fill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Fill(); err != ErrTooManyBits || src.Len() != 1 {
+		t.Fatalf("Fill on full buffer = %v, source left %d", err, src.Len())
+	}
+	if v, err := r.ReadBits(12); err != nil || v != 0x010 {
+		t.Fatalf("ReadBits(12) = %#x, %v", v, err)
+	}
+	if v, err := r.ReadBits(60); err != nil || v != 0x0203040506070809 {
+		t.Fatalf("ReadBits(60) = %#x, %v", v, err)
+	}
+}
+
 func TestZeroBitOps(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

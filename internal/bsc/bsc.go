@@ -198,8 +198,10 @@ func compressBlock(w io.Writer, block []byte) error {
 // Reader decompresses a bsc stream.
 //
 // All consumption of the underlying stream — framing headers and the bit
-// stream alike — goes through a single buffered reader, and the bit reader
-// consumes it strictly byte-at-a-time, so block boundaries stay in sync.
+// stream alike — goes through a single buffered reader. The bit reader
+// takes a byte from it only when the next Huffman code needs more bits
+// than it holds, so after EOB it has taken exactly the bytes up to the
+// block's padding, and block boundaries stay in sync.
 //
 // A Reader owns all of its block-decode working state (symbol buffer,
 // Huffman tables, MTF and BWT scratch, the block buffer itself) and
@@ -385,11 +387,11 @@ func (r *Reader) nextBlock() error {
 		return ErrChecksum
 	}
 	r.pending = block
-	// NOTE: the bit reader may have buffered bits past the block's padding;
-	// bitio reads byte-at-a-time from the shared counter, and compressBlock
-	// byte-aligns its output, so the next block starts exactly at the next
-	// byte. bitio.Reader only consumes whole bytes, so no realignment of the
-	// underlying stream is needed.
+	// The bit reader took no byte past the one holding EOB's last bit (it
+	// reads on demand, and the decoder accepts a code only from bits it
+	// holds), and compressBlock zero-pads the stream to that byte's end, so
+	// r.br is already at the next block marker. The padding bits left in
+	// r.bit are discarded by its Reset for the next block.
 	return nil
 }
 

@@ -9,8 +9,11 @@ import (
 	"testing/quick"
 
 	"atc/internal/bitio"
+	"atc/internal/bwt"
+	"atc/internal/bytesort"
 	"atc/internal/huffman"
 	"atc/internal/mtf"
+	"atc/internal/workload"
 )
 
 func roundTrip(t *testing.T, data []byte, blockSize int) []byte {
@@ -265,19 +268,104 @@ func BenchmarkCompress(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompress decodes repetitive text and one 900 KB block of a
+// cache-filtered 403.gcc trace as bytesort lays it out for bsc, per
+// decompressed byte.
 func BenchmarkDecompress(b *testing.B) {
-	data := bytes.Repeat([]byte("benchmark data with some repetition in it. "), 5000)
-	c, err := Compress(data)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name string
+		in   func(b *testing.B) []byte
+	}{
+		{"text", func(*testing.B) []byte {
+			return bytes.Repeat([]byte("benchmark data with some repetition in it. "), 5000)
+		}},
+		{"gcc", func(b *testing.B) []byte {
+			addrs, err := workload.GenerateFiltered("403.gcc", DefaultBlockSize/8+1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return bytesort.TransformBuffer(addrs, bytesort.Sorted)[:DefaultBlockSize]
+		}},
 	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(c); err != nil {
-			b.Fatal(err)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			data := c.in(b)
+			compressed, err := Compress(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := NewReader(nil)
+			var src bytes.Reader
+			decode := func() {
+				src.Reset(compressed)
+				if err := r.Reset(&src); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.Copy(io.Discard, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			decode() // grow the Reader's block buffers
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				decode()
+			}
+		})
+	}
+}
+
+// TestBlocksEndAtEveryBitOffset decodes a stream of blocks whose Huffman
+// streams end at every bit offset 0–7 of their last byte, each followed
+// by another block or the end marker. The bit reader shares the block
+// framing's byte source, so a decoder that took one byte past a block's
+// padding would misread the next block marker.
+func TestBlocksEndAtEveryBitOffset(t *testing.T) {
+	const size, perOffset = 48, 4
+	rng := rand.New(rand.NewSource(7))
+	var blocks [8][][]byte
+	for found := 0; found < 8*perOffset; {
+		block := make([]byte, size)
+		for i := range block {
+			block[i] = byte(rng.Intn(1 + rng.Intn(40)))
+		}
+		if end := streamBits(t, block) % 8; len(blocks[end]) < perOffset {
+			blocks[end] = append(blocks[end], block)
+			found++
 		}
 	}
+	// Every offset is followed by a block of every offset, then the end
+	// marker.
+	var data []byte
+	for k := range perOffset {
+		for end := range 8 {
+			for next := range 8 {
+				data = append(data, blocks[end][k]...)
+				data = append(data, blocks[next][(k+1)%perOffset]...)
+			}
+		}
+	}
+	roundTrip(t, data, size)
+}
+
+// streamBits counts the bits compressBlock writes for block after its
+// byte-aligned header: the code-length table and the coded symbols.
+func streamBits(t *testing.T, block []byte) int {
+	transformed, _ := bwt.Transform(block)
+	syms := mtf.Encode(transformed)
+	freqs := make([]int64, mtf.NumSyms)
+	for _, s := range syms {
+		freqs[s]++
+	}
+	lengths, err := huffman.BuildLengths(freqs, huffman.MaxBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := lenBits * len(lengths)
+	for _, s := range syms {
+		bits += int(lengths[s])
+	}
+	return bits
 }
 
 // TestHostileZeroRunBounded frames a block that declares 100 bytes but

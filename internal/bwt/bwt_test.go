@@ -2,6 +2,7 @@ package bwt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -301,14 +302,7 @@ func FuzzTransform(f *testing.F) {
 			t.Fatalf("suffixArray = %v, want %v", got, want)
 		}
 		out, p := Transform(data)
-		var count [256]int
-		for _, c := range data {
-			count[c]++
-		}
-		for _, c := range out {
-			count[c]--
-		}
-		if len(out) != len(data) || count != [256]int{} {
+		if len(out) != len(data) || !isPermutation(out, data) {
 			t.Fatalf("Transform output %v is not a permutation of %v", out, data)
 		}
 		got, err := Inverse(out, p)
@@ -316,6 +310,51 @@ func FuzzTransform(f *testing.F) {
 			t.Fatalf("Inverse(Transform(x)) = %v, %v; want %v", got, err, data)
 		}
 	})
+}
+
+// FuzzInverse feeds InverseInto any bytes and any primary index: it
+// returns an error wrapping ErrCorrupt or ErrBadPrimary, or a
+// permutation of its input, and never panics. Each input is inverted
+// twice, into fresh and into reused working storage.
+func FuzzInverse(f *testing.F) {
+	banana, p := Transform([]byte("banana"))
+	f.Add(banana, p)
+	f.Add(banana, p+1)
+	f.Add([]byte{}, 0)
+	f.Add([]byte{}, 1)
+	f.Add([]byte{5}, 1)
+	f.Add(bytes.Repeat([]byte("ab"), 20), 7)
+	f.Add([]byte{0, 0, 0}, -1)
+	f.Fuzz(func(t *testing.T, out []byte, primary int) {
+		if len(out) > 4<<10 {
+			return
+		}
+		dst, next := make([]byte, 3), make([]int32, 5)
+		for range 2 {
+			got, grown, err := InverseInto(dst, next, out, primary)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadPrimary) {
+					t.Fatalf("InverseInto(%v, %d): unexpected error %v", out, primary, err)
+				}
+				return
+			}
+			if len(got) != len(out) || !isPermutation(got, out) {
+				t.Fatalf("InverseInto(%v, %d) = %v, not a permutation of its input", out, primary, got)
+			}
+			dst, next = got, grown
+		}
+	})
+}
+
+func isPermutation(a, b []byte) bool {
+	var count [256]int
+	for _, c := range a {
+		count[c]++
+	}
+	for _, c := range b {
+		count[c]--
+	}
+	return count == [256]int{}
 }
 
 func BenchmarkInverse1MB(b *testing.B) {

@@ -5,12 +5,16 @@
 // necessary, rebalanced to respect a maximum code length while keeping the
 // Kraft inequality satisfied (the same strategy used by zlib). Codes are
 // canonical: within a length, codes are assigned in increasing symbol order,
-// so a decoder needs only the length table.
+// so a decoder needs only the length table. The Decoder builds a 1024-entry
+// lookup table from it and decodes a code of up to 10 bits with one lookup,
+// longer ones by a short canonical walk; it takes input bytes only as codes
+// need them, so framing that follows the code stream stays in place.
 package huffman
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"atc/internal/bitio"
@@ -27,9 +31,10 @@ var (
 // BuildLengths computes a length-limited Huffman code-length table from
 // symbol frequencies. Symbols with zero frequency get length 0 (no code).
 // If exactly one symbol has nonzero frequency it is assigned length 1.
-// maxBits must be in [1, 57]; lengths never exceed it.
+// maxBits must be in [1, 57], and at least log2 of the number of symbols
+// with nonzero frequency; lengths never exceed it.
 func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
-	if maxBits < 1 || maxBits > 57 {
+	if maxBits < 1 || maxBits > maxCodeLen {
 		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
 	}
 	n := len(freqs)
@@ -53,6 +58,9 @@ func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
 	case 1:
 		lengths[nodes[live[0]].sym] = 1
 		return lengths, nil
+	}
+	if len(live) > 1<<maxBits {
+		return nil, fmt.Errorf("huffman: %d symbols do not fit in %d-bit codes", len(live), maxBits)
 	}
 	// Simple heap ordered by frequency (ties by node index for determinism).
 	less := func(a, b int) bool {
@@ -201,7 +209,7 @@ func NewCodebook(lengths []uint8) (*Codebook, error) {
 			maxLen = int(l)
 		}
 	}
-	if maxLen == 0 || maxLen > 57 {
+	if maxLen == 0 || maxLen > maxCodeLen {
 		return nil, errBadLengths
 	}
 	blCount := make([]int, maxLen+1)
@@ -258,15 +266,36 @@ func (e *Encoder) WriteSymbol(sym int) error {
 }
 
 // Decoder reads canonical Huffman codes from a bit stream.
+//
+// It decodes by table lookup (Moffat & Turpin, "On the implementation of
+// minimum redundancy prefix codes", 1997; zlib's inflate works the same
+// way): the next tableBits bits index a table whose entry gives the
+// symbol and code length of every code no longer than tableBits, so a
+// short code costs one lookup once its bits are held. Codes longer than the table — rare, since
+// they belong to the rarest symbols — continue with the canonical
+// first-code/count walk over the same bits, one length at a time.
 type Decoder struct {
 	r *bitio.Reader
+	// table[v] is sym<<lenShift | len for the code that prefixes the
+	// tableBits-bit value v, or 0 when v starts a longer code or none.
+	table     [1 << maxTableBits]uint32
+	tableBits uint
 	// Canonical decode tables indexed by code length.
-	firstCode []uint32 // first canonical code of each length
-	count     []int    // number of codes of each length
-	offset    []int    // index into symOrder of first symbol of each length
-	symOrder  []int    // symbols sorted by (length, symbol)
-	maxLen    int
+	firstCode [maxCodeLen + 1]uint64 // first canonical code of each length
+	count     [maxCodeLen + 1]uint32 // number of codes of each length
+	offset    [maxCodeLen + 1]uint32 // index into symOrder of first symbol of each length
+	symOrder  []uint32               // symbols sorted by (length, symbol)
+	maxLen    uint
 }
+
+const (
+	// maxCodeLen is the longest code a Codebook or Decoder accepts. The
+	// decoder fills a byte only while it holds fewer bits than the code
+	// needs, at most maxCodeLen-1 = 56, so the byte fits its 64-bit buffer.
+	maxCodeLen   = 57
+	maxTableBits = 10
+	lenShift     = 5 // table entries keep the code length in the low 5 bits
+)
 
 // NewDecoder builds a Decoder for the given length table reading from r.
 func NewDecoder(lengths []uint8, r *bitio.Reader) (*Decoder, error) {
@@ -277,88 +306,105 @@ func NewDecoder(lengths []uint8, r *bitio.Reader) (*Decoder, error) {
 	return d, nil
 }
 
-// Reset re-initialises d for a new length table and bit reader, reusing
-// its internal decode tables — equivalent to NewDecoder but, once the
-// decoder has seen a table of equal or greater depth and symbol count,
-// allocation-free. It validates the table the same way (the Kraft check
-// NewCodebook performs, without materialising codes); on error d is left
-// unusable until a successful Reset.
+// Reset re-initialises d for a new length table and bit reader, rebuilding
+// its lookup table in place — equivalent to NewDecoder but, once the
+// decoder has seen a table with as many symbols, allocation-free. Like
+// NewCodebook it rejects over-full tables (the Kraft check, without
+// materialising codes); on error d is left unusable until a successful
+// Reset.
 func (d *Decoder) Reset(lengths []uint8, r *bitio.Reader) error {
-	maxLen := 0
+	d.maxLen = 0
+	maxLen := uint(0)
 	for _, l := range lengths {
-		if int(l) > maxLen {
-			maxLen = int(l)
-		}
+		maxLen = max(maxLen, uint(l))
 	}
-	if maxLen == 0 || maxLen > 57 {
-		d.maxLen = 0
+	if maxLen == 0 || maxLen > maxCodeLen || len(lengths) > 1<<(32-lenShift) {
 		return errBadLengths
 	}
-	if cap(d.count) < maxLen+1 {
-		d.count = make([]int, maxLen+1)
-		d.firstCode = make([]uint32, maxLen+1)
-		d.offset = make([]int, maxLen+1)
-	} else {
-		d.count = d.count[:maxLen+1]
-		d.firstCode = d.firstCode[:maxLen+1]
-		d.offset = d.offset[:maxLen+1]
-		for i := range d.count {
-			d.count[i] = 0
-		}
-	}
+	clear(d.count[:])
 	for _, l := range lengths {
-		if l > 0 {
-			d.count[l]++
+		d.count[l]++
+	}
+	d.count[0] = 0
+	// Kraft check: left counts the codes of length l still unassigned.
+	left := int64(1)
+	for l := uint(1); l <= maxLen; l++ {
+		if left = left<<1 - int64(d.count[l]); left < 0 {
+			return errBadLengths
 		}
 	}
-	var kraft int64
-	for l := 1; l <= maxLen; l++ {
-		kraft += int64(d.count[l]) << uint(maxLen-l)
-	}
-	if kraft > int64(1)<<uint(maxLen) {
-		d.maxLen = 0
-		return errBadLengths
-	}
-	code := uint32(0)
-	total := 0
-	for l := 1; l <= maxLen; l++ {
-		if l > 1 {
-			code = (code + uint32(d.count[l-1])) << 1
-		}
+	var next [maxCodeLen + 1]uint32 // per-length fill cursor into symOrder
+	code, total := uint64(0), uint32(0)
+	for l := uint(1); l <= maxLen; l++ {
+		code = (code + uint64(d.count[l-1])) << 1
 		d.firstCode[l] = code
 		d.offset[l] = total
+		next[l] = total
 		total += d.count[l]
 	}
-	if cap(d.symOrder) < total {
-		d.symOrder = make([]int, 0, total)
+	d.symOrder = slices.Grow(d.symOrder[:0], int(total))[:total]
+	for sym, l := range lengths {
+		if l > 0 {
+			d.symOrder[next[l]] = uint32(sym)
+			next[l]++
+		}
 	}
-	d.symOrder = d.symOrder[:0]
-	for l := 1; l <= maxLen; l++ {
-		for sym, sl := range lengths {
-			if int(sl) == l {
-				d.symOrder = append(d.symOrder, sym)
+	// Canonical codes of one length are consecutive, so each code of
+	// length l <= tableBits owns the 2^(tableBits-l) entries it prefixes.
+	tb := min(maxLen, maxTableBits)
+	clear(d.table[:1<<tb])
+	for l := uint(1); l <= tb; l++ {
+		for k := uint32(0); k < d.count[l]; k++ {
+			sym := d.symOrder[d.offset[l]+k]
+			lo := uint32(d.firstCode[l]+uint64(k)) << (tb - l)
+			entry := sym<<lenShift | uint32(l)
+			for v := lo; v < lo+1<<(tb-l); v++ {
+				d.table[v] = entry
 			}
 		}
 	}
 	d.r = r
+	d.tableBits = tb
 	d.maxLen = maxLen
 	return nil
 }
 
 // ReadSymbol decodes and returns the next symbol.
+//
+// It takes a byte from the bit reader's source only when the next code
+// needs more bits than the reader holds, and accepts a table entry looked
+// up on zero-padded bits only when its code length is at most the number
+// of real bits held. So it never reads past the byte holding the code's
+// last bit: a caller that frames other data after the code stream on the
+// same byte source finds it where the stream's padding ends.
 func (d *Decoder) ReadSymbol() (int, error) {
-	code := uint32(0)
-	for l := 1; l <= d.maxLen; l++ {
-		bit, err := d.r.ReadBit()
-		if err != nil {
+	r := d.r
+	if d.maxLen == 0 {
+		return 0, errBadLengths
+	}
+	for {
+		e := d.table[r.Peek(d.tableBits)]
+		if l := uint(e) & (1<<lenShift - 1); l != 0 && l <= r.Buffered() {
+			r.Skip(l)
+			return int(e >> lenShift), nil
+		}
+		if r.Buffered() >= d.tableBits {
+			break
+		}
+		// No code of at most Buffered() bits matches: the code needs more.
+		if err := r.Fill(); err != nil {
 			return 0, err
 		}
-		code = code<<1 | uint32(bit)
-		if d.count[l] > 0 {
-			idx := int(code) - int(d.firstCode[l])
-			if idx >= 0 && idx < d.count[l] {
-				return d.symOrder[d.offset[l]+idx], nil
+	}
+	for l := d.tableBits + 1; l <= d.maxLen; l++ {
+		if r.Buffered() < l {
+			if err := r.Fill(); err != nil {
+				return 0, err
 			}
+		}
+		if idx := r.Peek(l) - d.firstCode[l]; idx < uint64(d.count[l]) {
+			r.Skip(l)
+			return int(d.symOrder[d.offset[l]+uint32(idx)]), nil
 		}
 	}
 	return 0, errBadLengths

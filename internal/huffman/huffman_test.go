@@ -2,11 +2,16 @@ package huffman
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"atc/internal/bitio"
+	"atc/internal/bwt"
+	"atc/internal/bytesort"
+	"atc/internal/mtf"
+	"atc/internal/workload"
 )
 
 func roundTrip(t *testing.T, data []byte, maxBits int) {
@@ -19,22 +24,12 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 	if err != nil {
 		t.Fatalf("BuildLengths: %v", err)
 	}
-	cb, err := NewCodebook(lengths)
+	coded, err := encode(lengths, data)
 	if err != nil {
-		t.Fatalf("NewCodebook: %v", err)
-	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
-	enc := NewEncoder(cb, bw)
-	for _, b := range data {
-		if err := enc.WriteSymbol(int(b)); err != nil {
-			t.Fatalf("WriteSymbol: %v", err)
-		}
-	}
-	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	br := bitio.NewReader(&buf)
+	src := &countingReader{b: coded}
+	br := bitio.NewReader(src)
 	dec, err := NewDecoder(lengths, br)
 	if err != nil {
 		t.Fatalf("NewDecoder: %v", err)
@@ -47,7 +42,55 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 		if got != int(want) {
 			t.Fatalf("symbol %d = %d, want %d", i, got, want)
 		}
+		// The decoder takes a byte only when a code needs its bits.
+		if bits := br.BitsRead(); int64(src.n) != (bits+7)/8 {
+			t.Fatalf("after symbol %d: %d bytes taken for %d bits", i, src.n, bits)
+		}
 	}
+}
+
+// encode codes syms with the canonical code for lengths, zero-padded to a
+// byte boundary.
+func encode[S uint8 | uint16](lengths []uint8, syms []S) ([]byte, error) {
+	cb, err := NewCodebook(lengths)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	bw := bitio.NewWriter(&buf)
+	enc := NewEncoder(cb, bw)
+	for _, s := range syms {
+		if err := enc.WriteSymbol(int(s)); err != nil {
+			return nil, err
+		}
+	}
+	if err := bw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// countingReader is a byte source that counts the bytes taken from it.
+type countingReader struct {
+	b []byte
+	n int
+}
+
+func (c *countingReader) ReadByte() (byte, error) {
+	if c.n == len(c.b) {
+		return 0, io.EOF
+	}
+	c.n++
+	return c.b[c.n-1], nil
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	if c.n == len(c.b) {
+		return 0, io.EOF
+	}
+	k := copy(p, c.b[c.n:])
+	c.n += k
+	return k, nil
 }
 
 func TestRoundTripSimple(t *testing.T) {
@@ -127,6 +170,9 @@ func TestBadMaxBits(t *testing.T) {
 	if _, err := BuildLengths(freqs, 64); err == nil {
 		t.Fatal("maxBits=64 should fail")
 	}
+	if _, err := BuildLengths(freqs, 1); err == nil {
+		t.Fatal("three symbols in 1-bit codes should fail")
+	}
 }
 
 func TestOverfullLengthsRejected(t *testing.T) {
@@ -186,43 +232,196 @@ func TestRoundTripProperty(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Intn(nSyms))
 		}
-		freqs := make([]int64, 256)
-		for _, b := range data {
-			freqs[b]++
-		}
-		lengths, err := BuildLengths(freqs, MaxBits)
-		if err != nil {
-			return false
-		}
-		cb, err := NewCodebook(lengths)
-		if err != nil {
-			return false
-		}
-		var buf bytes.Buffer
-		bw := bitio.NewWriter(&buf)
-		enc := NewEncoder(cb, bw)
-		for _, b := range data {
-			if err := enc.WriteSymbol(int(b)); err != nil {
-				return false
-			}
-		}
-		if err := bw.Close(); err != nil {
-			return false
-		}
-		dec, err := NewDecoder(lengths, bitio.NewReader(&buf))
-		if err != nil {
-			return false
-		}
-		for _, want := range data {
-			got, err := dec.ReadSymbol()
-			if err != nil || got != int(want) {
-				return false
-			}
-		}
+		roundTrip(t, data, MaxBits)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refDecoder is the bit-serial canonical decoder that the table-driven
+// ReadSymbol replaced, kept as the reference it is checked against: it
+// reads one bit at a time and, after each, tests whether the code so far
+// falls in the range of codes of that length.
+type refDecoder struct {
+	r         *bitio.Reader
+	firstCode []uint32
+	count     []int
+	offset    []int
+	symOrder  []int
+	maxLen    int
+}
+
+func newRefDecoder(lengths []uint8, r *bitio.Reader) (*refDecoder, error) {
+	maxLen := 0
+	for _, l := range lengths {
+		maxLen = max(maxLen, int(l))
+	}
+	if maxLen == 0 || maxLen > maxCodeLen {
+		return nil, errBadLengths
+	}
+	d := &refDecoder{
+		r:         r,
+		firstCode: make([]uint32, maxLen+1),
+		count:     make([]int, maxLen+1),
+		offset:    make([]int, maxLen+1),
+		maxLen:    maxLen,
+	}
+	for _, l := range lengths {
+		if l > 0 {
+			d.count[l]++
+		}
+	}
+	var kraft int64
+	for l := 1; l <= maxLen; l++ {
+		kraft += int64(d.count[l]) << uint(maxLen-l)
+	}
+	if kraft > int64(1)<<uint(maxLen) {
+		return nil, errBadLengths
+	}
+	code, total := uint32(0), 0
+	for l := 1; l <= maxLen; l++ {
+		if l > 1 {
+			code = (code + uint32(d.count[l-1])) << 1
+		}
+		d.firstCode[l] = code
+		d.offset[l] = total
+		total += d.count[l]
+		for sym, sl := range lengths {
+			if int(sl) == l {
+				d.symOrder = append(d.symOrder, sym)
+			}
+		}
+	}
+	return d, nil
+}
+
+func (d *refDecoder) ReadSymbol() (int, error) {
+	code := uint32(0)
+	for l := 1; l <= d.maxLen; l++ {
+		bit, err := d.r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		code = code<<1 | uint32(bit)
+		if idx := int(code) - int(d.firstCode[l]); idx >= 0 && idx < d.count[l] {
+			return d.symOrder[d.offset[l]+idx], nil
+		}
+	}
+	return 0, errBadLengths
+}
+
+// fuzzLengths turns fuzz bytes into a code-length table of up to 300
+// symbols. An even first byte takes the rest as raw lengths 0–20, which
+// gives over-full and under-full tables; an odd one takes them as
+// exponents of symbol frequencies and builds a complete table with
+// BuildLengths, limited to 1–20 bits, which gives deep codes.
+func fuzzLengths(spec []byte) []uint8 {
+	if len(spec) < 2 || len(spec) > 301 {
+		return nil
+	}
+	if spec[0]&1 == 0 {
+		lengths := make([]uint8, len(spec)-1)
+		for i, b := range spec[1:] {
+			lengths[i] = b % 21
+		}
+		return lengths
+	}
+	freqs := make([]int64, len(spec)-1)
+	for i, b := range spec[1:] {
+		if b != 0 {
+			freqs[i] = 1 << (b % 48)
+		}
+	}
+	lengths, err := BuildLengths(freqs, 1+int(spec[0]>>1)%20)
+	if err != nil {
+		return nil
+	}
+	return lengths
+}
+
+// FuzzHuffmanDecode checks the table decoder against refDecoder on any
+// length table and any bit stream: the same tables are rejected, and the
+// two return the same symbols after consuming the same bits, or fail at
+// the same symbol.
+func FuzzHuffmanDecode(f *testing.F) {
+	f.Add([]byte{0, 1, 1}, []byte{0x5a})
+	f.Add([]byte{0, 1, 1, 1}, []byte{0xff})                 // over-full
+	f.Add([]byte{0, 3, 0, 0, 20}, []byte{0x00, 0xff, 0x12}) // under-full
+	f.Add([]byte{0, 2, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12}, bytes.Repeat([]byte{0xfe}, 12))
+	f.Add([]byte{39, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25},
+		bytes.Repeat([]byte{0xff, 0xfe, 0x01}, 20))
+	f.Add(append([]byte{31}, bytes.Repeat([]byte{1, 40, 3, 9, 0}, 50)...), bytes.Repeat([]byte{0x9c, 0x37, 0xe1}, 40))
+	f.Fuzz(func(t *testing.T, spec, stream []byte) {
+		lengths := fuzzLengths(spec)
+		if lengths == nil {
+			return
+		}
+		ref, refErr := newRefDecoder(lengths, bitio.NewReader(bytes.NewReader(stream)))
+		var d Decoder
+		br := bitio.NewReader(bytes.NewReader(stream))
+		if err := d.Reset(lengths, br); (err == nil) != (refErr == nil) {
+			t.Fatalf("Reset(%v) = %v, reference %v", lengths, err, refErr)
+		} else if err != nil {
+			return
+		}
+		for i := 0; i <= 8*len(stream); i++ {
+			got, err := d.ReadSymbol()
+			want, wantErr := ref.ReadSymbol()
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("symbol %d: err %v, reference %v", i, err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if got != want || br.BitsRead() != ref.r.BitsRead() {
+				t.Fatalf("symbol %d: %d after %d bits, reference %d after %d", i, got, br.BitsRead(), want, ref.r.BitsRead())
+			}
+		}
+		t.Fatalf("decoded %d symbols from %d bytes", 8*len(stream)+1, len(stream))
+	})
+}
+
+// TestDecodeAllocFree pins that a warmed-up Decoder is reset and decodes
+// a whole block without allocating.
+func TestDecodeAllocFree(t *testing.T) {
+	data := make([]byte, 0, 1<<16)
+	for i := 0; len(data) < cap(data); i++ {
+		data = append(data, bytes.Repeat([]byte{byte(i)}, 1<<(i%14))...)
+	}
+	freqs := make([]int64, 256)
+	for _, b := range data {
+		freqs[b]++
+	}
+	lengths, err := BuildLengths(freqs, MaxBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded, err := encode(lengths, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		src  bytes.Reader
+		bits bitio.Reader
+		dec  Decoder
+	)
+	decode := func() {
+		src.Reset(coded)
+		bits.Reset(&src)
+		if err := dec.Reset(lengths, &bits); err != nil {
+			t.Fatal(err)
+		}
+		for range data {
+			if _, err := dec.ReadSymbol(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(10, decode); allocs != 0 {
+		t.Fatalf("Reset and decode allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -248,5 +447,49 @@ func BenchmarkEncode(b *testing.B) {
 			_ = enc.WriteSymbol(int(v))
 		}
 		_ = bw.Close()
+	}
+}
+
+// BenchmarkDecode decodes the Huffman-coded MTF symbols of one 900 KB bsc
+// block of a cache-filtered 403.gcc trace, per input byte of the block.
+func BenchmarkDecode(b *testing.B) {
+	const n = 900 * 1000
+	addrs, err := workload.GenerateFiltered("403.gcc", n/8+1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	block := bytesort.TransformBuffer(addrs, bytesort.Sorted)[:n]
+	transformed, _ := bwt.Transform(block)
+	syms := mtf.Encode(transformed)
+	freqs := make([]int64, mtf.NumSyms)
+	for _, s := range syms {
+		freqs[s]++
+	}
+	lengths, err := BuildLengths(freqs, MaxBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coded, err := encode(lengths, syms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var (
+		src  bytes.Reader
+		bits bitio.Reader
+		dec  Decoder
+	)
+	b.SetBytes(n)
+	b.ReportAllocs()
+	for b.Loop() {
+		src.Reset(coded)
+		bits.Reset(&src)
+		if err := dec.Reset(lengths, &bits); err != nil {
+			b.Fatal(err)
+		}
+		for range syms {
+			if _, err := dec.ReadSymbol(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

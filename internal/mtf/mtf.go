@@ -16,6 +16,7 @@
 package mtf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -54,25 +55,12 @@ func Encode(data []byte) []uint16 {
 		zeroRun = 0
 	}
 	for _, b := range data {
-		// Find position of b in the MTF table and move it to front.
-		var pos int
 		if order[0] == b {
-			pos = 0
-		} else {
-			j := 1
-			for order[j] != b {
-				j++
-			}
-			copy(order[1:j+1], order[:j])
-			order[0] = b
-			pos = j
-		}
-		if pos == 0 {
 			zeroRun++
 			continue
 		}
 		flushRun()
-		syms = append(syms, uint16(pos+1))
+		syms = append(syms, uint16(toFront(&order, b)+1))
 	}
 	flushRun()
 	return append(syms, EOB)
@@ -154,21 +142,22 @@ func MoveToFront(data []byte) []byte {
 	}
 	out := make([]byte, len(data))
 	for k, b := range data {
-		var pos int
-		if order[0] == b {
-			pos = 0
-		} else {
-			j := 1
-			for order[j] != b {
-				j++
-			}
-			copy(order[1:j+1], order[:j])
-			order[0] = b
-			pos = j
+		if order[0] != b {
+			out[k] = byte(toFront(&order, b))
 		}
-		out[k] = byte(pos)
 	}
 	return out
+}
+
+// toFront moves b, which is not at the front of order, to the front and
+// returns its former position. The search is bytes.IndexByte, which is
+// assembly-backed: after the BWT most bytes not at the front sit deep in
+// the table.
+func toFront(order *[256]byte, b byte) int {
+	j := bytes.IndexByte(order[1:], b) + 1
+	copy(order[1:j+1], order[:j])
+	order[0] = b
+	return j
 }
 
 // InverseMoveToFront reverses MoveToFront.

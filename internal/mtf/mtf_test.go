@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"atc/internal/bwt"
+	"atc/internal/bytesort"
+	"atc/internal/workload"
 )
 
 func TestMoveToFrontKnown(t *testing.T) {
@@ -145,10 +149,33 @@ func TestLongRunBoundaries(t *testing.T) {
 	}
 }
 
+// BenchmarkEncode runs Encode on repetitive text and on the BWT of one
+// 900 KB bsc block of a cache-filtered 403.gcc trace, where most symbols
+// sit deep in the MTF table.
 func BenchmarkEncode(b *testing.B) {
-	data := bytes.Repeat([]byte("abcabcabd"), 10000)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		Encode(data)
+	cases := []struct {
+		name string
+		in   func(b *testing.B) []byte
+	}{
+		{"text", func(*testing.B) []byte { return bytes.Repeat([]byte("abcabcabd"), 10000) }},
+		{"gcc", func(b *testing.B) []byte {
+			const n = 900 * 1000
+			addrs, err := workload.GenerateFiltered("403.gcc", n/8+1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			transformed, _ := bwt.Transform(bytesort.TransformBuffer(addrs, bytesort.Sorted)[:n])
+			return transformed
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			data := c.in(b)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				Encode(data)
+			}
+		})
 	}
 }
