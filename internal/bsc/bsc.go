@@ -12,7 +12,8 @@
 //	    u32  original length (little endian)
 //	    u32  IEEE CRC-32 of the original bytes
 //	    u32  BWT primary index
-//	    258 × 5-bit Huffman code lengths (bit packed)
+//	    258 × 5-bit Huffman code lengths (bit packed; 0 for an unused
+//	        symbol, otherwise at most 20: a larger length is corrupt)
 //	    Huffman-coded RUNA/RUNB/MTF symbols, terminated by EOB
 //	    (zero padding to the next byte boundary)
 //	u8 0 (end-of-stream marker)
@@ -42,7 +43,7 @@ const (
 	// MaxBlockSize bounds memory use for hostile streams.
 	MaxBlockSize = 16 << 20
 
-	lenBits = 5 // bits per Huffman code length in the header (max length 20)
+	lenBits = 5 // bits per Huffman code length in the header (max huffman.MaxBits)
 )
 
 var (
@@ -210,7 +211,6 @@ func compressBlock(w io.Writer, block []byte) error {
 // allocation — this is what the decode pipeline's per-Decompressor
 // reader pool relies on.
 type Reader struct {
-	raw     *byteCounter
 	br      *bufio.Reader
 	pending []byte // decompressed bytes not yet delivered; aliases block
 	done    bool
@@ -230,43 +230,27 @@ type Reader struct {
 	next    []int32 // bwt.InverseInto successor-table scratch
 }
 
-// byteCounter counts bytes consumed from the underlying reader so callers
-// can attribute input consumption (used by the Table 2 instrumentation).
-type byteCounter struct {
-	r io.Reader
-	n int64
-}
-
-func (b *byteCounter) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
-	b.n += int64(n)
-	return n, err
-}
-
 // NewReader returns a Reader decompressing from r.
 func NewReader(r io.Reader) *Reader {
-	bc := &byteCounter{r: r}
-	return &Reader{raw: bc, br: bufio.NewReader(bc)}
+	// A buffer of its own: bufio.NewReader(r) returns r itself when r is a
+	// large enough *bufio.Reader, and Reset would then retarget the caller's.
+	br := bufio.NewReader(nil)
+	br.Reset(r)
+	return &Reader{br: br}
 }
 
-// Reset discards all stream state — position, error, byte counter — and
-// restarts the Reader on src, retaining the decode working buffers. After
-// Reset the Reader behaves exactly like NewReader(src). It always returns
-// nil; the error return satisfies xcompress.ResetReader.
+// Reset discards all stream state — position and error — and restarts the
+// Reader on src, retaining the decode working buffers. After Reset the
+// Reader behaves exactly like NewReader(src). It always returns nil; the
+// error return satisfies xcompress.ResetReader.
 func (r *Reader) Reset(src io.Reader) error {
-	r.raw.r = src
-	r.raw.n = 0
-	r.br.Reset(r.raw)
+	r.br.Reset(src)
 	r.pending = nil
 	r.done = false
 	r.started = false
 	r.err = nil
 	return nil
 }
-
-// CompressedBytesRead reports how many compressed bytes have been consumed
-// from the underlying reader (including buffered read-ahead).
-func (r *Reader) CompressedBytesRead() int64 { return r.raw.n }
 
 func (r *Reader) readHeader() error {
 	m := r.hdr[:4]

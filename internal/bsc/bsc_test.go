@@ -2,7 +2,9 @@ package bsc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
@@ -210,20 +212,6 @@ func TestSmallReads(t *testing.T) {
 	}
 }
 
-func TestCompressedBytesRead(t *testing.T) {
-	c, err := Compress([]byte("count me"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(bytes.NewReader(c))
-	if _, err := io.ReadAll(r); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.CompressedBytesRead(); got != int64(len(c)) {
-		t.Fatalf("CompressedBytesRead = %d, want %d", got, len(c))
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	f := func(data []byte, bs uint16) bool {
 		blockSize := int(bs%4096) + 1
@@ -404,4 +392,85 @@ func TestHostileZeroRunBounded(t *testing.T) {
 	if _, err := Decompress(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
+}
+
+// longCodeStream frames a one-byte block whose length table gives EOB a
+// 21-bit code, one bit over the format's bound. Everything else about the
+// block is valid: the code is under-full but prefix-free, and the CRC and
+// primary index are the block's own.
+func longCodeStream(tb testing.TB) []byte {
+	block := []byte("a")
+	transformed, primary := bwt.Transform(block)
+	syms := mtf.Encode(transformed)
+	if len(syms) != 2 || syms[1] != mtf.EOB {
+		tb.Fatalf("mtf.Encode(%q) = %v, want one symbol and EOB", block, syms)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	hdr := [13]byte{1}
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(block)))
+	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(block))
+	binary.LittleEndian.PutUint32(hdr[9:13], uint32(primary))
+	buf.Write(hdr[:])
+	lengths := make([]uint8, mtf.NumSyms)
+	lengths[syms[0]], lengths[mtf.EOB] = 1, 21
+	bw := bitio.NewWriter(&buf)
+	for _, l := range lengths {
+		if err := bw.WriteBits(uint64(l), lenBits); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	// The canonical codes: 0 for the 1-bit symbol, and for EOB, the first
+	// 21-bit code, 1 followed by 20 zeros.
+	if err := bw.WriteBits(0, 1); err != nil {
+		tb.Fatal(err)
+	}
+	if err := bw.WriteBits(1<<20, 21); err != nil {
+		tb.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	buf.WriteByte(0)
+	return buf.Bytes()
+}
+
+// TestLengthAboveMaxBitsCorrupt pins the format's bound on code lengths:
+// a block is corrupt when its table holds a length above huffman.MaxBits,
+// even one its 5-bit field can carry and that would decode.
+func TestLengthAboveMaxBitsCorrupt(t *testing.T) {
+	if got, err := Decompress(longCodeStream(t)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decompress = %q, %v; want ErrCorrupt", got, err)
+	}
+}
+
+// FuzzReader decompresses any bytes as a whole bsc stream. The result is
+// data, or an error wrapping ErrCorrupt or ErrChecksum; never a panic.
+func FuzzReader(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, 600)
+	rng.Read(random)
+	for _, in := range []struct {
+		data      []byte
+		blockSize int
+	}{
+		{nil, DefaultBlockSize},
+		{[]byte("abracadabra, the quick brown fox jumps over the lazy dog"), DefaultBlockSize},
+		{bytes.Repeat([]byte("corruption canary "), 40), 256},
+		{random, 200},
+		{bytes.Repeat([]byte{0}, 3000), 1000},
+	} {
+		c, err := CompressSize(in.data, in.blockSize)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(c)
+	}
+	f.Add(longCodeStream(f))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		_, err := io.ReadAll(NewReader(bytes.NewReader(stream)))
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrChecksum) {
+			t.Fatalf("error %v wraps neither ErrCorrupt nor ErrChecksum", err)
+		}
+	})
 }

@@ -48,9 +48,6 @@ func TestReaderReset(t *testing.T) {
 			if !bytes.Equal(got, p) {
 				t.Fatalf("round %d payload %d: decode mismatch (%d vs %d bytes)", round, i, len(got), len(p))
 			}
-			if r.CompressedBytesRead() != int64(len(comp)) {
-				t.Fatalf("round %d payload %d: counted %d compressed bytes, want %d", round, i, r.CompressedBytesRead(), len(comp))
-			}
 		}
 		// Abandon a stream halfway; the next Reset must fully recover.
 		comp, err := Compress(payloads[1])

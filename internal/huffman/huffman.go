@@ -5,13 +5,18 @@
 // necessary, rebalanced to respect a maximum code length while keeping the
 // Kraft inequality satisfied (the same strategy used by zlib). Codes are
 // canonical: within a length, codes are assigned in increasing symbol order,
-// so a decoder needs only the length table. The Decoder builds a 1024-entry
-// lookup table from it and decodes a code of up to 10 bits with one lookup,
-// longer ones by a short canonical walk; it takes input bytes only as codes
-// need them, so framing that follows the code stream stays in place.
+// so a decoder needs only the length table. Every length lies in
+// [1, MaxBits], 0 marking a symbol without a code, and NewCodebook and
+// Decoder.Reset validate a table by one check: at least one code, no length
+// above MaxBits, and no more codes than the Kraft inequality allows. The
+// Decoder builds a 1024-entry lookup table from the lengths and decodes a
+// code of up to 10 bits with one lookup, longer ones by a short canonical
+// walk; it takes input bytes only as codes need them, so framing that
+// follows the code stream stays in place.
 package huffman
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -20,7 +25,7 @@ import (
 	"atc/internal/bitio"
 )
 
-// MaxBits is the default maximum code length supported by this package.
+// MaxBits is the longest code this package builds or accepts, as in bzip2.
 const MaxBits = 20
 
 var (
@@ -31,112 +36,70 @@ var (
 // BuildLengths computes a length-limited Huffman code-length table from
 // symbol frequencies. Symbols with zero frequency get length 0 (no code).
 // If exactly one symbol has nonzero frequency it is assigned length 1.
-// maxBits must be in [1, 57], and at least log2 of the number of symbols
-// with nonzero frequency; lengths never exceed it.
+// maxBits must be in [1, MaxBits], and at least log2 of the number of
+// symbols with nonzero frequency; lengths never exceed it. The frequencies
+// must sum to at most math.MaxInt64.
 func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
-	if maxBits < 1 || maxBits > maxCodeLen {
+	if maxBits < 1 || maxBits > MaxBits {
 		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
 	}
-	n := len(freqs)
-	lengths := make([]uint8, n)
-	type node struct {
-		freq        int64
-		sym         int // >= 0 for leaf, -1 for internal
-		left, right int // indexes into nodes
-	}
-	var live []int // heap of node indexes
-	nodes := make([]node, 0, 2*n)
+	lengths := make([]uint8, len(freqs))
+	var syms []int
+	var total int64
 	for sym, f := range freqs {
 		if f > 0 {
-			nodes = append(nodes, node{freq: f, sym: sym, left: -1, right: -1})
-			live = append(live, len(nodes)-1)
+			if total += f; total < 0 {
+				return nil, errors.New("huffman: frequencies overflow int64")
+			}
+			syms = append(syms, sym)
 		}
 	}
-	switch len(live) {
+	n := len(syms)
+	switch n {
 	case 0:
 		return nil, errNoSymbols
 	case 1:
-		lengths[nodes[live[0]].sym] = 1
+		lengths[syms[0]] = 1
 		return lengths, nil
 	}
-	if len(live) > 1<<maxBits {
-		return nil, fmt.Errorf("huffman: %d symbols do not fit in %d-bit codes", len(live), maxBits)
+	if n > 1<<maxBits {
+		return nil, fmt.Errorf("huffman: %d symbols do not fit in %d-bit codes", n, maxBits)
 	}
-	// Simple heap ordered by frequency (ties by node index for determinism).
-	less := func(a, b int) bool {
-		if nodes[a].freq != nodes[b].freq {
-			return nodes[a].freq < nodes[b].freq
-		}
-		return a < b
+	// Two-queue construction (van Leeuwen, 1976). Node i < n is the leaf
+	// syms[i], in stable frequency order; node n+j is the j-th merge.
+	// Merges come out in nondecreasing weight, so the lighter of the two
+	// queue fronts is the lightest node left. A tie goes to the leaf: that
+	// is the (weight, node index) order of a heap over the same nodes, so
+	// the tree, and every length, is the heap construction's.
+	slices.SortStableFunc(syms, func(a, b int) int { return cmp.Compare(freqs[a], freqs[b]) })
+	weight := make([]int64, 2*n-1)
+	parent := make([]int, 2*n-1)
+	for i, sym := range syms {
+		weight[i] = freqs[sym]
 	}
-	down := func(h []int, i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
+	leaf, merged := 0, n // the fronts of the two queues
+	for k := n; k < len(weight); k++ {
+		for range 2 { // merge the two lightest nodes into node k
+			i := merged
+			if leaf < n && (merged == k || weight[leaf] <= weight[merged]) {
+				i, leaf = leaf, leaf+1
+			} else {
+				merged++
 			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(live)/2 - 1; i >= 0; i-- {
-		down(live, i)
-	}
-	pop := func() int {
-		top := live[0]
-		live[0] = live[len(live)-1]
-		live = live[:len(live)-1]
-		down(live, 0)
-		return top
-	}
-	push := func(idx int) {
-		live = append(live, idx)
-		i := len(live) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(live[i], live[p]) {
-				break
-			}
-			live[i], live[p] = live[p], live[i]
-			i = p
+			weight[k] += weight[i]
+			parent[i] = k
 		}
 	}
-	for len(live) > 1 {
-		a := pop()
-		b := pop()
-		nodes = append(nodes, node{freq: nodes[a].freq + nodes[b].freq, sym: -1, left: a, right: b})
-		push(len(nodes) - 1)
+	// Depths from the root down: a parent's index is above its children's,
+	// so it holds its depth before they read it. The root keeps depth 0.
+	depth := parent
+	for i := len(depth) - 2; i >= 0; i-- {
+		depth[i] = depth[parent[i]] + 1
 	}
-	// Depth-first walk assigning depths.
-	root := live[0]
-	type frame struct{ idx, depth int }
-	stack := []frame{{root, 0}}
-	maxSeen := 0
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := nodes[f.idx]
-		if nd.sym >= 0 {
-			d := f.depth
-			if d == 0 {
-				d = 1 // cannot happen for >=2 symbols, defensive
-			}
-			lengths[nd.sym] = uint8(d)
-			if d > maxSeen {
-				maxSeen = d
-			}
-			continue
-		}
-		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+	for i, sym := range syms {
+		lengths[sym] = uint8(depth[i])
 	}
-	if maxSeen > maxBits {
+	if slices.Max(depth[:n]) > maxBits {
 		limitLengths(freqs, lengths, maxBits)
 	}
 	return lengths, nil
@@ -191,59 +154,72 @@ func limitLengths(freqs []int64, lengths []uint8, maxBits int) {
 	}
 }
 
+// code is a validated canonical code: how many codes each length has and
+// the first code of each length. It is the one construction behind both
+// the Codebook and the Decoder.
+type code struct {
+	count     [MaxBits + 1]uint32
+	firstCode [MaxBits + 1]uint32
+	maxLen    uint // 0 until a successful build
+}
+
+// build fills c from a length table. It rejects a table with no code, a
+// length above MaxBits, more than maxSyms symbols, or more codes than the
+// Kraft inequality allows; an under-full table, as a single symbol gives,
+// is accepted.
+func (c *code) build(lengths []uint8) error {
+	c.maxLen = 0
+	if len(lengths) == 0 || len(lengths) > maxSyms {
+		return errBadLengths
+	}
+	maxLen := uint(slices.Max(lengths))
+	if maxLen == 0 || maxLen > MaxBits {
+		return errBadLengths
+	}
+	clear(c.count[:])
+	for _, l := range lengths {
+		c.count[l]++
+	}
+	c.count[0] = 0
+	// left counts the codes of length l still unassigned; it cannot
+	// overflow, and goes negative exactly when the table is over-full.
+	left, first := int64(1), uint32(0)
+	for l := uint(1); l <= maxLen; l++ {
+		if left = left<<1 - int64(c.count[l]); left < 0 {
+			return errBadLengths
+		}
+		first = (first + c.count[l-1]) << 1
+		c.firstCode[l] = first
+	}
+	c.maxLen = maxLen
+	return nil
+}
+
 // Codebook holds canonical codes derived from a length table.
 type Codebook struct {
 	Lengths []uint8
 	Codes   []uint32
-	maxLen  int
 }
 
-// NewCodebook builds canonical codes from a length table. It validates that
-// the lengths satisfy the Kraft inequality with equality allowed (over-full
-// tables are rejected; under-full tables are permitted, as produced by the
-// single-symbol case).
+// NewCodebook builds canonical codes from a length table. It accepts a
+// table exactly when Decoder.Reset does: at least one code, every length
+// at most MaxBits, and no over-full code; an under-full one, as produced
+// by the single-symbol case, is permitted.
 func NewCodebook(lengths []uint8) (*Codebook, error) {
-	maxLen := 0
-	for _, l := range lengths {
-		if int(l) > maxLen {
-			maxLen = int(l)
-		}
+	var c code
+	if err := c.build(lengths); err != nil {
+		return nil, err
 	}
-	if maxLen == 0 || maxLen > maxCodeLen {
-		return nil, errBadLengths
-	}
-	blCount := make([]int, maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			blCount[l]++
-		}
-	}
-	var kraft int64
-	for l := 1; l <= maxLen; l++ {
-		kraft += int64(blCount[l]) << uint(maxLen-l)
-	}
-	if kraft > int64(1)<<uint(maxLen) {
-		return nil, errBadLengths
-	}
-	nextCode := make([]uint32, maxLen+2)
-	code := uint32(0)
-	for l := 1; l <= maxLen; l++ {
-		code = (code + uint32(blCount[l-1])) << 1
-		nextCode[l] = code
-	}
+	next := c.firstCode
 	codes := make([]uint32, len(lengths))
 	for sym, l := range lengths {
-		if l == 0 {
-			continue
+		if l > 0 {
+			codes[sym] = next[l]
+			next[l]++
 		}
-		codes[sym] = nextCode[l]
-		nextCode[l]++
 	}
-	return &Codebook{Lengths: append([]uint8(nil), lengths...), Codes: codes, maxLen: maxLen}, nil
+	return &Codebook{Lengths: slices.Clone(lengths), Codes: codes}, nil
 }
-
-// MaxLen reports the longest code length in the book.
-func (cb *Codebook) MaxLen() int { return cb.maxLen }
 
 // Encoder writes symbols as canonical Huffman codes to a bit stream.
 type Encoder struct {
@@ -271,77 +247,42 @@ func (e *Encoder) WriteSymbol(sym int) error {
 // minimum redundancy prefix codes", 1997; zlib's inflate works the same
 // way): the next tableBits bits index a table whose entry gives the
 // symbol and code length of every code no longer than tableBits, so a
-// short code costs one lookup once its bits are held. Codes longer than the table — rare, since
-// they belong to the rarest symbols — continue with the canonical
-// first-code/count walk over the same bits, one length at a time.
+// short code costs one lookup once its bits are held. Codes longer than
+// the table — rare, since they belong to the rarest symbols — continue
+// with the canonical first-code/count walk over the same bits, one length
+// at a time.
 type Decoder struct {
 	r *bitio.Reader
 	// table[v] is sym<<lenShift | len for the code that prefixes the
 	// tableBits-bit value v, or 0 when v starts a longer code or none.
 	table     [1 << maxTableBits]uint32
 	tableBits uint
-	// Canonical decode tables indexed by code length.
-	firstCode [maxCodeLen + 1]uint64 // first canonical code of each length
-	count     [maxCodeLen + 1]uint32 // number of codes of each length
-	offset    [maxCodeLen + 1]uint32 // index into symOrder of first symbol of each length
-	symOrder  []uint32               // symbols sorted by (length, symbol)
-	maxLen    uint
+	code
+	offset   [MaxBits + 1]uint32 // index into symOrder of first symbol of each length
+	symOrder []uint32            // symbols sorted by (length, symbol)
 }
 
 const (
-	// maxCodeLen is the longest code a Codebook or Decoder accepts. The
-	// decoder fills a byte only while it holds fewer bits than the code
-	// needs, at most maxCodeLen-1 = 56, so the byte fits its 64-bit buffer.
-	maxCodeLen   = 57
 	maxTableBits = 10
 	lenShift     = 5 // table entries keep the code length in the low 5 bits
+	// maxSyms is the largest alphabet whose symbols fit a table entry.
+	maxSyms = 1 << (32 - lenShift)
 )
 
-// NewDecoder builds a Decoder for the given length table reading from r.
-func NewDecoder(lengths []uint8, r *bitio.Reader) (*Decoder, error) {
-	d := &Decoder{}
-	if err := d.Reset(lengths, r); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Reset re-initialises d for a new length table and bit reader, rebuilding
-// its lookup table in place — equivalent to NewDecoder but, once the
-// decoder has seen a table with as many symbols, allocation-free. Like
-// NewCodebook it rejects over-full tables (the Kraft check, without
-// materialising codes); on error d is left unusable until a successful
-// Reset.
+// Reset initialises d for a length table and bit reader, building its
+// lookup table in place; once d has seen a table with as many symbols it
+// does not allocate. It accepts a table exactly when NewCodebook does; on
+// error d is left unusable until a successful Reset.
 func (d *Decoder) Reset(lengths []uint8, r *bitio.Reader) error {
-	d.maxLen = 0
-	maxLen := uint(0)
-	for _, l := range lengths {
-		maxLen = max(maxLen, uint(l))
+	if err := d.build(lengths); err != nil {
+		return err
 	}
-	if maxLen == 0 || maxLen > maxCodeLen || len(lengths) > 1<<(32-lenShift) {
-		return errBadLengths
-	}
-	clear(d.count[:])
-	for _, l := range lengths {
-		d.count[l]++
-	}
-	d.count[0] = 0
-	// Kraft check: left counts the codes of length l still unassigned.
-	left := int64(1)
-	for l := uint(1); l <= maxLen; l++ {
-		if left = left<<1 - int64(d.count[l]); left < 0 {
-			return errBadLengths
-		}
-	}
-	var next [maxCodeLen + 1]uint32 // per-length fill cursor into symOrder
-	code, total := uint64(0), uint32(0)
-	for l := uint(1); l <= maxLen; l++ {
-		code = (code + uint64(d.count[l-1])) << 1
-		d.firstCode[l] = code
+	total := uint32(0)
+	for l := uint(1); l <= d.maxLen; l++ {
 		d.offset[l] = total
-		next[l] = total
 		total += d.count[l]
 	}
+	next := d.offset // per-length fill cursor into symOrder
 	d.symOrder = slices.Grow(d.symOrder[:0], int(total))[:total]
 	for sym, l := range lengths {
 		if l > 0 {
@@ -351,13 +292,12 @@ func (d *Decoder) Reset(lengths []uint8, r *bitio.Reader) error {
 	}
 	// Canonical codes of one length are consecutive, so each code of
 	// length l <= tableBits owns the 2^(tableBits-l) entries it prefixes.
-	tb := min(maxLen, maxTableBits)
+	tb := min(d.maxLen, maxTableBits)
 	clear(d.table[:1<<tb])
 	for l := uint(1); l <= tb; l++ {
 		for k := uint32(0); k < d.count[l]; k++ {
-			sym := d.symOrder[d.offset[l]+k]
-			lo := uint32(d.firstCode[l]+uint64(k)) << (tb - l)
-			entry := sym<<lenShift | uint32(l)
+			lo := (d.firstCode[l] + k) << (tb - l)
+			entry := d.symOrder[d.offset[l]+k]<<lenShift | uint32(l)
 			for v := lo; v < lo+1<<(tb-l); v++ {
 				d.table[v] = entry
 			}
@@ -365,7 +305,6 @@ func (d *Decoder) Reset(lengths []uint8, r *bitio.Reader) error {
 	}
 	d.r = r
 	d.tableBits = tb
-	d.maxLen = maxLen
 	return nil
 }
 
@@ -402,7 +341,7 @@ func (d *Decoder) ReadSymbol() (int, error) {
 				return 0, err
 			}
 		}
-		if idx := r.Peek(l) - d.firstCode[l]; idx < uint64(d.count[l]) {
+		if idx := r.Peek(l) - uint64(d.firstCode[l]); idx < uint64(d.count[l]) {
 			r.Skip(l)
 			return int(d.symOrder[d.offset[l]+uint32(idx)]), nil
 		}

@@ -3,7 +3,9 @@ package huffman
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,9 +32,9 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 	}
 	src := &countingReader{b: coded}
 	br := bitio.NewReader(src)
-	dec, err := NewDecoder(lengths, br)
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
+	var dec Decoder
+	if err := dec.Reset(lengths, br); err != nil {
+		t.Fatalf("Reset: %v", err)
 	}
 	for i, want := range data {
 		got, err := dec.ReadSymbol()
@@ -167,18 +169,45 @@ func TestBadMaxBits(t *testing.T) {
 	if _, err := BuildLengths(freqs, 0); err == nil {
 		t.Fatal("maxBits=0 should fail")
 	}
-	if _, err := BuildLengths(freqs, 64); err == nil {
-		t.Fatal("maxBits=64 should fail")
+	if _, err := BuildLengths(freqs, MaxBits+1); err == nil {
+		t.Fatalf("maxBits=%d should fail", MaxBits+1)
 	}
 	if _, err := BuildLengths(freqs, 1); err == nil {
 		t.Fatal("three symbols in 1-bit codes should fail")
 	}
 }
 
+// TestFrequencyOverflow pins that a frequency total past math.MaxInt64 is
+// an error, not a tree built from wrapped weights.
+func TestFrequencyOverflow(t *testing.T) {
+	if _, err := BuildLengths([]int64{math.MaxInt64, 1, 1}, MaxBits); err == nil {
+		t.Fatal("frequencies summing past MaxInt64 accepted")
+	}
+	if _, err := BuildLengths([]int64{math.MaxInt64 - 2, 1, 1}, MaxBits); err != nil {
+		t.Fatalf("frequencies summing to MaxInt64: %v", err)
+	}
+}
+
 func TestOverfullLengthsRejected(t *testing.T) {
-	// Three codes of length 1 violate Kraft.
-	if _, err := NewCodebook([]uint8{1, 1, 1}); err == nil {
-		t.Fatal("overfull length table accepted")
+	for _, tc := range []struct {
+		name    string
+		lengths []uint8
+	}{
+		{"three 1-bit codes", []uint8{1, 1, 1}},
+		// 128 one-bit codes plus one 57-bit code: a Kraft sum of shifted
+		// counts overflows int64 on it and reads as within bounds.
+		{"128 1-bit and a 57-bit code", append(bytes.Repeat([]uint8{1}, 128), 57)},
+		{"a 21-bit code", []uint8{1, 2, 21}},
+		{"no code", []uint8{0, 0}},
+		{"empty", nil},
+	} {
+		if _, err := NewCodebook(tc.lengths); err == nil {
+			t.Errorf("%s: NewCodebook accepted %v", tc.name, tc.lengths)
+		}
+		var d Decoder
+		if err := d.Reset(tc.lengths, bitio.NewReader(bytes.NewReader(nil))); err == nil {
+			t.Errorf("%s: Decoder.Reset accepted %v", tc.name, tc.lengths)
+		}
 	}
 }
 
@@ -258,7 +287,7 @@ func newRefDecoder(lengths []uint8, r *bitio.Reader) (*refDecoder, error) {
 	for _, l := range lengths {
 		maxLen = max(maxLen, int(l))
 	}
-	if maxLen == 0 || maxLen > maxCodeLen {
+	if maxLen == 0 || maxLen > MaxBits {
 		return nil, errBadLengths
 	}
 	d := &refDecoder{
@@ -380,6 +409,219 @@ func FuzzHuffmanDecode(f *testing.F) {
 			}
 		}
 		t.Fatalf("decoded %d symbols from %d bytes", 8*len(stream)+1, len(stream))
+	})
+}
+
+// FuzzCodebook checks that the encoder and the decoder validate a length
+// table alike: NewCodebook fails exactly when Decoder.Reset fails, and when
+// both accept, any symbol sequence encodes and decodes back, the decoder
+// reading exactly the bits the encoder wrote.
+func FuzzCodebook(f *testing.F) {
+	f.Add([]byte{2, 1, 3, 3}, []byte{0, 1, 0, 2, 0, 3})
+	f.Add(append(bytes.Repeat([]byte{1}, 128), 57), []byte{0, 128})
+	f.Add([]byte{1, 2, 21}, []byte{0, 2})
+	f.Add([]byte{0, 0, 20}, []byte{0, 2, 0, 2})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 20},
+		[]byte{0, 19, 0, 20, 0, 0, 0, 10, 0, 11})
+	f.Fuzz(func(t *testing.T, table, msg []byte) {
+		if len(table) > 300 {
+			return
+		}
+		lengths := make([]uint8, len(table))
+		for i, b := range table {
+			lengths[i] = b % 64
+		}
+		cb, cbErr := NewCodebook(lengths)
+		var d Decoder
+		if err := d.Reset(lengths, bitio.NewReader(bytes.NewReader(nil))); (err == nil) != (cbErr == nil) {
+			t.Fatalf("lengths %v: NewCodebook %v, Decoder.Reset %v", lengths, cbErr, err)
+		} else if err != nil {
+			return
+		}
+		var coded []int
+		for sym, l := range lengths {
+			if l > 0 {
+				coded = append(coded, sym)
+			}
+		}
+		var syms []int
+		for i := 0; i+1 < len(msg); i += 2 {
+			syms = append(syms, coded[(int(msg[i])<<8|int(msg[i+1]))%len(coded)])
+		}
+		var buf bytes.Buffer
+		bw := bitio.NewWriter(&buf)
+		enc := NewEncoder(cb, bw)
+		for _, sym := range syms {
+			if err := enc.WriteSymbol(sym); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nbits := bw.BitsWritten()
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		br := bitio.NewReader(&buf)
+		if err := d.Reset(lengths, br); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range syms {
+			if got, err := d.ReadSymbol(); err != nil || got != want {
+				t.Fatalf("lengths %v: symbol %d = %d, %v; want %d", lengths, i, got, err, want)
+			}
+		}
+		if br.BitsRead() != nbits {
+			t.Fatalf("lengths %v: decoded %d bits, encoded %d", lengths, br.BitsRead(), nbits)
+		}
+	})
+}
+
+// refBuildLengths is the heap construction that BuildLengths' two queues
+// replaced, kept as the reference they are checked against: a binary heap
+// of nodes ordered by (frequency, node index), leaves indexed in symbol
+// order and merges after them, and a depth-first walk for the lengths.
+func refBuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
+	n := len(freqs)
+	lengths := make([]uint8, n)
+	type node struct {
+		freq        int64
+		sym         int // >= 0 for leaf, -1 for internal
+		left, right int // indexes into nodes
+	}
+	var live []int // heap of node indexes
+	nodes := make([]node, 0, 2*n)
+	for sym, f := range freqs {
+		if f > 0 {
+			nodes = append(nodes, node{freq: f, sym: sym, left: -1, right: -1})
+			live = append(live, len(nodes)-1)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil, errNoSymbols
+	case 1:
+		lengths[nodes[live[0]].sym] = 1
+		return lengths, nil
+	}
+	if len(live) > 1<<maxBits {
+		return nil, errBadLengths
+	}
+	less := func(a, b int) bool {
+		if nodes[a].freq != nodes[b].freq {
+			return nodes[a].freq < nodes[b].freq
+		}
+		return a < b
+	}
+	down := func(h []int, i int) {
+		for {
+			l, r := 2*i+1, 2*i+2
+			m := i
+			if l < len(h) && less(h[l], h[m]) {
+				m = l
+			}
+			if r < len(h) && less(h[r], h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		down(live, i)
+	}
+	pop := func() int {
+		top := live[0]
+		live[0] = live[len(live)-1]
+		live = live[:len(live)-1]
+		down(live, 0)
+		return top
+	}
+	push := func(idx int) {
+		live = append(live, idx)
+		i := len(live) - 1
+		for i > 0 {
+			p := (i - 1) / 2
+			if !less(live[i], live[p]) {
+				break
+			}
+			live[i], live[p] = live[p], live[i]
+			i = p
+		}
+	}
+	for len(live) > 1 {
+		a := pop()
+		b := pop()
+		nodes = append(nodes, node{freq: nodes[a].freq + nodes[b].freq, sym: -1, left: a, right: b})
+		push(len(nodes) - 1)
+	}
+	type frame struct{ idx, depth int }
+	stack := []frame{{live[0], 0}}
+	maxSeen := 0
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := nodes[f.idx]
+		if nd.sym >= 0 {
+			lengths[nd.sym] = uint8(f.depth)
+			maxSeen = max(maxSeen, f.depth)
+			continue
+		}
+		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+	}
+	if maxSeen > maxBits {
+		limitLengths(freqs, lengths, maxBits)
+	}
+	return lengths, nil
+}
+
+// FuzzBuildLengths checks BuildLengths against refBuildLengths on up to 300
+// frequencies: a zero byte is no symbol, a byte below 128 is its own
+// frequency (many ties), and a byte b from 128 up is 2^(b%63), which gives
+// deep trees for limitLengths and totals that overflow int64. Both give the
+// same lengths or both fail; an overflowing total must fail.
+func FuzzBuildLengths(f *testing.F) {
+	f.Add(uint8(MaxBits), []byte("abracadabra, the quick brown fox"))
+	f.Add(uint8(5), []byte{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 1, 1, 1, 1})
+	f.Add(uint8(9), []byte{128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139, 140, 141, 142, 143})
+	f.Add(uint8(1), []byte{7, 7})
+	f.Add(uint8(MaxBits), []byte{188, 188, 1}) // 2^62 + 2^62 + 1 overflows
+	f.Fuzz(func(t *testing.T, maxBits uint8, spec []byte) {
+		if len(spec) > 300 {
+			return
+		}
+		freqs := make([]int64, len(spec))
+		var total int64
+		overflow := false
+		for i, b := range spec {
+			freqs[i] = int64(b)
+			if b >= 128 {
+				freqs[i] = 1 << (b % 63)
+			}
+			if freqs[i] > math.MaxInt64-total {
+				overflow = true
+			}
+			total += freqs[i]
+		}
+		mb := 1 + (int(maxBits)+MaxBits-1)%MaxBits // 1–20 map to themselves
+		got, err := BuildLengths(freqs, mb)
+		if overflow {
+			if err == nil {
+				t.Fatalf("frequencies %v overflow int64 but got lengths %v", freqs, got)
+			}
+			return
+		}
+		want, wantErr := refBuildLengths(freqs, mb)
+		if (err == nil) != (wantErr == nil) || !slices.Equal(got, want) {
+			t.Fatalf("BuildLengths(%v, %d) = %v, %v; reference %v, %v", freqs, mb, got, err, want, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if _, err := NewCodebook(got); err != nil {
+			t.Fatalf("BuildLengths(%v, %d) = %v, rejected by NewCodebook: %v", freqs, mb, got, err)
+		}
 	})
 }
 

@@ -133,22 +133,6 @@ func DecodeIntoLimit(dst []byte, syms []uint16, limit int) ([]byte, int, error) 
 	return nil, 0, fmt.Errorf("%w: missing EOB", errCorrupt)
 }
 
-// MoveToFront applies the plain MTF transform (no run coding); exported for
-// testing and for analysis tools.
-func MoveToFront(data []byte) []byte {
-	var order [256]byte
-	for i := range order {
-		order[i] = byte(i)
-	}
-	out := make([]byte, len(data))
-	for k, b := range data {
-		if order[0] != b {
-			out[k] = byte(toFront(&order, b))
-		}
-	}
-	return out
-}
-
 // toFront moves b, which is not at the front of order, to the front and
 // returns its former position. The search is bytes.IndexByte, which is
 // assembly-backed: after the BWT most bytes not at the front sit deep in
@@ -158,20 +142,4 @@ func toFront(order *[256]byte, b byte) int {
 	copy(order[1:j+1], order[:j])
 	order[0] = b
 	return j
-}
-
-// InverseMoveToFront reverses MoveToFront.
-func InverseMoveToFront(data []byte) []byte {
-	var order [256]byte
-	for i := range order {
-		order[i] = byte(i)
-	}
-	out := make([]byte, len(data))
-	for k, p := range data {
-		b := order[p]
-		copy(order[1:int(p)+1], order[:p])
-		order[0] = b
-		out[k] = b
-	}
-	return out
 }

@@ -10,42 +10,6 @@ import (
 	"atc/internal/workload"
 )
 
-func TestMoveToFrontKnown(t *testing.T) {
-	// Classic example: "banana" over initial identity table.
-	in := []byte("banana")
-	got := MoveToFront(in)
-	// b=98 -> 98; a: a is now at index 98? order after moving b: [b,0..97,99..]
-	// a=97 originally at 97, after b moved to front a sits at 98.
-	want := []byte{98, 98, 110, 1, 1, 1}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("MTF(banana) = %v, want %v", got, want)
-	}
-}
-
-func TestMoveToFrontRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		return bytes.Equal(InverseMoveToFront(MoveToFront(data)), data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMoveToFrontRunsBecomeZeros(t *testing.T) {
-	in := []byte{5, 5, 5, 5, 7, 7, 7}
-	out := MoveToFront(in)
-	for i := 1; i < 4; i++ {
-		if out[i] != 0 {
-			t.Fatalf("repeat positions should MTF to 0, got %v", out)
-		}
-	}
-	for i := 5; i < 7; i++ {
-		if out[i] != 0 {
-			t.Fatalf("repeat positions should MTF to 0, got %v", out)
-		}
-	}
-}
-
 func TestZeroRunBijectiveBase2(t *testing.T) {
 	// Runs of the front symbol of length r must encode to the documented
 	// RUNA/RUNB digit strings.
