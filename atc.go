@@ -48,11 +48,11 @@
 // in both modes: lossy mode hands each interval that becomes a chunk to
 // the pool, and lossless mode cuts the stream into WithSegmentAddrs-sized
 // segments (default 16 Mi addresses, on-disk format v2) that are
-// compressed as independent chunks the same way. With 1 worker, lossy
-// intervals are classified on the calling goroutine while the single
-// worker compresses the previous chunk. Interval/segment classification,
-// chunk numbering and the INFO record sequence run on one goroutine in
-// trace order, so the output directory is byte-for-byte identical for
+// compressed as independent chunks the same way. Lossy intervals are
+// classified on one more goroutine at every worker count, so classifying
+// interval i overlaps producing interval i+1. Interval classification,
+// chunk numbering and the INFO record sequence run on that one goroutine
+// in trace order, so the output directory is byte-for-byte identical for
 // every worker count at a fixed segment size.
 // (An archive's blobs are equally byte-identical, but the file appends
 // them in worker completion order; use WithWorkers(1) or pack a directory
@@ -214,10 +214,10 @@ func WithStore(s Store) Option {
 
 // WithWorkers sets the number of goroutines compressing completed chunks
 // — lossy intervals and lossless segments (default runtime.GOMAXPROCS(0)).
-// n = 1 runs one worker behind an unbuffered queue in both modes, and
-// lossy intervals are classified on the calling goroutine: compressing
-// chunk i overlaps producing chunk i+1, and streaming memory is capped at
-// two chunk buffers. The compressed directory is byte-for-byte
+// Lossy classification runs on one more goroutine at any n. n = 1 runs
+// one worker behind an unbuffered queue in both modes: compressing chunk
+// i overlaps producing chunk i+1, and streaming memory is capped at two
+// chunk buffers. The compressed directory is byte-for-byte
 // identical for every worker count; worker errors are deferred into a
 // later Code call or Close. Only the legacy single-chunk lossless layout
 // (WithSegmentAddrs(0)) is unaffected by workers.

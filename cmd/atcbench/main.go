@@ -49,7 +49,7 @@ func main() {
 		seed     = flag.Uint64("seed", experiment.DefaultSeed, "workload seed")
 		modelsCS = flag.String("models", "", "comma-separated model subset (default: experiment-specific)")
 		backend  = flag.String("backend", "bsc", "byte-level back end")
-		workers  = flag.Int("workers", 0, "chunk-compression workers (default GOMAXPROCS; 1 = classify on the caller, one compression worker)")
+		workers  = flag.Int("workers", 0, "chunk-compression workers (default GOMAXPROCS; 1 = one compression worker)")
 		segment  = flag.Int("segment", 0, "lossless segment length in addresses (default 16Mi; -1 = legacy single chunk)")
 		archive  = flag.Bool("archive", false, "compress experiment traces into single-file .atc archives instead of directories")
 

@@ -29,7 +29,7 @@ func main() {
 	bufAddrs := flag.Int("buffer", 0, "bytesort buffer B in addresses (default 1,000,000)")
 	segment := flag.Int("segment", 0, "lossless segment length in addresses (default 16Mi; -1 = legacy single chunk)")
 	epsilon := flag.Float64("epsilon", 0, "lossy matching threshold (default 0.1)")
-	workers := flag.Int("workers", 0, "chunk-compression workers (default GOMAXPROCS; 1 = classify on the caller, one compression worker)")
+	workers := flag.Int("workers", 0, "chunk-compression workers (default GOMAXPROCS); lossy intervals are classified on one more goroutine at any count, and 1 hands each chunk to one worker unbuffered")
 	archive := flag.Bool("archive", false, "write a single-file .atc archive instead of a directory")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bin2atc [flags] <directory | -archive file.atc>\nreads 64-bit LE values from stdin\n")

@@ -225,6 +225,9 @@ type Decoder struct {
 	pos     int
 	done    bool
 	err     error
+	// left counts the addresses the rest of the stream may hold, set by
+	// Limit; negative means no limit.
+	left int64
 
 	blocks  []byte  // reused 8×n block buffer
 	posBuf  []int32 // reused inverse-sort scratch
@@ -239,7 +242,16 @@ func NewDecoder(r io.Reader) *Decoder {
 // NewDecoderMode returns a Decoder for the given variant; the mode must
 // match the Encoder that produced the stream.
 func NewDecoderMode(r io.Reader, mode Mode) *Decoder {
-	return &Decoder{r: r, mode: mode}
+	return &Decoder{r: r, mode: mode, left: -1}
+}
+
+// Limit caps the addresses the rest of the stream may hold at n: a
+// segment header claiming more than are left is ErrCorrupt, before any
+// buffer is sized from it. A caller that knows the stream's length (a
+// chunk index) bounds decode memory by it instead of by maxSegmentAddrs.
+// Reset lifts the limit.
+func (d *Decoder) Limit(n int64) {
+	d.left = n
 }
 
 // Reset re-targets the Decoder at a new stream in the same mode,
@@ -252,6 +264,7 @@ func (d *Decoder) Reset(r io.Reader) {
 	d.pos = 0
 	d.done = false
 	d.err = nil
+	d.left = -1
 }
 
 // ReadSlice fills dst with decoded addresses, copying in bulk from each
@@ -321,6 +334,12 @@ func (d *Decoder) readSegment() error {
 	}
 	if n > maxSegmentAddrs {
 		return fmt.Errorf("%w: segment of %d addresses exceeds limit %d", ErrCorrupt, n, maxSegmentAddrs)
+	}
+	if d.left >= 0 {
+		if int64(n) > d.left {
+			return fmt.Errorf("%w: segment of %d addresses, %d left in the stream", ErrCorrupt, n, d.left)
+		}
+		d.left -= int64(n)
 	}
 	if cap(d.blocks) < 8*n {
 		d.blocks = make([]byte, 8*n)

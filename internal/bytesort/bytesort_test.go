@@ -2,6 +2,7 @@ package bytesort
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -178,6 +179,71 @@ func TestDecoderDetectsTruncation(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated stream decoded without error")
 	}
+}
+
+// encodeStream bytesorts addrs into framed segments of bufAddrs.
+func encodeStream(t testing.TB, addrs []uint64, bufAddrs int) []byte {
+	var buf bytes.Buffer
+	e := NewEncoder(&buf, bufAddrs)
+	if err := e.WriteSlice(addrs); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestDecoderLimit(t *testing.T) {
+	addrs := make([]uint64, 300)
+	for i := range addrs {
+		addrs[i] = uint64(i) * 0x1001
+	}
+	data := encodeStream(t, addrs, 100) // three segments of 100
+	for _, tc := range []struct {
+		limit int64
+		ok    bool
+	}{{300, true}, {1 << 40, true}, {299, false}, {50, false}, {0, false}} {
+		d := NewDecoder(bytes.NewReader(data))
+		d.Limit(tc.limit)
+		got, err := d.ReadAll()
+		switch {
+		case tc.ok && (err != nil || len(got) != len(addrs)):
+			t.Fatalf("limit %d: %d addresses, err %v", tc.limit, len(got), err)
+		case !tc.ok && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("limit %d: err = %v, want ErrCorrupt", tc.limit, err)
+		}
+		// Reset lifts the limit.
+		d.Reset(bytes.NewReader(data))
+		if got, err := d.ReadAll(); err != nil || len(got) != len(addrs) {
+			t.Fatalf("limit %d, after Reset: %d addresses, err %v", tc.limit, len(got), err)
+		}
+	}
+}
+
+// FuzzDecoder decodes any bytes with the stream limited to len(data)
+// addresses: the result is addresses, never more than the input has
+// bytes for, or an error wrapping ErrCorrupt; never a panic.
+func FuzzDecoder(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 64, 300} {
+		addrs := make([]uint64, n)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Intn(1<<20)) << 6
+		}
+		f.Add(encodeStream(f, addrs, 100))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDecoder(bytes.NewReader(data))
+		d.Limit(int64(len(data)))
+		addrs, err := d.ReadAll()
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error without ErrCorrupt: %v", err)
+		}
+		if err == nil && 8*len(addrs) > len(data) {
+			t.Fatalf("%d addresses from %d bytes", len(addrs), len(data))
+		}
+	})
 }
 
 func TestEmptyStream(t *testing.T) {

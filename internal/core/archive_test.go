@@ -244,11 +244,9 @@ func TestArchiveCreateFailureLeavesNoFile(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("unknown mode left an archive file (stat err = %v)", err)
 	}
-	orig := createChunkFileHook
-	createChunkFileHook = func(st store.Store, name string) (io.WriteCloser, error) {
+	swapChunkHook(t, func(st store.Store, name string) (io.WriteCloser, error) {
 		return nil, errInjected
-	}
-	defer func() { createChunkFileHook = orig }()
+	})
 	if _, err := Create(path, Options{Mode: Lossless, SegmentAddrs: -1, Archive: true}); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}

@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"atc/internal/bsc"
 	"atc/internal/store"
 )
 
@@ -173,6 +175,65 @@ func TestChunkLoadBoundedByIndex(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
 		t.Fatalf("loading the %d-byte blob allocated %d bytes, want < 4 MiB", len(blob), alloc)
+	}
+}
+
+// segmentBombBlob is a 182-byte chunk blob: the bsc compression of a
+// bytesort segment header claiming 2^27 addresses, then 64 zero bytes.
+func segmentBombBlob(t testing.TB) []byte {
+	raw := make([]byte, 4+64)
+	binary.LittleEndian.PutUint32(raw, 1<<27)
+	blob, err := bsc.Compress(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestChunkSegmentBoundedByIndex puts segmentBombBlob in as chunk 2 of
+// the golden segmented trace. The segment header claims far more
+// addresses than the index gives the chunk, so a range over it and a
+// full decode must each fail with ErrCorrupt before sizing a buffer from
+// the header.
+func TestChunkSegmentBoundedByIndex(t *testing.T) {
+	blob := segmentBombBlob(t)
+	if len(blob) != 182 {
+		t.Fatalf("blob is %d bytes, want 182", len(blob))
+	}
+	st := store.NewMem()
+	if err := store.CopyAll(st, store.OpenDir("testdata/v2-lossless")); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteBlob(st, "2.bsc", blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, what := range []string{"DecodeRange", "DecodeAll"} {
+		d, err := Open("", DecodeOptions{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sp ChunkSpan
+		for _, s := range d.ChunkIndex() {
+			if s.ChunkID == 2 {
+				sp = s
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if what == "DecodeRange" {
+			_, err = d.DecodeRange(sp.Start, sp.End)
+		} else {
+			_, err = d.DecodeAll()
+		}
+		runtime.ReadMemStats(&after)
+		d.Close()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", what, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+			t.Fatalf("%s allocated %d bytes on the %d-byte blob, want < 4 MiB", what, alloc, len(blob))
+		}
 	}
 }
 

@@ -42,33 +42,30 @@
 // Chunk files are independent (Figure 8), so a pool of Options.Workers
 // goroutines writes every chunk of a lossy or version-2 trace, each
 // running the bytesort + back-end pipeline for one chunk. Segments go
-// straight to the pool. Lossy intervals are classified first: with
-// Workers > 1 the front end is itself a two-stage pipeline — a histogram
-// stage computes the sorted byte-histograms of interval i+1 while a
-// classify stage runs the phase table match, chunk numbering and record
-// bookkeeping for interval i — so the caller's goroutine only fills
-// interval buffers; with Workers=1 the caller classifies inline. Either
-// way chunks are classified strictly in trace order on one goroutine
-// that owns the phase table and the record sequence, so the directory
-// produced with N workers is byte-for-byte identical to the Workers=1
-// result in both modes. Chunk buffers pass through the pipeline by
-// ownership transfer (no copying) and histogram Sets recycle through a
-// small pool refilled by phase-table evictions, so a long lossy stream
-// runs the front end allocation-free. (Every blob is also byte-identical
-// inside an archive, but the archive *file* appends blobs in worker
-// completion order, which varies with Workers > 1; the TOC makes that
-// order irrelevant to readers, and Workers=1 — or packing a directory
-// with atcpack — yields a canonical, reproducible archive.) Worker
-// errors are deferred: a failed chunk write surfaces from the next
-// Code/CodeSlice call or, at the latest, from Close. Legacy single-chunk
-// lossless mode (SegmentAddrs < 0) streams with bounded memory on the
-// caller's goroutine and is unaffected by Workers.
+// straight to the pool. Lossy intervals go first to one classify
+// goroutine at every worker count. It does the paper's atc_code work
+// (Section 5.2) off the caller, overlapping trace production: it computes
+// each interval's sorted byte-histograms, runs the phase table match,
+// numbers chunks and appends records strictly in trace order, so the
+// directory produced with N workers is byte-for-byte identical to the
+// Workers=1 result in both modes. Chunk buffers pass along by ownership
+// transfer (no copying), and the one histogram Set the phase table does
+// not hold is reused for the next interval, so a long lossy stream
+// classifies allocation-free. (Every blob is also byte-identical inside
+// an archive, but the archive *file* appends blobs in worker completion
+// order, which varies with Workers > 1; the TOC makes that order
+// irrelevant to readers, and Workers=1 — or packing a directory with
+// atcpack — yields a canonical, reproducible archive.) Worker errors are
+// deferred: a failed chunk write surfaces from the next Code/CodeSlice
+// call or, at the latest, from Close. Legacy single-chunk lossless mode
+// (SegmentAddrs < 0) streams with bounded memory on the caller's
+// goroutine and is unaffected by Workers.
 //
-// Chunk buffers recycle through a bounded free list, so a long stream
-// allocates at most Workers + queue + a small slack of chunk buffers
-// instead of one fresh buffer per chunk. Workers=1 runs a single worker
-// behind an unbuffered queue: a double buffer (one chunk filling, one
-// compressing) that caps streaming memory at two chunk buffers while
+// Chunk buffers recycle through a bounded free list: a stream allocates
+// at most Workers + queue + 1 chunk buffers, and once that many exist the
+// caller waits for a recycled one. Workers=1 runs a single worker behind
+// an unbuffered queue: a double buffer (one chunk filling, one classified
+// or compressing) that caps streaming memory at two chunk buffers while
 // still overlapping compression with trace production.
 //
 // Decoding mirrors this with a bounded readahead goroutine (see
@@ -199,10 +196,11 @@ type Options struct {
 	TableCapacity int
 	// Workers is the number of goroutines compressing completed chunks —
 	// lossy intervals and segmented-lossless segments. 0 selects
-	// runtime.GOMAXPROCS(0). With 1, lossy intervals are classified on
-	// the calling goroutine and one worker compresses chunks behind an
-	// unbuffered queue — a double buffer holding at most two chunk
-	// buffers, where compressing chunk i overlaps filling chunk i+1.
+	// runtime.GOMAXPROCS(0). Lossy intervals are classified on one more
+	// goroutine at every worker count. With 1, one worker compresses
+	// chunks behind an unbuffered queue — a double buffer holding at most
+	// two chunk buffers, where classifying and compressing chunk i overlap
+	// filling chunk i+1.
 	// Every blob is byte-identical for any worker count; a directory is
 	// therefore fully reproducible, while an archive file's blob order
 	// follows worker completion with Workers > 1 (see the package doc).
@@ -296,43 +294,27 @@ type Compressor struct {
 	chunkLen int
 	bufCap   int
 
-	// Lossy classification state.
-	table   *phase.Table
-	records []record
+	// Lossy classification state: until classifyDone closes, only the
+	// classify goroutine, fed through intervals, touches table, records,
+	// spare and the chunk counters. spare is the one histogram Set the
+	// phase table does not hold; an imitation, a short final chunk or a
+	// table eviction leaves it for the next interval.
+	table        *phase.Table
+	records      []record
+	spare        *histogram.Set
+	intervals    chan []uint64
+	classifyDone chan struct{}
 
-	// Lossy front-end pipeline (Workers > 1): the caller hands completed
-	// interval buffers to histCh; a histogram goroutine computes each
-	// interval's byte-histograms and forwards to classifyCh; a classify
-	// goroutine — the only goroutine touching table/records/nextChunk
-	// after Create — matches, assigns chunk ids in arrival (= trace)
-	// order and dispatches chunk jobs to the worker pool. setPool
-	// recycles histogram Sets (refilled by imitations and table
-	// evictions); nil histCh means the caller classifies inline
-	// (Workers == 1).
-	histCh      chan []uint64
-	classifyCh  chan histJob
-	frontWG     sync.WaitGroup
-	frontClosed bool
-	setPool     chan *histogram.Set
-
-	// Worker pool: writes every chunk of a chunked trace. Phase decisions
-	// run on exactly one goroutine — the caller's (Workers == 1) or the
-	// classify stage's — and only writeChunk runs on workers, so the
-	// on-disk result is deterministic. The first error anywhere in the
-	// pipeline is latched in werr and surfaced by the next Code/CodeSlice
-	// or by Close. Finished chunk buffers recycle through freeBufs,
-	// bounding total buffer allocations at Workers + queue + a small
-	// pipeline slack.
+	// Worker pool: writes every chunk of a chunked trace. The first error
+	// anywhere in the pipeline is latched in werr and surfaced by the next
+	// Code/CodeSlice or by Close. Chunk buffers recycle through freeBufs,
+	// whose capacity bounds the nBufs buffers ever allocated.
 	jobs       chan chunkJob
 	freeBufs   chan []uint64
+	nBufs      int
 	workerWG   sync.WaitGroup
-	werrMu     sync.Mutex
-	werr       error
-	hasWerr    atomic.Bool // cheap per-Code check; werr holds the error
+	werr       atomic.Pointer[error]
 	poolClosed bool
-
-	// createChunkFile is a store.Create seam for fault-injection tests.
-	createChunkFile func(name string) (io.WriteCloser, error)
 
 	nextChunk int
 	total     int64
@@ -348,45 +330,48 @@ type chunkJob struct {
 	addrs []uint64
 }
 
-// histJob is one completed interval with its finalized histograms, in
-// flight between the front end's histogram and classify stages.
-type histJob struct {
-	addrs []uint64
-	hist  *histogram.Set
-}
-
+// workerErr returns the first latched pipeline error, or nil.
 func (c *Compressor) workerErr() error {
-	c.werrMu.Lock()
-	defer c.werrMu.Unlock()
-	return c.werr
-}
-
-func (c *Compressor) setWorkerErr(err error) {
-	c.werrMu.Lock()
-	if c.werr == nil {
-		c.werr = err
+	if p := c.werr.Load(); p != nil {
+		return *p
 	}
-	c.werrMu.Unlock()
-	c.hasWerr.Store(true)
+	return nil
 }
 
-// startWorkers launches the chunk-compression pool behind a job queue.
-// With Workers > 1 the queue is one deep per worker so the caller can
-// keep accumulating the next chunk while all workers are busy; Workers=1
-// runs one worker behind an unbuffered handoff, which together with
-// buffer recycling caps the pool at two chunk buffers — one filling, one
-// compressing.
+// setWorkerErr latches err unless an earlier error already won.
+func (c *Compressor) setWorkerErr(err error) {
+	c.werr.CompareAndSwap(nil, &err)
+}
+
+// startWorkers launches the chunk-compression pool behind a job queue
+// and, for a lossy trace, the classify goroutine in front of it. With
+// Workers > 1 the queue is one deep per worker so the caller can keep
+// accumulating the next chunk while all workers are busy; Workers=1 runs
+// one worker behind an unbuffered handoff, which together with the
+// buffer bound caps the pipeline at two chunk buffers — one filling, one
+// classified or compressing.
 func (c *Compressor) startWorkers() {
 	n, queue := c.opts.Workers, c.opts.Workers
 	if n == 1 {
 		queue = 0
 	}
 	c.jobs = make(chan chunkJob, queue)
-	// +5 slack: with the lossy front-end pipeline, up to five more
-	// buffers are in flight beyond the pool's own — filling, the histCh
-	// slot, the histogram stage, the classifyCh slot and the classify
-	// stage. (Overflow only drops a recycle; sends never block.)
-	c.freeBufs = make(chan []uint64, n+queue+5)
+	// One buffer per worker and queue slot, plus the one the caller is
+	// filling; all fit in the free list, so a recycle never blocks.
+	c.freeBufs = make(chan []uint64, n+queue+1)
+	c.nBufs = 1 // c.buf
+	if c.table != nil {
+		// One deep, so a hand-off does not wait for the classify goroutine
+		// to get a CPU (a worker may hold it for a time slice).
+		c.intervals = make(chan []uint64, 1)
+		c.classifyDone = make(chan struct{})
+		go func() {
+			defer close(c.classifyDone)
+			for addrs := range c.intervals {
+				c.classify(addrs)
+			}
+		}()
+	}
 	for i := 0; i < n; i++ {
 		c.workerWG.Add(1)
 		go func() {
@@ -406,8 +391,10 @@ func (c *Compressor) startWorkers() {
 	}
 }
 
-// chunkBuf returns a recycled chunk buffer when one is free, or a fresh
-// one with the initial chunk-buffer capacity.
+// chunkBuf returns a recycled chunk buffer when one is free, a fresh one
+// with the initial chunk-buffer capacity while fewer than the bound
+// exist, or else waits for the classify goroutine or a worker to recycle
+// one.
 //
 //atc:pool put=recycleBuf
 func (c *Compressor) chunkBuf() []uint64 {
@@ -416,64 +403,17 @@ func (c *Compressor) chunkBuf() []uint64 {
 		return buf[:0]
 	default:
 	}
-	return make([]uint64, 0, c.bufCap)
+	if c.nBufs < cap(c.freeBufs) {
+		c.nBufs++
+		return make([]uint64, 0, c.bufCap)
+	}
+	return (<-c.freeBufs)[:0]
 }
 
-// recycleBuf returns a chunk buffer to the free list without blocking;
-// dropped when the list is full.
+// recycleBuf returns a chunk buffer to the free list, which has room for
+// every buffer chunkBuf hands out.
 func (c *Compressor) recycleBuf(buf []uint64) {
-	select {
-	case c.freeBufs <- buf[:0]:
-	default:
-	}
-}
-
-// getSet takes a recycled histogram Set, or allocates a fresh one.
-//
-//atc:pool put=recycleSet
-func (c *Compressor) getSet() *histogram.Set {
-	select {
-	case s := <-c.setPool:
-		return s
-	default:
-		return new(histogram.Set)
-	}
-}
-
-// recycleSet returns a Set to the pool; dropped when the pool is full.
-// ComputeInto resets before reuse, so dirty Sets recycle as-is.
-func (c *Compressor) recycleSet(s *histogram.Set) {
-	select {
-	case c.setPool <- s:
-	default:
-	}
-}
-
-// startFrontend launches the two-stage lossy front end: a histogram
-// goroutine (the heavy, per-address stage) and a classify goroutine (the
-// phase-table match and dispatch). Each stage handles one interval at a
-// time in trace order, so interval i+1's histogram overlaps interval i's
-// classification and dispatch, and both overlap the worker pool's
-// bytesort + back-end compression of earlier chunks.
-func (c *Compressor) startFrontend() {
-	c.histCh = make(chan []uint64, 1)
-	c.classifyCh = make(chan histJob, 1)
-	c.frontWG.Add(2)
-	go func() {
-		defer c.frontWG.Done()
-		defer close(c.classifyCh)
-		for addrs := range c.histCh {
-			s := c.getSet()
-			histogram.ComputeInto(s, addrs)
-			c.classifyCh <- histJob{addrs: addrs, hist: s}
-		}
-	}()
-	go func() {
-		defer c.frontWG.Done()
-		for job := range c.classifyCh {
-			c.classify(job.addrs, job.hist)
-		}
-	}()
+	c.freeBufs <- buf
 }
 
 // newChunk assigns the next chunk id and appends its chunk record.
@@ -492,21 +432,27 @@ func (c *Compressor) sendChunk(id int, addrs []uint64) {
 	c.jobs <- chunkJob{id: id, addrs: addrs}
 }
 
-// classify matches an interval's histograms against the phase table and
-// either appends an imitation record or assigns the next chunk id,
-// inserts into the table and sends the chunk to the worker pool. It runs
-// on exactly one goroutine — the caller's (Workers == 1) or the classify
-// stage's — so the record sequence is the same for every worker count.
-// Only full-length intervals may match or enter the table: a short final
-// chunk cannot stand in for a full interval. hist and addrs are consumed
-// on every path. Any failure latches into werr; after one, intervals are
-// drained and recycled so the caller never blocks on a dead pipeline.
-func (c *Compressor) classify(addrs []uint64, hist *histogram.Set) {
+// classify computes an interval's histograms into the spare Set, matches
+// them against the phase table and either appends an imitation record or
+// assigns the next chunk id, inserts into the table and sends the chunk
+// to the worker pool. It runs on the one classify goroutine, so the
+// record sequence is the same for every worker count. Only full-length
+// intervals may match or enter the table: a short final chunk cannot
+// stand in for a full interval. addrs is consumed on every path. Any
+// failure latches into werr; after one, intervals are recycled unread so
+// the caller never waits on a dead pipeline.
+func (c *Compressor) classify(addrs []uint64) {
 	if c.workerErr() != nil {
-		c.recycleSet(hist)
 		c.recycleBuf(addrs)
 		return
 	}
+	hist := c.spare
+	if hist == nil {
+		hist = new(histogram.Set)
+	}
+	histogram.ComputeInto(hist, addrs)
+	// hist stays the spare unless the table takes it.
+	c.spare = hist
 	full := len(addrs) == c.opts.IntervalLen
 	if full {
 		if matchID, _, ok := c.table.Match(hist); ok {
@@ -518,60 +464,46 @@ func (c *Compressor) classify(addrs []uint64, hist *histogram.Set) {
 			} else {
 				c.setWorkerErr(fmt.Errorf("atc: internal: matched chunk %d not resident", matchID))
 			}
-			c.recycleSet(hist)
 			c.recycleBuf(addrs)
 			return
 		}
 	}
 	id := c.newChunk()
 	if full {
-		if evicted := c.table.Insert(id, hist); evicted != nil {
-			c.recycleSet(evicted)
-		}
-	} else {
-		c.recycleSet(hist)
+		c.spare = c.table.Insert(id, hist)
 	}
 	c.sendChunk(id, addrs)
 }
 
 // dispatch routes the filled chunk buffer by ownership transfer, no
-// copy: a segment goes straight to the worker pool, an interval to the
-// histogram stage, or to inline classification when Workers == 1. The
-// caller continues in a fresh buffer from chunkBuf.
+// copy: an interval to the classify goroutine, a segment straight to the
+// worker pool. The caller continues in a buffer from chunkBuf.
 func (c *Compressor) dispatch(addrs []uint64) {
-	switch {
-	case c.opts.Mode == Lossless:
-		c.sendChunk(c.newChunk(), addrs)
-	case c.histCh != nil:
-		c.histCh <- addrs
-	default:
-		hist := c.getSet()
-		histogram.ComputeInto(hist, addrs)
-		c.classify(addrs, hist)
+	if c.intervals != nil {
+		c.intervals <- addrs
+		return
 	}
+	c.sendChunk(c.newChunk(), addrs)
 }
 
-// shutdownPipeline drains the front end (if any) until both stages have
-// classified every interval handed in — first, because the classify
-// stage feeds the job queue — then closes the job queue, waits for
-// in-flight chunks and reports the first deferred error. Safe to call
-// more than once.
+// shutdownPipeline waits for the classify goroutine (which feeds the job
+// queue), closes the job queue, waits for in-flight chunks and reports
+// the first deferred error. Safe to call more than once.
 func (c *Compressor) shutdownPipeline() error {
-	if c.histCh != nil && !c.frontClosed {
-		c.frontClosed = true
-		close(c.histCh)
-		c.frontWG.Wait()
-	}
 	if c.jobs != nil && !c.poolClosed {
 		c.poolClosed = true
+		if c.intervals != nil {
+			close(c.intervals)
+			<-c.classifyDone
+		}
 		close(c.jobs)
 		c.workerWG.Wait()
 	}
 	return c.workerErr()
 }
 
-// createChunkFileHook is the default chunk-blob creator; fault-injection
-// tests swap it (or the per-Compressor seam) for a failing implementation.
+// createChunkFileHook creates every chunk blob; fault-injection tests swap
+// it for a failing implementation.
 var createChunkFileHook = func(st store.Store, name string) (io.WriteCloser, error) {
 	return st.Create(name)
 }
@@ -629,9 +561,6 @@ func Create(path string, opts Options) (*Compressor, error) {
 		backend:   backend,
 		nextChunk: 1,
 	}
-	c.createChunkFile = func(name string) (io.WriteCloser, error) {
-		return createChunkFileHook(c.st, name)
-	}
 	switch {
 	case opts.Mode == Lossless && !opts.segmented():
 		if c.stream, err = c.openChunk(1, opts.BufferAddrs); err != nil {
@@ -647,13 +576,9 @@ func Create(path string, opts Options) (*Compressor, error) {
 		c.chunkLen = opts.IntervalLen
 		c.bufCap = opts.IntervalLen
 		c.table = phase.New(opts.TableCapacity, opts.Epsilon)
-		c.setPool = make(chan *histogram.Set, 4)
 	}
 	c.buf = make([]uint64, 0, c.bufCap)
 	c.startWorkers()
-	if opts.Mode == Lossy && opts.Workers > 1 {
-		c.startFrontend()
-	}
 	return c, nil
 }
 
@@ -682,8 +607,8 @@ type blobWriter struct {
 
 // openBlob creates the named blob with create and stacks the back end on
 // it.
-func (c *Compressor) openBlob(create func(string) (io.WriteCloser, error), name string) (*blobWriter, error) {
-	f, err := create(name)
+func (c *Compressor) openBlob(create func(store.Store, string) (io.WriteCloser, error), name string) (*blobWriter, error) {
+	f, err := create(c.st, name)
 	if err != nil {
 		return nil, fmt.Errorf("atc: %w", err)
 	}
@@ -700,7 +625,7 @@ func (c *Compressor) openBlob(create func(string) (io.WriteCloser, error), name 
 // openChunk opens chunk id's blob with a bytesort encoder of bufAddrs
 // addresses on top.
 func (c *Compressor) openChunk(id, bufAddrs int) (*blobWriter, error) {
-	w, err := c.openBlob(c.createChunkFile, c.chunkName(id))
+	w, err := c.openBlob(createChunkFileHook, c.chunkName(id))
 	if err != nil {
 		return nil, err
 	}
@@ -735,9 +660,9 @@ func (c *Compressor) Code(x uint64) error {
 	if c.err != nil {
 		return c.err
 	}
-	if c.hasWerr.Load() {
-		c.err = c.workerErr()
-		return c.err
+	if err := c.workerErr(); err != nil {
+		c.err = err
+		return err
 	}
 	if c.closed {
 		return fmt.Errorf("%w: Code", ErrClosed)
@@ -769,9 +694,9 @@ func (c *Compressor) CodeSlice(xs []uint64) error {
 	if c.err != nil {
 		return c.err
 	}
-	if c.hasWerr.Load() {
-		c.err = c.workerErr()
-		return c.err
+	if err := c.workerErr(); err != nil {
+		c.err = err
+		return err
 	}
 	if c.closed {
 		//atc:ignore hotalloc error construction on the terminal use-after-close path, not the streaming loop
@@ -794,9 +719,9 @@ func (c *Compressor) CodeSlice(xs []uint64) error {
 		if len(c.buf) == c.chunkLen {
 			c.dispatch(c.buf)
 			c.buf = c.chunkBuf()
-			if c.hasWerr.Load() {
-				c.err = c.workerErr()
-				return c.err
+			if err := c.workerErr(); err != nil {
+				c.err = err
+				return err
 			}
 		}
 	}
@@ -805,8 +730,8 @@ func (c *Compressor) CodeSlice(xs []uint64) error {
 
 // writeChunk stores one chunk as a bytesorted, back-end-compressed blob.
 // Only pool workers call it, concurrently; it touches only immutable
-// Compressor fields (st, opts, backend, createChunkFile), and the store's
-// Create is concurrent-safe by contract.
+// Compressor fields (st, opts, backend), and the store's Create is
+// concurrent-safe by contract.
 func (c *Compressor) writeChunk(id int, addrs []uint64) error {
 	start := time.Now()
 	w, err := c.openChunk(id, min(c.opts.BufferAddrs, len(addrs)))
@@ -895,12 +820,12 @@ func (c *Compressor) writeManifest() error {
 }
 
 func (c *Compressor) writeInfo() error {
-	blob, err := c.openBlob(c.st.Create, infoBase+"."+c.opts.Backend)
+	blob, err := c.openBlob(store.Store.Create, infoBase+"."+c.opts.Backend)
 	if err != nil {
 		return err
 	}
 	w := &infoWriter{w: bufio.NewWriter(blob.cw)}
-	w.string(infoMagic)
+	w.bytes([]byte(infoMagic))
 	w.byte(byte(c.opts.formatVersion()))
 	w.byte(byte(c.opts.Mode))
 	w.uvarint(uint64(c.opts.IntervalLen))
@@ -950,12 +875,6 @@ func (iw *infoWriter) byte(b byte) {
 func (iw *infoWriter) bytes(p []byte) {
 	if iw.err == nil {
 		_, iw.err = iw.w.Write(p)
-	}
-}
-
-func (iw *infoWriter) string(s string) {
-	if iw.err == nil {
-		_, iw.err = iw.w.WriteString(s)
 	}
 }
 

@@ -734,6 +734,9 @@ func (r *spanReader) openStream() error {
 		f.Close()
 		return fmt.Errorf("%w: chunk %d: backend header: %v", ErrCorrupt, r.sp.rec.chunkID, err)
 	}
+	// The index says how many addresses the blob holds: a segment header
+	// claiming more is corrupt before its buffers are sized.
+	pr.dec.Limit(r.sp.end - r.sp.start)
 	r.blob, r.pr = f, pr
 	return nil
 }

@@ -11,6 +11,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"atc/internal/histogram"
+	"atc/internal/store"
 )
 
 // phasedTrace builds a trace whose intervals have distinct sorted-histogram
@@ -146,30 +150,27 @@ func TestWorkersLosslessRoundTripExact(t *testing.T) {
 	}
 }
 
-// failingChunkFS fails every chunk-blob create after the first `allowed`,
-// passing allowed creates through to the compressor's store. Workers call
-// create concurrently, so the counter is atomic.
-type failingChunkFS struct {
-	allowed int64
-	created atomic.Int64
-	inner   func(name string) (io.WriteCloser, error)
+// swapChunkHook replaces the chunk-blob creator for the rest of the test.
+// The hook is package state, so no test that swaps it runs in parallel.
+func swapChunkHook(t *testing.T, create func(st store.Store, name string) (io.WriteCloser, error)) {
+	orig := createChunkFileHook
+	createChunkFileHook = create
+	t.Cleanup(func() { createChunkFileHook = orig })
 }
 
 var errInjected = errors.New("injected chunk-write failure")
 
-func (f *failingChunkFS) create(name string) (io.WriteCloser, error) {
-	if f.created.Add(1) > f.allowed {
-		return nil, errInjected
-	}
-	return f.inner(name)
-}
-
-// injectChunkFailures swaps the compressor's chunk-blob creator for one
-// that fails after `allowed` successful creates.
-func injectChunkFailures(c *Compressor, allowed int64) *failingChunkFS {
-	fs := &failingChunkFS{allowed: allowed, inner: c.st.Create}
-	c.createChunkFile = fs.create
-	return fs
+// injectChunkFailures makes every chunk-blob create after the first
+// `allowed` fail, passing allowed creates through to the store. Workers
+// call create concurrently, so the counter is atomic.
+func injectChunkFailures(t *testing.T, allowed int64) {
+	var created atomic.Int64
+	swapChunkHook(t, func(st store.Store, name string) (io.WriteCloser, error) {
+		if created.Add(1) > allowed {
+			return nil, errInjected
+		}
+		return st.Create(name)
+	})
 }
 
 func TestCloseSurfacesWorkerError(t *testing.T) {
@@ -178,7 +179,7 @@ func TestCloseSurfacesWorkerError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		injectChunkFailures(c, 1)
+		injectChunkFailures(t, 1)
 		addrs := phasedTrace(6, 1000)
 		// The failure is asynchronous: it may surface from a CodeSlice that
 		// completes a later interval, or only from Close.
@@ -199,7 +200,7 @@ func TestCodeSurfacesDeferredWorkerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injectChunkFailures(c, 0)
+	injectChunkFailures(t, 0)
 	addrs := phasedTrace(40, 500)
 	var sawErr error
 	for _, a := range addrs {
@@ -227,7 +228,7 @@ func TestCodeFailsFastAfterWorkerError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		injectChunkFailures(c, 0)
+		injectChunkFailures(t, 0)
 		// Feed exactly one interval: its chunk write fails on a worker.
 		first := phasedTrace(1, 1000)
 		if err := c.CodeSlice(first); err != nil && !errors.Is(err, errInjected) {
@@ -235,10 +236,10 @@ func TestCodeFailsFastAfterWorkerError(t *testing.T) {
 		}
 		// The failure is asynchronous; wait for the latch (bounded), then
 		// the next call must surface it — no further intervals needed.
-		for i := 0; i < 1_000_000 && !c.hasWerr.Load(); i++ {
+		for i := 0; i < 1_000_000 && c.werr.Load() == nil; i++ {
 			runtime.Gosched()
 		}
-		if !c.hasWerr.Load() {
+		if c.werr.Load() == nil {
 			t.Fatalf("useSlice=%v: worker error never latched", useSlice)
 		}
 		if useSlice {
@@ -256,20 +257,19 @@ func TestCodeFailsFastAfterWorkerError(t *testing.T) {
 }
 
 // TestLossyWorkers1WritesOnPool pins the Workers=1 lossy encoder: the
-// caller classifies a full interval and hands the chunk to the single
-// pool worker, so CodeSlice returns while that chunk's write is still
-// blocked, and the trace completes once the write goes through.
+// classify goroutine hands a full interval's chunk to the single pool
+// worker, so CodeSlice returns while that chunk's write is still blocked,
+// and the trace completes once the write goes through.
 func TestLossyWorkers1WritesOnPool(t *testing.T) {
 	c, err := Create(t.TempDir(), Options{Mode: Lossy, IntervalLen: 1000, BufferAddrs: 300, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	inner := c.createChunkFile
-	c.createChunkFile = func(name string) (io.WriteCloser, error) {
+	swapChunkHook(t, func(st store.Store, name string) (io.WriteCloser, error) {
 		<-release
-		return inner(name)
-	}
+		return st.Create(name)
+	})
 	// One full interval (chunk 1, handed to the worker) and half of the
 	// next, which stays in the caller's buffer until Close.
 	addrs := phasedTrace(2, 1000)[:1500]
@@ -290,6 +290,98 @@ func TestLossyWorkers1WritesOnPool(t *testing.T) {
 	}
 	if st := c.Stats(); st.Chunks != 2 {
 		t.Fatalf("chunks = %d, want 2", st.Chunks)
+	}
+}
+
+// TestChunkBuffersBounded codes traces whose intervals or segments all
+// become chunks and checks that at most Workers + queue + 1 chunk buffers
+// were ever allocated: two, a double buffer, at Workers=1.
+func TestChunkBuffersBounded(t *testing.T) {
+	addrs := phasedTrace(10, 1000)
+	for _, mode := range []Mode{Lossy, Lossless} {
+		for _, tc := range []struct{ workers, max int }{{1, 2}, {2, 5}, {4, 9}} {
+			c, err := Create(t.TempDir(), Options{Mode: mode, IntervalLen: 1000, SegmentAddrs: 1000, BufferAddrs: 300, Workers: tc.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CodeSlice(addrs); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); st.Chunks != 10 {
+				t.Fatalf("%v workers=%d: %d chunks, want 10", mode, tc.workers, st.Chunks)
+			}
+			if c.nBufs > tc.max {
+				t.Fatalf("%v workers=%d: %d chunk buffers allocated, want at most %d", mode, tc.workers, c.nBufs, tc.max)
+			}
+		}
+	}
+}
+
+// closeSignal is a chunk blob that reports on done once it is closed.
+type closeSignal struct {
+	io.WriteCloser
+	done chan struct{}
+}
+
+func (w closeSignal) Close() error {
+	err := w.WriteCloser.Close()
+	select {
+	case w.done <- struct{}{}:
+	default:
+	}
+	return err
+}
+
+// TestLossyReusesHistogramSet codes a trace whose intervals after the
+// first two are all imitations and checks that each one allocates less
+// than a histogram Set: the spare Set is reused at every worker count.
+func TestLossyReusesHistogramSet(t *testing.T) {
+	const intervalLen, imitations = 4096, 32
+	interval := phasedTrace(1, intervalLen)
+	written := make(chan struct{}, 1)
+	swapChunkHook(t, func(st store.Store, name string) (io.WriteCloser, error) {
+		w, err := st.Create(name)
+		return closeSignal{w, written}, err
+	})
+	for _, workers := range []int{1, 2} {
+		c, err := Create(t.TempDir(), Options{Mode: Lossy, IntervalLen: intervalLen, BufferAddrs: 1024, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Interval 1 becomes chunk 1 and interval 2 its first imitation,
+		// which allocates the spare Set. Then wait until the worker has
+		// written chunk 1, so its allocations stay out of the measurement.
+		for i := 0; i < 2; i++ {
+			if err := c.CodeSlice(interval); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case <-written:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: chunk 1 never written", workers)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < imitations; i++ {
+			if err := c.CodeSlice(interval); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Chunks != 1 || st.Imitations != imitations+1 {
+			t.Fatalf("workers=%d: %d chunks and %d imitations, want 1 and %d", workers, st.Chunks, st.Imitations, imitations+1)
+		}
+		perInterval := (after.TotalAlloc - before.TotalAlloc) / imitations
+		if set := uint64(unsafe.Sizeof(histogram.Set{})); perInterval >= set {
+			t.Fatalf("workers=%d: %d bytes allocated per imitated interval, want < %d (one histogram Set)", workers, perInterval, set)
+		}
 	}
 }
 

@@ -499,11 +499,9 @@ func TestCreateUnknownBackendLeavesNoDirectory(t *testing.T) {
 }
 
 func TestCreateChunkFailureCleansUpDirectory(t *testing.T) {
-	orig := createChunkFileHook
-	createChunkFileHook = func(st store.Store, name string) (io.WriteCloser, error) {
+	swapChunkHook(t, func(st store.Store, name string) (io.WriteCloser, error) {
 		return nil, errInjected
-	}
-	defer func() { createChunkFileHook = orig }()
+	})
 	dir := filepath.Join(t.TempDir(), "trace")
 	_, err := Create(dir, Options{Mode: Lossless, SegmentAddrs: -1})
 	if !errors.Is(err, errInjected) {
@@ -515,11 +513,9 @@ func TestCreateChunkFailureCleansUpDirectory(t *testing.T) {
 }
 
 func TestCreateChunkFailureKeepsExistingDirectory(t *testing.T) {
-	orig := createChunkFileHook
-	createChunkFileHook = func(st store.Store, name string) (io.WriteCloser, error) {
+	swapChunkHook(t, func(st store.Store, name string) (io.WriteCloser, error) {
 		return nil, errInjected
-	}
-	defer func() { createChunkFileHook = orig }()
+	})
 	dir := t.TempDir() // pre-existing: Create must not remove it
 	if _, err := Create(dir, Options{Mode: Lossless, SegmentAddrs: -1}); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
@@ -559,12 +555,10 @@ func (w *failAfterWriter) Close() error {
 }
 
 func TestLosslessCloseFailureClosesChunkFile(t *testing.T) {
-	orig := createChunkFileHook
 	fw := &failAfterWriter{limit: 0} // the first flushed byte fails
-	createChunkFileHook = func(st store.Store, name string) (io.WriteCloser, error) {
+	swapChunkHook(t, func(st store.Store, name string) (io.WriteCloser, error) {
 		return fw, nil
-	}
-	defer func() { createChunkFileHook = orig }()
+	})
 	c, err := Create(t.TempDir(), Options{Mode: Lossless, BufferAddrs: 16, SegmentAddrs: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -590,7 +584,7 @@ func TestSegmentedCloseSurfacesWorkerError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		injectChunkFailures(c, 1)
+		injectChunkFailures(t, 1)
 		addrs := randomTrace(t, 25, 3000)
 		codeErr := c.CodeSlice(addrs)
 		closeErr := c.Close()

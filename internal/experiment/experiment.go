@@ -33,10 +33,9 @@ const DefaultSeed = 2009 // ISPASS 2009
 
 // Workers is the chunk-compression worker count every experiment passes to
 // core.Options.Workers (0 = the library default, runtime.GOMAXPROCS(0);
-// 1 = classify on the caller, one compression worker). Compressed output
-// is byte-identical for any value, so
-// it only affects wall-clock time. Set it before running experiments —
-// cmd/atcbench exposes it as -workers.
+// 1 = one compression worker). Compressed output is byte-identical for any
+// value, so it only affects wall-clock time. Set it before running
+// experiments — cmd/atcbench exposes it as -workers.
 var Workers int
 
 // SegmentAddrs overrides the lossless segment length for the segment-size

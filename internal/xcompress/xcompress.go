@@ -8,6 +8,7 @@
 package xcompress
 
 import (
+	"bytes"
 	"compress/flate"
 	"errors"
 	"fmt"
@@ -164,7 +165,7 @@ func CompressAll(name string, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf growBuffer
+	var buf bytes.Buffer
 	w, err := b.NewWriter(&buf)
 	if err != nil {
 		return nil, err
@@ -175,7 +176,7 @@ func CompressAll(name string, data []byte) ([]byte, error) {
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	return buf.b, nil
+	return buf.Bytes(), nil
 }
 
 // DecompressAll expands data with the named back end.
@@ -184,41 +185,9 @@ func DecompressAll(name string, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := b.NewReader(readerOf(data))
+	r, err := b.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	return io.ReadAll(r)
 }
-
-type growBuffer struct{ b []byte }
-
-func (g *growBuffer) Write(p []byte) (int, error) {
-	g.b = append(g.b, p...)
-	return len(p), nil
-}
-
-type byteSliceReader struct {
-	b []byte
-	i int
-}
-
-func (s *byteSliceReader) Read(p []byte) (int, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.i:])
-	s.i += n
-	return n, nil
-}
-
-func (s *byteSliceReader) ReadByte() (byte, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
-	}
-	b := s.b[s.i]
-	s.i++
-	return b, nil
-}
-
-func readerOf(b []byte) io.Reader { return &byteSliceReader{b: b} }

@@ -169,14 +169,14 @@ func TestStatefulBackendResetEquivalence(t *testing.T) {
 			}
 			comp = append(comp, c)
 		}
-		rr, err := b.NewReader(readerOf(comp[0]))
+		rr, err := b.NewReader(bytes.NewReader(comp[0]))
 		if err != nil {
 			t.Fatalf("%s: NewReader: %v", name, err)
 		}
 		for round := 0; round < 3; round++ {
 			for i, c := range comp {
 				if round > 0 || i > 0 {
-					if err := rr.Reset(readerOf(c)); err != nil {
+					if err := rr.Reset(bytes.NewReader(c)); err != nil {
 						t.Fatalf("%s: reset %d/%d: %v", name, round, i, err)
 					}
 				}
@@ -193,7 +193,7 @@ func TestStatefulBackendResetEquivalence(t *testing.T) {
 				}
 			}
 			// Abandon a stream partway; the next round's Reset must recover.
-			if err := rr.Reset(readerOf(comp[3])); err != nil {
+			if err := rr.Reset(bytes.NewReader(comp[3])); err != nil {
 				t.Fatal(err)
 			}
 			var one [1]byte
