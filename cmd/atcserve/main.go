@@ -1009,9 +1009,9 @@ func (s *server) handleAddrs(w http.ResponseWriter, r *http.Request) {
 	// memory, not the whole window. The first batch decodes before any
 	// header is written, keeping decode failures a clean 500; a later
 	// failure truncates the body short of Content-Length, which clients
-	// detect. A traced response decodes the whole window before writing the
-	// Atc-Trace header, so the header covers every stage (headers cannot
-	// follow the first body byte); the batching still bounds memory.
+	// detect. A traced response's first batch is the whole window, so the
+	// Atc-Trace header covers every decode stage (headers cannot follow the
+	// first body byte); it holds the window in memory, up to -max-range.
 	dFrom, dTo := from, to
 	if partial {
 		// Smallest address window covering the byte range: floor the start,
@@ -1019,13 +1019,18 @@ func (s *server) handleAddrs(w http.ResponseWriter, r *http.Request) {
 		dFrom = from + rng.start/8
 		dTo = from + rng.end/8 + 1
 	}
-	buf, err := rd.DecodeRange(dFrom, min(dFrom+serveBatchAddrs, dTo))
+	first := min(dFrom+serveBatchAddrs, dTo)
+	if traced {
+		first = dTo
+	}
+	buf, err := rd.DecodeRange(dFrom, first)
 	if err != nil {
 		writeDecodeError(w, p.name, err)
 		return
 	}
 	if traced {
 		w.Header().Set("Cache-Control", "no-store")
+		w.Header().Set("Atc-Trace", tr.Header())
 	} else {
 		w.Header().Set("Etag", etag)
 		w.Header().Set("Cache-Control", addrsCacheControl)
@@ -1042,32 +1047,6 @@ func (s *server) handleAddrs(w http.ResponseWriter, r *http.Request) {
 	}
 	tw := trace.NewWriter(out)
 	for pos := dFrom; ; {
-		if pos == dFrom && traced {
-			// Finish decoding before the first write commits the headers.
-			rest := [][]uint64{}
-			for next := dFrom + int64(len(buf)); next < dTo; {
-				batch, err := rd.DecodeRange(next, min(next+serveBatchAddrs, dTo))
-				if err != nil {
-					writeDecodeError(w, p.name, err)
-					return
-				}
-				rest = append(rest, batch)
-				next += int64(len(batch))
-			}
-			w.Header().Set("Atc-Trace", tr.Header())
-			start := time.Now()
-			if err := tw.WriteSlice(buf); err != nil {
-				return
-			}
-			for _, batch := range rest {
-				if err := tw.WriteSlice(batch); err != nil {
-					return
-				}
-			}
-			tw.Flush()
-			tr.AddNS(obs.StageDeliver, time.Since(start).Nanoseconds())
-			return
-		}
 		start := time.Now()
 		err := tw.WriteSlice(buf)
 		tr.AddNS(obs.StageDeliver, time.Since(start).Nanoseconds())

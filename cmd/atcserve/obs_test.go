@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,14 +21,20 @@ import (
 // pool registered on the default registry — the production configuration
 // the observability tests pin.
 func serveObsTrace(t *testing.T) *httptest.Server {
+	return serveObsSegments(t, 40_000, 5000)
+}
+
+// serveObsSegments is serveObsTrace over n addresses cut into segments of
+// seg addresses.
+func serveObsSegments(t *testing.T, n, seg int) *httptest.Server {
 	t.Helper()
-	addrs := make([]uint64, 40_000)
+	addrs := make([]uint64, n)
 	for i := range addrs {
 		addrs[i] = uint64(i * 64)
 	}
 	path := filepath.Join(t.TempDir(), "unit.atc")
 	w, err := atc.CreateArchive(path,
-		atc.WithMode(atc.Lossless), atc.WithSegmentAddrs(5000), atc.WithBufferAddrs(1000))
+		atc.WithMode(atc.Lossless), atc.WithSegmentAddrs(seg), atc.WithBufferAddrs(min(seg, 1000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +54,38 @@ func serveObsTrace(t *testing.T) *httptest.Server {
 		pool.close()
 	})
 	return srv
+}
+
+// TestServeTracedBinaryAllocation requests a traced binary window over 256
+// segments. The traced response decodes its whole window in one range
+// call, so the decode's output must grow by doubling, not by each
+// segment's length: the request allocates a small multiple of the
+// window's bytes.
+func TestServeTracedBinaryAllocation(t *testing.T) {
+	const n, seg = 1 << 17, 512
+	srv := serveObsSegments(t, n, seg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Get(srv.URL + "/traces/unit/addrs?from=0&to=" + strconv.Itoa(n) + "&trace=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.Get("Atc-Trace") == "" {
+		t.Fatal("traced binary response has no Atc-Trace header")
+	}
+	window := uint64(n * 8)
+	if len(raw) != int(window) {
+		t.Fatalf("traced binary body = %d bytes, want %d", len(raw), window)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 32*window {
+		t.Fatalf("traced request allocated %d KiB for a %d KiB window, want < 32x", alloc>>10, window>>10)
+	}
 }
 
 // TestMetaJSONShape is the /meta regression gate: the exact key set of the

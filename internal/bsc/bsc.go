@@ -24,6 +24,7 @@ package bsc
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -386,7 +387,7 @@ func Compress(data []byte) ([]byte, error) {
 
 // CompressSize compresses a whole buffer with the given block size.
 func CompressSize(data []byte, blockSize int) ([]byte, error) {
-	var buf writerBuffer
+	var buf bytes.Buffer
 	w := NewWriterSize(&buf, blockSize)
 	if _, err := w.Write(data); err != nil {
 		return nil, err
@@ -394,32 +395,10 @@ func CompressSize(data []byte, blockSize int) ([]byte, error) {
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	return buf.b, nil
+	return buf.Bytes(), nil
 }
 
 // Decompress is a convenience helper expanding a whole buffer.
 func Decompress(data []byte) ([]byte, error) {
-	r := NewReader(&sliceReader{b: data})
-	return io.ReadAll(r)
-}
-
-type writerBuffer struct{ b []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-type sliceReader struct {
-	b []byte
-	i int
-}
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.i:])
-	s.i += n
-	return n, nil
+	return io.ReadAll(NewReader(bytes.NewReader(data)))
 }

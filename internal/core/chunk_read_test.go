@@ -237,6 +237,93 @@ func TestChunkSegmentBoundedByIndex(t *testing.T) {
 	}
 }
 
+// TestLegacyRangeBoundedByDecodedData writes a 1,000-address v1 trace
+// whose INFO trailer then claims 2^27 addresses. A range over the claimed
+// trace must fail with ErrCorrupt once the stream ends, having grown its
+// buffer only as addresses arrived, not to the trailer's 1 GiB.
+func TestLegacyRangeBoundedByDecodedData(t *testing.T) {
+	const n, claimed = 1000, 1 << 27
+	st := store.NewMem()
+	if _, err := WriteTrace("", rangeTrace()[:n], Options{Mode: Lossless, SegmentAddrs: -1,
+		Backend: "store", Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := store.ReadBlob(st, "INFO.store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := append([]byte{recEnd}, binary.AppendUvarint(nil, n)...)
+	if !bytes.HasSuffix(info, trailer) {
+		t.Fatalf("INFO does not end in the trailer %x", trailer)
+	}
+	info = append(info[:len(info)-len(trailer)+1], binary.AppendUvarint(nil, claimed)...)
+	if err := store.WriteBlob(st, "INFO.store", info); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open("", DecodeOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.TotalAddrs() != claimed {
+		t.Fatalf("TotalAddrs = %d, want the claimed %d", d.TotalAddrs(), claimed)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = d.DecodeRange(0, d.TotalAddrs())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeRange over the claimed trace: err = %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("DecodeRange allocated %d MiB for %d decoded addresses, want < 64 MiB", alloc>>20, n)
+	}
+}
+
+// TestRangeAcrossSegmentsAllocation decodes one window over 256 small
+// segments into an empty slice. The output must grow by doubling across
+// spans, not by each span's remainder (which copies everything decoded
+// so far once per span): beyond the chunk decoding that a presized decode
+// of the same window also does, it allocates a small multiple of the
+// window's bytes.
+func TestRangeAcrossSegmentsAllocation(t *testing.T) {
+	const segs, seg = 256, 1024
+	addrs := make([]uint64, segs*seg)
+	for i := range addrs {
+		addrs[i] = uint64(i*7919%4096) << 6
+	}
+	st := store.NewMem()
+	if _, err := WriteTrace("", addrs, Options{Mode: Lossless, SegmentAddrs: seg,
+		BufferAddrs: seg, Backend: "flate", Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(dst []uint64) uint64 {
+		d, err := Open("", DecodeOptions{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := d.DecodeRangeAppend(dst, 0, d.TotalAddrs())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, addrs) {
+			t.Fatal("range over the whole trace differs from the input")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	presized := decode(make([]uint64, 0, len(addrs)))
+	grown := decode([]uint64{})
+	window := uint64(len(addrs) * 8)
+	if grown >= presized+8*window {
+		t.Fatalf("a range into an empty slice allocated %d KiB, into a presized one %d KiB: "+
+			"growth took 8x or more of the %d KiB window", grown>>10, presized>>10, window>>10)
+	}
+}
+
 // FuzzChunkBlob replaces chunk 2 of the golden segmented trace with
 // arbitrary bytes: a range over its span and a full decode must each
 // return the index's address count or an error wrapping ErrCorrupt.

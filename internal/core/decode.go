@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -491,7 +490,7 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 		// aheadWG, so no task outlives it.
 		defer tasks.Wait()
 		for i := d.spanIndex(start); i < len(d.index); i++ {
-			r, err := d.openSpan(d.index[i], start)
+			r, err := d.openSpan(d.index[i], start, false)
 			slot := make(chan aheadBatch, 2)
 			select {
 			case slots <- slot:
@@ -528,10 +527,11 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 	}
 }
 
-// spanReader yields one span's addresses a batch at a time. It is the
-// one reader of chunk blobs: the pipeline's span tasks, the inline
-// (Readahead < 0) decode, range windows over the legacy v1 stream and
-// chunk loads into the cache (readChunkFile) all decode through it.
+// spanReader yields one span's addresses. It is the one way decoded
+// addresses leave a span: the pipeline's span tasks and the inline
+// (Readahead < 0) decode take batches from next, range windows and chunk
+// loads into the cache (readChunkFile) append through appendN, and both
+// copy out through copyTo.
 type spanReader struct {
 	d  *Decompressor
 	sp span
@@ -542,6 +542,9 @@ type spanReader struct {
 	// reads from, at offset off; nil when the span stream-decodes.
 	chunk []uint64
 	off   int
+	// trans is the imitation's translation applied to every copy out of
+	// chunk; nil when the addresses leave the chunk unchanged.
+	trans *histogram.Translations
 	// Stream state, opened by the first fill: the timed chunk blob, its
 	// pooled decode unit and the count of addresses decoded so far.
 	blob io.Closer
@@ -554,21 +557,27 @@ type spanReader struct {
 	fetchNS, decNS int64
 }
 
-// openSpan prepares a reader over sp from trace position start on.
-// Chunks that imitations replay are materialized and pinned in the chunk
-// cache here. Segments, lossy chunks no imitation replays and the legacy
-// v1 span have exactly one consumer, this pass, so they stream-decode
-// straight into batch buffers (materializing would cost a transient
-// span-sized buffer, and caching would only evict chunks imitations still
-// need) — unless a random-access pass already left them in the cache.
-func (d *Decompressor) openSpan(sp span, start int64) (*spanReader, error) {
+// openSpan prepares a reader over sp from trace position start on. With
+// pin set (range windows) every chunk is materialized and pinned in the
+// chunk cache, so a hot range working set decompresses once. Without it
+// (the sequential pipeline and inline decode) only chunks that imitations
+// replay are: segments and lossy chunks no imitation replays have exactly
+// one consumer, this pass, so they stream-decode straight into batch
+// buffers (materializing would cost a transient span-sized buffer, and
+// caching would only evict chunks imitations still need) — unless a
+// random-access pass already left them in the cache. The legacy v1 span
+// always streams.
+func (d *Decompressor) openSpan(sp span, start int64, pin bool) (*spanReader, error) {
 	if d.legacy {
 		return d.legacyReader(sp, start), nil
 	}
 	r := &spanReader{d: d, sp: sp, skip: max(start-sp.start, 0)}
+	if sp.rec.tag == recImitate && !d.opts.IgnoreTranslations && sp.rec.trans.Mask != 0 {
+		r.trans = sp.rec.trans
+	}
 	_, hot := d.imitated[sp.rec.chunkID]
 	var err error
-	if sp.rec.tag == recChunk && !hot {
+	if sp.rec.tag == recChunk && !hot && !pin {
 		cached, ok := d.cache.Get(sp.rec.chunkID)
 		if !ok {
 			if d.mode == Lossy {
@@ -616,50 +625,85 @@ func checkChunk(sp span, chunk []uint64) error {
 	return nil
 }
 
-// nextSlice serves a materialized span: chunk records as zero-copy
-// sub-slices of the chunk, imitation records as byte-translated batches
-// written into recycled buffers — so an imitation never allocates a
-// whole-interval copy, and distinct imitations of the same chunk
-// translate concurrently on their own tasks.
-//
-//atc:hotpath
-func (r *spanReader) nextSlice() (aheadBatch, bool) {
-	if r.off >= len(r.chunk) {
-		return aheadBatch{}, false
-	}
-	d := r.d
-	end := min(r.off+d.opts.batchAddrs, len(r.chunk))
-	addrs := r.chunk[r.off:end]
-	r.off = end
-	if r.sp.rec.tag != recImitate || d.opts.IgnoreTranslations {
-		return aheadBatch{addrs: addrs}, true
-	}
-	//atc:ignore hotalloc batchBuf returns batchAddrs capacity and addrs is at most batchAddrs long, so append never grows
-	buf := append(d.batchBuf(), addrs...)
-	r.sp.rec.trans.ApplySlice(buf)
-	return aheadBatch{addrs: buf, buf: buf}, true
-}
-
 // next returns the span's next batch; ok is false once the span is
-// exhausted. A batch carrying an error is the span's last. Materialized
-// spans slice (nextSlice); the rest stream-decode the chunk blob directly
-// into recycled batch buffers: the chunk is never materialized whole, so
-// per-span memory is one batch plus the pooled decode unit's working
-// buffers.
+// exhausted. A batch carrying an error is the span's last. A materialized
+// chunk record yields zero-copy sub-slices of the chunk; imitations and
+// streamed spans copy out into recycled batch buffers, so an imitation
+// never allocates a whole-interval copy and a streamed chunk is never
+// materialized whole: per-span memory is one batch plus, when streaming,
+// the pooled decode unit's working buffers.
 //
 //atc:hotpath
 func (r *spanReader) next() (aheadBatch, bool) {
-	if r.chunk != nil {
-		return r.nextSlice()
-	}
 	d := r.d
+	if r.chunk != nil && r.trans == nil {
+		if r.off >= len(r.chunk) {
+			return aheadBatch{}, false
+		}
+		end := min(r.off+d.opts.batchAddrs, len(r.chunk))
+		addrs := r.chunk[r.off:end]
+		r.off = end
+		return aheadBatch{addrs: addrs}, true
+	}
 	buf := d.batchBuf()
-	n, err := r.fill(buf[:cap(buf)])
+	n, err := r.copyTo(buf[:cap(buf)])
 	if err != nil || n == 0 {
 		d.recycleBatch(buf)
 		return aheadBatch{err: err}, err != nil
 	}
 	return aheadBatch{addrs: buf[:n], buf: buf[:n]}, true
+}
+
+// copyTo copies the span's next addresses into dst and returns how many
+// it wrote (0 once the span is exhausted). A materialized span copies
+// from the chunk and translates an imitation's copy in place, timing the
+// translation into the translate stage; a streamed span decodes into dst
+// (fill).
+//
+//atc:hotpath
+func (r *spanReader) copyTo(dst []uint64) (int, error) {
+	if r.chunk == nil {
+		return r.fill(dst)
+	}
+	d := r.d
+	start := time.Now()
+	n := copy(dst, r.chunk[r.off:])
+	r.off += n
+	if tr := d.traceRec; tr != nil {
+		tr.Add(obs.StageDeliver, time.Since(start))
+	}
+	if r.trans != nil && n > 0 {
+		start = time.Now()
+		r.trans.ApplySlice(dst[:n])
+		d.observeTranslate(time.Since(start))
+	}
+	return n, nil
+}
+
+// appendN appends the span's next n addresses to dst. The count comes from
+// the untrusted INFO, so dst grows only once it is full: to twice its
+// length, or by min(n, maxDecodeAllPrealloc) if that is more. Doubling
+// keeps a window over many spans linear; slices.Grow would too, but under
+// -race it allocates each request twice. A span that ends short of n is
+// corrupt.
+func (r *spanReader) appendN(dst []uint64, n int64) ([]uint64, error) {
+	for n > 0 {
+		if len(dst) == cap(dst) {
+			grow := max(len(dst), int(min(n, maxDecodeAllPrealloc)))
+			dst = append(make([]uint64, 0, len(dst)+grow), dst...)
+		}
+		got, err := r.copyTo(dst[len(dst):min(cap(dst), len(dst)+int(n))])
+		if err != nil {
+			return nil, err
+		}
+		if got == 0 {
+			return nil, fmt.Errorf("%w: chunk %d ends %d addresses short of the index",
+				ErrCorrupt, r.sp.rec.chunkID, n)
+		}
+		dst = dst[:len(dst)+got]
+		n -= int64(got)
+	}
+	return dst, nil
 }
 
 // fill decodes the span's next addresses into dst, opening the chunk
@@ -950,10 +994,6 @@ func (d *Decompressor) readInfo(backendName string, wantVersion int) error {
 					if _, err := io.ReadFull(r, tr.T[j][:]); err != nil {
 						return fmt.Errorf("%w: short translation table", ErrCorrupt)
 					}
-				} else {
-					for i := 0; i < 256; i++ {
-						tr.T[j][i] = uint8(i)
-					}
 				}
 			}
 			d.records = append(d.records, record{tag: recImitate, chunkID: int(id), trans: tr})
@@ -1069,8 +1109,9 @@ func (d *Decompressor) DecodeRange(from, to int64) ([]uint64, error) {
 
 // DecodeRangeAppend is DecodeRange decoding into a caller-provided
 // buffer: the addresses at [from, to) are appended to dst and the
-// extended slice returned. A dst with capacity for the window decodes
-// with zero allocations beyond the chunk work itself.
+// extended slice returned. A dst with capacity for the window is never
+// regrown: beyond the chunk work, each span the window touches costs one
+// small span reader.
 func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64, error) {
 	if d.closed {
 		return nil, fmt.Errorf("%w: DecodeRange", ErrClosed)
@@ -1082,11 +1123,8 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 		return dst, nil
 	}
 	d.stopReadahead()
-	// One growth covers the window, capped because the trace's bounds
-	// come from the untrusted INFO trailer.
-	dst = slices.Grow(dst, int(min(to-from, maxDecodeAllPrealloc)))
-	// Per-request tracing: the index walk and the copy-out are timed only
-	// when a recorder is attached — too fine-grained to time every call.
+	// Per-request tracing: the index walk is timed only when a recorder
+	// is attached — too fine-grained to time every call.
 	tr := d.traceRec
 	var t0 time.Time
 	if tr != nil {
@@ -1099,38 +1137,14 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 	for i := start; i < len(d.index) && d.index[i].start < to; i++ {
 		sp := d.index[i]
 		lo, hi := max(from, sp.start), min(to, sp.end)
-		n0, n := len(dst), int(hi-lo)
-		if d.legacy {
-			// The v1 stream decodes the window straight into dst.
-			dst = slices.Grow(dst, n)
-			r := d.legacyReader(sp, lo)
-			got, err := r.fill(dst[n0 : n0+n])
-			r.close()
-			if err != nil {
-				return nil, err
-			}
-			dst = dst[:n0+got]
-			continue
-		}
-		chunk, err := d.loadChunk(sp)
-		if err == nil {
-			err = checkChunk(sp, chunk)
-		}
+		r, err := d.openSpan(sp, lo, true)
 		if err != nil {
 			return nil, err
 		}
-		if tr != nil {
-			t0 = time.Now()
-		}
-		dst = append(dst, chunk[lo-sp.start:hi-sp.start]...)
-		if tr != nil {
-			tr.Add(obs.StageDeliver, time.Since(t0))
-		}
-		if sp.rec.tag == recImitate && !d.opts.IgnoreTranslations {
-			// Only the window's addresses translate, in place in dst.
-			t1 := time.Now()
-			sp.rec.trans.ApplySlice(dst[n0:])
-			d.observeTranslate(time.Since(t1))
+		dst, err = r.appendN(dst, hi-lo)
+		r.close()
+		if err != nil {
+			return nil, err
 		}
 	}
 	return dst, nil
@@ -1201,7 +1215,7 @@ func (d *Decompressor) nextBatch() (aheadBatch, bool) {
 			if i >= len(d.index) {
 				return aheadBatch{}, false
 			}
-			r, err := d.openSpan(d.index[i], d.cursor)
+			r, err := d.openSpan(d.index[i], d.cursor, false)
 			if err != nil {
 				return aheadBatch{err: err}, true
 			}
@@ -1215,23 +1229,20 @@ func (d *Decompressor) nextBatch() (aheadBatch, bool) {
 	}
 }
 
-// maxDecodeAllPrealloc caps the slice capacity DecodeAll, a range decode
-// or a chunk load commits before the first address decodes: 4 Mi
-// addresses (32 MB). Counts come from the untrusted INFO, and a corrupt
-// one must not demand an enormous allocation before any decode error can
-// surface.
-const maxDecodeAllPrealloc = 1 << 22
+// maxDecodeAllPrealloc caps the first growth of DecodeAll's output and
+// of appendN's (range windows and chunk loads): 2 Mi addresses (16 MB).
+// Counts come from the untrusted INFO, and a corrupt one must not demand
+// an enormous allocation before any decode error can surface: a lossy
+// DecodeAll can hold both growths at once (its output and a chunk load).
+const maxDecodeAllPrealloc = 1 << 21
 
-// DecodeAll decodes the remaining trace into memory.
+// DecodeAll decodes the remaining trace into memory. The output is sized
+// from the trailer's count, capped at maxDecodeAllPrealloc, before the
+// first Decode starts the readahead pipeline: sized after it, the block
+// arrives while the pipeline fills, and the peak RSS of five decodes of
+// a 2 Mi-address lossy trace rose by about 10 MiB.
 func (d *Decompressor) DecodeAll() ([]uint64, error) {
-	n := d.total - d.cursor
-	if n < 0 {
-		n = 0
-	}
-	if n > maxDecodeAllPrealloc {
-		n = maxDecodeAllPrealloc
-	}
-	out := make([]uint64, 0, n)
+	out := make([]uint64, 0, min(max(d.total-d.cursor, 0), maxDecodeAllPrealloc))
 	for {
 		v, err := d.Decode()
 		if err == io.EOF {
@@ -1305,26 +1316,17 @@ type depletedReader struct{}
 
 func (depletedReader) Read([]byte) (int, error) { return 0, io.EOF }
 
-// readChunkFile decompresses sp's chunk blob through a span reader into a
-// buffer of exactly the index's address count, then checks that the chunk
-// ends there: a longer blob fails at its first excess address instead of
-// being decoded whole. The count comes from the untrusted INFO, so past
-// maxDecodeAllPrealloc the buffer grows only as decoded addresses arrive.
-// Concurrent decode goroutines may call it.
+// readChunkFile decompresses sp's chunk blob through a span reader,
+// appending exactly the index's address count (appendN), then checks that
+// the chunk ends there: a longer blob fails at its first excess address
+// instead of being decoded whole. Concurrent decode goroutines may call
+// it.
 func (d *Decompressor) readChunkFile(sp span) ([]uint64, error) {
 	r := &spanReader{d: d, sp: sp}
 	defer r.release()
-	want := sp.end - sp.start
-	addrs := make([]uint64, 0, min(want, maxDecodeAllPrealloc))
-	for int64(len(addrs)) < want {
-		if len(addrs) == cap(addrs) {
-			addrs = slices.Grow(addrs, int(min(want-int64(len(addrs)), int64(len(addrs)))))
-		}
-		n, err := r.fill(addrs[len(addrs):cap(addrs)])
-		if err != nil {
-			return nil, err
-		}
-		addrs = addrs[:len(addrs)+n]
+	addrs, err := r.appendN(nil, sp.end-sp.start)
+	if err != nil {
+		return nil, err
 	}
 	var past [1]uint64
 	if _, err := r.fill(past[:]); err != nil {

@@ -35,10 +35,11 @@ var (
 // metDecodeStage holds one histogram per decode stage
 // (atc_decode_stage_seconds{stage=...}). Fetch and decompress are
 // observed once for every chunk read, streamed or materialized, when its
-// reader is released; translate for every imitation window a range
-// decode copies out. Wait, index and deliver are request-scoped — they
-// land here only through a traced request's recorder path (atcserve
-// observes wait separately as pool-wait).
+// reader is released; translate for every imitation copy-out (copyTo),
+// whether a pipeline batch, an inline batch or a range window. Wait,
+// index and deliver are request-scoped — they land here only through a
+// traced request's recorder path (atcserve observes wait separately as
+// pool-wait).
 var metDecodeStage = func() [obs.NumStages]*obs.Histogram {
 	var hs [obs.NumStages]*obs.Histogram
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
@@ -66,7 +67,8 @@ func (r *spanReader) observeFill(start time.Time, fetched int64) {
 	}
 }
 
-// observeTranslate records imitation-translation time (range decode).
+// observeTranslate records the translation time of one imitation
+// copy-out.
 func (d *Decompressor) observeTranslate(dur time.Duration) {
 	metDecodeStage[obs.StageTranslate].ObserveDuration(dur)
 	if tr := d.traceRec; tr != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -72,6 +73,41 @@ func TestDecodeTraceStages(t *testing.T) {
 				t.Fatal("cached re-read recorded no cache hits")
 			}
 		})
+	}
+}
+
+// TestSequentialDecodeTimesTranslate checks that the readahead pipeline
+// and the inline decode time an imitation's translation into the
+// translate stage, as range windows do: all three copy out through one
+// routine.
+func TestSequentialDecodeTimesTranslate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace")
+	if _, err := WriteTrace(path, mixedLossyTrace(2000, 3, 4), Options{Mode: Lossy, IntervalLen: 2000, BufferAddrs: 400}); err != nil {
+		t.Fatal(err)
+	}
+	for _, readahead := range []int{2, -1} {
+		d, err := Open(path, DecodeOptions{Readahead: readahead})
+		if err != nil {
+			t.Fatal(err)
+		}
+		translated := 0
+		for _, rec := range d.records {
+			if rec.tag == recImitate && rec.trans.Mask != 0 {
+				translated++
+			}
+		}
+		if translated == 0 {
+			t.Fatal("trace has no translated imitation")
+		}
+		before := metDecodeStage[obs.StageTranslate].Count()
+		_, err = d.DecodeAll()
+		d.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := metDecodeStage[obs.StageTranslate].Count() - before; n < int64(translated) {
+			t.Fatalf("readahead %d: %d translate observations for %d translated imitations", readahead, n, translated)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -165,7 +166,7 @@ func CompressBytesort(addrs []uint64, bufAddrs int, mode bytesort.Mode, backend 
 	if err != nil {
 		return nil, err
 	}
-	var sink appendWriter
+	var sink bytes.Buffer
 	w, err := b.NewWriter(&sink)
 	if err != nil {
 		return nil, err
@@ -180,7 +181,7 @@ func CompressBytesort(addrs []uint64, bufAddrs int, mode bytesort.Mode, backend 
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	return sink.b, nil
+	return sink.Bytes(), nil
 }
 
 // DecompressBytesort decodes a CompressBytesort stream.
@@ -189,7 +190,7 @@ func DecompressBytesort(data []byte, mode bytesort.Mode, backend string) ([]uint
 	if err != nil {
 		return nil, err
 	}
-	r, err := b.NewReader(newSliceReader(data))
+	r, err := b.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
@@ -203,43 +204,11 @@ func DrainBackend(data []byte, backend string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r, err := b.NewReader(newSliceReader(data))
+	r, err := b.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return 0, err
 	}
 	return io.Copy(io.Discard, r)
-}
-
-type appendWriter struct{ b []byte }
-
-func (a *appendWriter) Write(p []byte) (int, error) {
-	a.b = append(a.b, p...)
-	return len(p), nil
-}
-
-type sliceReader struct {
-	b []byte
-	i int
-}
-
-func newSliceReader(b []byte) *sliceReader { return &sliceReader{b: b} }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.i:])
-	s.i += n
-	return n, nil
-}
-
-func (s *sliceReader) ReadByte() (byte, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
-	}
-	b := s.b[s.i]
-	s.i++
-	return b, nil
 }
 
 // Footprint counts distinct addresses in a trace.

@@ -16,7 +16,10 @@
 // value of B.
 package histogram
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Positions is the number of byte positions in a 64-bit address.
 const Positions = 8
@@ -256,7 +259,7 @@ func TranslationMask(a, b *Set, eps float64) uint8 {
 // Translations bundles the per-position byte translations of one imitation.
 type Translations struct {
 	Mask uint8                 // positions to translate
-	T    [Positions][256]uint8 // translation tables (identity where unused)
+	T    [Positions][256]uint8 // translation tables, never read where Mask is clear
 }
 
 // BuildTranslations computes the translations needed to make interval a
@@ -266,38 +269,23 @@ func BuildTranslations(a, b *Set, eps float64) *Translations {
 	for j := 0; j < Positions; j++ {
 		if tr.Mask&(1<<uint(j)) != 0 {
 			tr.T[j] = Translation(a, b, j)
-		} else {
-			for i := 0; i < 256; i++ {
-				tr.T[j][i] = uint8(i)
-			}
 		}
 	}
 	return tr
 }
 
-// Apply rewrites one address through the translations.
-func (tr *Translations) Apply(addr uint64) uint64 {
-	if tr.Mask == 0 {
-		return addr
-	}
-	var out uint64
-	for j := 0; j < Positions; j++ {
-		b := byte(addr >> (8 * uint(j)))
-		if tr.Mask&(1<<uint(j)) != 0 {
-			b = tr.T[j][b]
-		}
-		out |= uint64(b) << (8 * uint(j))
-	}
-	return out
-}
-
-// ApplySlice rewrites addresses in place.
+// ApplySlice rewrites addresses in place, one pass per translated byte
+// position: each pass replaces byte j of every address with t[j] of it.
+// Positions outside Mask are never touched, so a zero Mask is free.
+//
+//atc:hotpath
 func (tr *Translations) ApplySlice(addrs []uint64) {
-	if tr.Mask == 0 {
-		return
-	}
-	for i, a := range addrs {
-		addrs[i] = tr.Apply(a)
+	for m := tr.Mask; m != 0; m &= m - 1 {
+		sh := 8 * uint(bits.TrailingZeros8(m))
+		t := &tr.T[sh/8]
+		for i, a := range addrs {
+			addrs[i] = a&^(0xff<<sh) | uint64(t[byte(a>>sh)])<<sh
+		}
 	}
 }
 

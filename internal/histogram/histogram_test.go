@@ -286,8 +286,10 @@ func TestIdentityTranslationWhenMaskZero(t *testing.T) {
 	if tr.Mask != 0 {
 		t.Fatalf("self-imitation mask = %08b, want 0", tr.Mask)
 	}
-	if got := tr.Apply(0xDEADBEEF); got != 0xDEADBEEF {
-		t.Fatalf("identity translation changed address: %#x", got)
+	got := []uint64{0xDEADBEEF}
+	tr.ApplySlice(got)
+	if got[0] != 0xDEADBEEF {
+		t.Fatalf("identity translation changed address: %#x", got[0])
 	}
 }
 
@@ -370,5 +372,40 @@ func TestAddSliceMatchesAdd(t *testing.T) {
 	single.Finalize()
 	if bulk != single {
 		t.Fatal("AddSlice diverges from per-address Add")
+	}
+}
+
+// TestApplySliceTranslatesOnlyMaskedBytes checks the column-wise
+// translation against a byte-by-byte reference, with every unmasked table
+// filled with garbage: those tables must never be read.
+func TestApplySliceTranslatesOnlyMaskedBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		tr := &Translations{Mask: uint8(rng.Intn(256))}
+		for j := range tr.T {
+			for i := range tr.T[j] {
+				tr.T[j][i] = uint8(rng.Intn(256))
+			}
+		}
+		addrs := make([]uint64, 100)
+		for i := range addrs {
+			addrs[i] = rng.Uint64()
+		}
+		want := make([]uint64, len(addrs))
+		for i, a := range addrs {
+			for j := 0; j < Positions; j++ {
+				b := byte(a >> (8 * j))
+				if tr.Mask&(1<<j) != 0 {
+					b = tr.T[j][b]
+				}
+				want[i] |= uint64(b) << (8 * j)
+			}
+		}
+		tr.ApplySlice(addrs)
+		for i := range addrs {
+			if addrs[i] != want[i] {
+				t.Fatalf("mask %08b addr %d = %#x, want %#x", tr.Mask, i, addrs[i], want[i])
+			}
+		}
 	}
 }

@@ -23,10 +23,12 @@ const (
 	// fetch time.
 	StageDecompress
 	// StageTranslate is imitation translation (ApplySlice) on lossy
-	// records.
+	// records, timed for every copy of an imitation out of its source
+	// chunk.
 	StageTranslate
-	// StageDeliver is copying decoded addresses out: the range-append in
-	// core plus response serialization in the server.
+	// StageDeliver is copying decoded addresses out: the copy out of a
+	// materialized chunk in core plus response serialization in the
+	// server.
 	StageDeliver
 
 	// NumStages is the number of Stage values; usable as an array length.
