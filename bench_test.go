@@ -36,7 +36,7 @@ var benchModels = []string{
 var benchCache = experiment.NewTraceCache()
 
 func benchTable1Config() experiment.Table1Config {
-	return experiment.Table1Config{Models: benchModels, N: benchN, TCgenBits: 14}
+	return experiment.Table1Config{Params: experiment.Params{Models: benchModels, N: benchN}, TCgenBits: 14}
 }
 
 func BenchmarkTable1BitsPerAddress(b *testing.B) {
@@ -77,7 +77,7 @@ func BenchmarkTable2Decompression(b *testing.B) {
 }
 
 func BenchmarkTable3LossyVsLossless(b *testing.B) {
-	cfg := experiment.Table3Config{Models: benchModels, N: benchN}
+	cfg := experiment.Table3Config{Params: experiment.Params{Models: benchModels, N: benchN}}
 	var res *experiment.Table3Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -92,8 +92,7 @@ func BenchmarkTable3LossyVsLossless(b *testing.B) {
 
 func BenchmarkFigure3MissRatios(b *testing.B) {
 	cfg := experiment.Figure3Config{
-		Models:    []string{"429.mcf", "462.libquantum", "453.povray"},
-		N:         benchN,
+		Params:    experiment.Params{Models: []string{"429.mcf", "462.libquantum", "453.povray"}, N: benchN},
 		SetCounts: []int{256, 1024},
 		MaxAssoc:  16,
 	}
@@ -118,7 +117,7 @@ func BenchmarkFigure3MissRatios(b *testing.B) {
 }
 
 func BenchmarkFigure4TranslationAblation(b *testing.B) {
-	cfg := experiment.Figure4Config{N: benchN, Sets: 1024, MaxAssoc: 16}
+	cfg := experiment.Figure4Config{Params: experiment.Params{N: benchN}, Sets: 1024, MaxAssoc: 16}
 	var res *experiment.Figure4Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -134,7 +133,7 @@ func BenchmarkFigure4TranslationAblation(b *testing.B) {
 }
 
 func BenchmarkFigure5Predictor(b *testing.B) {
-	cfg := experiment.Figure5Config{Models: []string{"462.libquantum", "456.hmmer", "458.sjeng"}, N: benchN}
+	cfg := experiment.Figure5Config{Params: experiment.Params{Models: []string{"462.libquantum", "456.hmmer", "458.sjeng"}, N: benchN}}
 	var res *experiment.Figure5Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -158,7 +157,7 @@ func BenchmarkFigure5Predictor(b *testing.B) {
 }
 
 func BenchmarkFigure8RandomTrace(b *testing.B) {
-	cfg := experiment.Figure8Config{N: 1_000_000}
+	cfg := experiment.Figure8Config{Params: experiment.Params{N: 1_000_000}}
 	var res *experiment.Figure8Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -175,9 +174,8 @@ func BenchmarkFigure8RandomTrace(b *testing.B) {
 
 func BenchmarkLongTrace(b *testing.B) {
 	cfg := experiment.LongTraceConfig{
-		Model:       "482.sphinx3",
-		Lengths:     []int{benchN, 4 * benchN},
-		IntervalLen: benchN / 25,
+		Params:  experiment.Params{Models: []string{"482.sphinx3"}, IntervalLen: benchN / 25},
+		Lengths: []int{benchN, 4 * benchN},
 	}
 	var res *experiment.LongTraceResult
 	for i := 0; i < b.N; i++ {

@@ -383,8 +383,11 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 		sharedBytes: cfg.sharedBytes.ForTrace(name),
 	}
 	readerOpts := []atc.ReadOption{
-		// Readahead is disabled: a range server decodes exactly the chunks
-		// a request asks for, and prefetch past the window would be waste.
+		// DecodeRange never starts the readahead pipeline, so this does
+		// not change what a request decodes. A negative readahead only
+		// sizes each pooled reader's free lists for one span task: 3
+		// pooled decode units instead of 4 and 12 batch buffers
+		// instead of 16.
 		atc.WithReadStore(st), atc.WithReadahead(-1),
 		atc.WithChunkCache(p.sharedBytes),
 	}

@@ -18,40 +18,13 @@ import (
 // histograms are region-invariant and match them (translation repairs the
 // addresses); working-set signatures hash block identities and see
 // nothing to reuse.
+//
+// Models default to a 6-model subset spanning the spectrum; BufferAddrs
+// and Backend are unused.
 type DetectorCompareConfig struct {
-	Models        []string // default: a 6-model subset spanning the spectrum
-	N             int
-	IntervalLen   int
-	Epsilon       float64 // histogram threshold; default 0.1
+	Params
 	SigThreshold  float64 // signature threshold; default 0.5
 	SignatureBits int     // default 16384
-	Seed          uint64
-}
-
-func (c *DetectorCompareConfig) fillDefaults() {
-	if len(c.Models) == 0 {
-		c.Models = []string{
-			"403.gcc", "429.mcf", "453.povray", "462.libquantum", "471.omnetpp", "482.sphinx3",
-		}
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 20
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.SigThreshold <= 0 {
-		c.SigThreshold = 0.5
-	}
-	if c.SignatureBits <= 0 {
-		c.SignatureBits = 16384
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
 }
 
 // DetectorCompareRow is one trace's detector comparison.
@@ -75,9 +48,12 @@ type DetectorCompareResult struct {
 
 // RunDetectorCompare drives both detectors over the same interval stream.
 func RunDetectorCompare(cfg DetectorCompareConfig, tc *TraceCache) (*DetectorCompareResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	cfg.fill("403.gcc", "429.mcf", "453.povray", "462.libquantum", "471.omnetpp", "482.sphinx3")
+	if cfg.SigThreshold <= 0 {
+		cfg.SigThreshold = 0.5
+	}
+	if cfg.SignatureBits <= 0 {
+		cfg.SignatureBits = 16384
 	}
 	res := &DetectorCompareResult{Config: cfg}
 	for _, model := range cfg.Models {

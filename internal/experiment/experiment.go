@@ -4,22 +4,28 @@
 // experiment has a Run function returning a structured result and a Render
 // method printing rows shaped like the paper's.
 //
+// Every experiment's config embeds Params, the knobs all experiments share
+// (models, trace length, interval length, buffer, ε, back end, seed and
+// workers); a zero field takes that experiment's default. Every ATC
+// measurement comes from one compression into memory, which yields the
+// bits per address and the compressor's stats, and decodes on demand.
+//
 // Scaling: the paper's traces are 100 M – 1 G addresses; the defaults here
 // are 50–500× smaller so the full suite runs in minutes, with every knob
 // exported so paper-scale runs remain possible. cmd/atcbench runs them
 // from the command line (see its row in the README's "Command-line tools"
-// table).
+// table); its tiny-scale output is pinned by a golden file in its testdata.
 package experiment
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"atc/internal/bytesort"
 	"atc/internal/core"
+	"atc/internal/store"
 	"atc/internal/trace"
 	"atc/internal/workload"
 	"atc/internal/xcompress"
@@ -32,49 +38,103 @@ const DefaultTraceLen = 500_000
 // DefaultSeed makes all experiments reproducible by default.
 const DefaultSeed = 2009 // ISPASS 2009
 
-// Workers is the chunk-compression worker count every experiment passes to
-// core.Options.Workers (0 = the library default, runtime.GOMAXPROCS(0);
-// 1 = one compression worker). Compressed output is byte-identical for any
-// value, so it only affects wall-clock time. Set it before running
-// experiments — cmd/atcbench exposes it as -workers.
-var Workers int
-
-// SegmentAddrs overrides the lossless segment length for the segment-size
-// sweep (RunSegmentSweep), the only experiment that compresses with the
-// lossless core pipeline: when non-zero, the sweep compares the
-// single-chunk baseline against exactly this segment size instead of its
-// default size ladder (negative = the legacy v1 single-chunk layout, a
-// no-op comparison). All other experiments compress lossily and ignore it.
-// cmd/atcbench exposes it as -segment.
-var SegmentAddrs int
-
-// Archive routes every experiment's compressed traces into single-file
-// .atc archives instead of directories, exercising the archive store end
-// to end; BPA figures then include the archive header and table of
-// contents, so a large divergence from the directory numbers would flag
-// container overhead. cmd/atcbench exposes it as -archive.
-var Archive bool
-
-// tempTrace returns a fresh destination path for one compressed trace —
-// a temp directory or, when Archive is set, an empty temp .atc file that
-// the archive writer adopts. os.RemoveAll on the returned path cleans up
-// either layout.
-func tempTrace(pattern string) (string, error) {
-	if !Archive {
-		return os.MkdirTemp("", pattern)
-	}
-	f, err := os.CreateTemp("", pattern+"-*.atc")
-	if err != nil {
-		return "", err
-	}
-	return f.Name(), f.Close()
+// Params are the knobs every experiment shares. A zero field takes the
+// default listed here; each config says where its defaults differ, and
+// which fields its experiment ignores.
+type Params struct {
+	// Models are the traces of a multi-model experiment. A single-model
+	// experiment runs Models[0] when Models names exactly one model, and
+	// its own default model otherwise.
+	Models      []string
+	N           int     // addresses per trace; default DefaultTraceLen
+	IntervalLen int     // lossy interval length L; default N/20
+	BufferAddrs int     // bytesort buffer B; default IntervalLen/10
+	Epsilon     float64 // phase-match threshold ε; default 0.1
+	Backend     string  // byte-level back end; default "bsc"
+	Seed        uint64  // workload seed; default DefaultSeed
+	// Workers is passed to core.Options.Workers (0 = GOMAXPROCS).
+	// Compressed output is byte-identical for any value, so it only
+	// changes wall-clock time.
+	Workers int
 }
 
-// writeTrace compresses addrs at path in the layout tempTrace chose for
-// it, threading the experiment-wide Archive knob into opts.
-func writeTrace(path string, addrs []uint64, opts core.Options) (core.Stats, error) {
-	opts.Archive = Archive
-	return core.WriteTrace(path, addrs, opts)
+// fill sets every zero field of p to its shared default. An experiment
+// whose defaults differ presets those fields before calling fill. models
+// are the experiment's default traces; a single-model experiment passes
+// exactly one.
+func (p *Params) fill(models ...string) {
+	if len(p.Models) == 0 || len(models) == 1 && len(p.Models) != 1 {
+		p.Models = models
+	}
+	if p.N <= 0 {
+		p.N = DefaultTraceLen
+	}
+	if p.IntervalLen <= 0 {
+		// The paper uses L = N/100 at N = 1 G (L = 10 M). At laptop scale
+		// that ratio would push L below the sorted-histogram sampling-noise
+		// floor (E[d] ≈ 18/sqrt(L), which must stay well under ε): default
+		// to N/20 instead. Paper-scale runs can pass IntervalLen = N/100.
+		p.IntervalLen = max(p.N/20, 1)
+	}
+	if p.BufferAddrs <= 0 {
+		p.BufferAddrs = max(p.IntervalLen/10, 1)
+	}
+	if p.Epsilon <= 0 {
+		p.Epsilon = 0.1
+	}
+	if p.Backend == "" {
+		p.Backend = "bsc"
+	}
+	if p.Seed == 0 {
+		p.Seed = DefaultSeed
+	}
+}
+
+// lossy returns the core options of an ATC lossy compression under p.
+func (p *Params) lossy() core.Options {
+	return core.Options{
+		Workers:     p.Workers,
+		Mode:        core.Lossy,
+		Backend:     p.Backend,
+		IntervalLen: p.IntervalLen,
+		BufferAddrs: p.BufferAddrs,
+		Epsilon:     p.Epsilon,
+	}
+}
+
+// trip is one compression of a trace, held in memory.
+type trip struct {
+	st    *store.MemStore
+	size  int64 // compressed bytes: the summed blob sizes
+	bpa   float64
+	stats core.Stats
+}
+
+// compress compresses addrs into a store.MemStore under opts. The size
+// equals the summed file sizes of the same trace written to a directory.
+func compress(addrs []uint64, opts core.Options) (*trip, error) {
+	st := store.NewMem()
+	opts.Store = st
+	stats, err := core.WriteTrace("", addrs, opts)
+	if err != nil {
+		return nil, err
+	}
+	size, err := st.Size()
+	if err != nil {
+		return nil, err
+	}
+	return &trip{st: st, size: size, bpa: bpa(size, len(addrs)), stats: stats}, nil
+}
+
+// decode decodes the whole trace; ignoreTranslations skips byte
+// translation (the Figure 4 ablation).
+func (t *trip) decode(ignoreTranslations bool) ([]uint64, error) {
+	d, err := core.Open("", core.DecodeOptions{Store: t.st, IgnoreTranslations: ignoreTranslations})
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	return d.DecodeAll()
 }
 
 // TraceCache memoises generated traces so multi-column experiments
@@ -90,7 +150,11 @@ func NewTraceCache() *TraceCache {
 }
 
 // Get returns the filtered trace for a model, generating it on first use.
+// A nil cache generates the trace afresh on every call.
 func (tc *TraceCache) Get(model string, n int, seed uint64) ([]uint64, error) {
+	if tc == nil {
+		return workload.GenerateFiltered(model, n, seed)
+	}
 	key := fmt.Sprintf("%s/%d/%d", model, n, seed)
 	tc.mu.Lock()
 	if addrs, ok := tc.m[key]; ok {

@@ -16,7 +16,7 @@ const (
 var tinyModels = []string{"410.bwaves", "429.mcf", "453.povray"}
 
 func tinyTable1() Table1Config {
-	return Table1Config{Models: tinyModels, N: tinyN, TCgenBits: 12}
+	return Table1Config{Params: Params{Models: tinyModels, N: tinyN}, TCgenBits: 12}
 }
 
 func TestTraceCacheMemoises(t *testing.T) {
@@ -130,7 +130,7 @@ func TestTable2RunAndRender(t *testing.T) {
 
 func TestTable3RunAndRender(t *testing.T) {
 	tc := NewTraceCache()
-	cfg := Table3Config{Models: []string{"462.libquantum", "403.gcc"}, N: tinyN}
+	cfg := Table3Config{Params: Params{Models: []string{"462.libquantum", "403.gcc"}, N: tinyN}}
 	res, err := RunTable3(cfg, tc)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +153,7 @@ func TestTable3RunAndRender(t *testing.T) {
 func TestFigure3RunAndRender(t *testing.T) {
 	tc := NewTraceCache()
 	cfg := Figure3Config{
-		Models:    []string{"462.libquantum"},
-		N:         tinyN,
+		Params:    Params{Models: []string{"462.libquantum"}, N: tinyN},
 		SetCounts: []int{64, 256},
 		MaxAssoc:  8,
 	}
@@ -184,7 +183,7 @@ func TestFigure3RunAndRender(t *testing.T) {
 
 func TestFigure4RunAndRender(t *testing.T) {
 	tc := NewTraceCache()
-	cfg := Figure4Config{N: tinyN, Sets: 256, MaxAssoc: 8}
+	cfg := Figure4Config{Params: Params{N: tinyN}, Sets: 256, MaxAssoc: 8}
 	res, err := RunFigure4(cfg, tc)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +200,7 @@ func TestFigure4RunAndRender(t *testing.T) {
 
 func TestFigure5RunAndRender(t *testing.T) {
 	tc := NewTraceCache()
-	cfg := Figure5Config{Models: []string{"462.libquantum", "458.sjeng"}, N: tinyN}
+	cfg := Figure5Config{Params: Params{Models: []string{"462.libquantum", "458.sjeng"}, N: tinyN}}
 	res, err := RunFigure5(cfg, tc)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +234,7 @@ func TestFigure8RunAndRender(t *testing.T) {
 	// noise of a uniform random stream to fall below ε (≈ 26/sqrt(L)), or
 	// translation tables get stored and dilute the ratio. L = 200k gives
 	// noise ≈ 0.06 < 0.1, like the paper's L = 10M (noise ≈ 0.008).
-	cfg := Figure8Config{N: 2_000_000}
+	cfg := Figure8Config{Params: Params{N: 2_000_000}}
 	res, err := RunFigure8(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -264,9 +263,8 @@ func TestFigure8RunAndRender(t *testing.T) {
 func TestLongTraceRunAndRender(t *testing.T) {
 	tc := NewTraceCache()
 	cfg := LongTraceConfig{
-		Model:       "462.libquantum",
-		Lengths:     []int{20_000, 80_000},
-		IntervalLen: 2_000,
+		Params:  Params{Models: []string{"462.libquantum"}, IntervalLen: 2_000},
+		Lengths: []int{20_000, 80_000},
 	}
 	res, err := RunLongTrace(cfg, tc)
 	if err != nil {
@@ -284,7 +282,7 @@ func TestLongTraceRunAndRender(t *testing.T) {
 
 func TestEpsilonSweep(t *testing.T) {
 	tc := NewTraceCache()
-	cfg := EpsilonSweepConfig{Model: "462.libquantum", N: tinyN, Epsilons: []float64{0.05, 0.5}}
+	cfg := EpsilonSweepConfig{Params: Params{Models: []string{"462.libquantum"}, N: tinyN}, Epsilons: []float64{0.05, 0.5}}
 	res, err := RunEpsilonSweep(cfg, tc)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +303,7 @@ func TestEpsilonSweep(t *testing.T) {
 
 func TestIntervalSweep(t *testing.T) {
 	tc := NewTraceCache()
-	cfg := IntervalSweepConfig{Model: "429.mcf", N: tinyN, IntervalLens: []int{1_500, 15_000}}
+	cfg := IntervalSweepConfig{Params: Params{Models: []string{"429.mcf"}, N: tinyN}, IntervalLens: []int{1_500, 15_000}}
 	res, err := RunIntervalSweep(cfg, tc)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +323,7 @@ func TestIntervalSweep(t *testing.T) {
 
 func TestBackendCompare(t *testing.T) {
 	tc := NewTraceCache()
-	cfg := BackendCompareConfig{Models: []string{"410.bwaves"}, N: tinyN}
+	cfg := BackendCompareConfig{Params: Params{Models: []string{"410.bwaves"}, N: tinyN}}
 	res, err := RunBackendCompare(cfg, tc)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +345,7 @@ func TestBackendCompare(t *testing.T) {
 
 func TestHistorySweep(t *testing.T) {
 	tc := NewTraceCache()
-	cfg := HistorySweepConfig{Model: "471.omnetpp", N: tinyN, Capacities: []int{1, 64}}
+	cfg := HistorySweepConfig{Params: Params{Models: []string{"471.omnetpp"}, N: tinyN}, Capacities: []int{1, 64}}
 	res, err := RunHistorySweep(cfg, tc)
 	if err != nil {
 		t.Fatal(err)

@@ -4,62 +4,20 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"atc/internal/cdc"
 	"atc/internal/cheetah"
-	"atc/internal/core"
+	"atc/internal/phase"
+	"atc/internal/workload"
 )
 
-// lossyRoundTrip compresses a trace with ATC lossy mode and decodes it
-// back, returning the approximate trace, the compression stats, and
-// optionally the translation-disabled decode (Figure 4).
-func lossyRoundTrip(addrs []uint64, intervalLen, bufferAddrs int, eps float64, backend string, alsoNoTranslation bool) (approx, noTrans []uint64, stats core.Stats, err error) {
-	dir, err := tempTrace("atc-fig")
-	if err != nil {
-		return nil, nil, core.Stats{}, err
-	}
-	defer os.RemoveAll(dir)
-	stats, err = writeTrace(dir, addrs, core.Options{
-		Workers:     Workers,
-		Mode:        core.Lossy,
-		Backend:     backend,
-		IntervalLen: intervalLen,
-		BufferAddrs: bufferAddrs,
-		Epsilon:     eps,
-	})
-	if err != nil {
-		return nil, nil, core.Stats{}, err
-	}
-	approx, err = core.ReadTrace(dir)
-	if err != nil {
-		return nil, nil, core.Stats{}, err
-	}
-	if alsoNoTranslation {
-		d, err2 := core.Open(dir, core.DecodeOptions{IgnoreTranslations: true})
-		if err2 != nil {
-			return nil, nil, core.Stats{}, err2
-		}
-		noTrans, err = d.DecodeAll()
-		d.Close()
-		if err != nil {
-			return nil, nil, core.Stats{}, err
-		}
-	}
-	return approx, noTrans, stats, nil
-}
-
 // Figure3Config parameterises the miss-ratio comparison of Figure 3.
+// Models default to the paper's 15-benchmark subset, N to
+// 2·DefaultTraceLen.
 type Figure3Config struct {
-	Models      []string // default: the paper's 15-benchmark subset
-	N           int      // default 2*DefaultTraceLen
-	IntervalLen int      // default N/20 (kept above the histogram-noise floor)
-	BufferAddrs int      // default IntervalLen/10
-	Epsilon     float64  // default 0.1
-	Backend     string
-	Seed        uint64
-	SetCounts   []int // default {512, 2048, 8192, 32768} (scaled from 2k..512k)
-	MaxAssoc    int   // default 32
+	Params
+	SetCounts []int // default {512, 2048, 8192, 32768} (scaled from 2k..512k)
+	MaxAssoc  int   // default 32
 }
 
 // figure3PaperSubset is the 15 benchmarks shown in the paper's Figure 3.
@@ -67,39 +25,6 @@ var figure3PaperSubset = []string{
 	"400.perlbench", "401.bzip2", "410.bwaves", "429.mcf", "435.gromacs",
 	"450.soplex", "453.povray", "456.hmmer", "458.sjeng", "462.libquantum",
 	"464.h264ref", "470.lbm", "473.astar", "482.sphinx3", "483.xalancbmk",
-}
-
-func (c *Figure3Config) fillDefaults() {
-	if len(c.Models) == 0 {
-		c.Models = figure3PaperSubset
-	}
-	if c.N <= 0 {
-		c.N = 2 * DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 20
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
-	if len(c.SetCounts) == 0 {
-		c.SetCounts = []int{512, 2048, 8192, 32768}
-	}
-	if c.MaxAssoc <= 0 {
-		c.MaxAssoc = 32
-	}
 }
 
 // Figure3Curve is one (trace, set count) miss-ratio curve pair.
@@ -130,9 +55,15 @@ type Figure3Result struct {
 
 // RunFigure3 simulates exact and lossy traces across the cache grid.
 func RunFigure3(cfg Figure3Config, tc *TraceCache) (*Figure3Result, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	if cfg.N <= 0 {
+		cfg.N = 2 * DefaultTraceLen
+	}
+	cfg.fill(figure3PaperSubset...)
+	if len(cfg.SetCounts) == 0 {
+		cfg.SetCounts = []int{512, 2048, 8192, 32768}
+	}
+	if cfg.MaxAssoc <= 0 {
+		cfg.MaxAssoc = 32
 	}
 	res := &Figure3Result{Config: cfg}
 	for _, model := range cfg.Models {
@@ -140,7 +71,11 @@ func RunFigure3(cfg Figure3Config, tc *TraceCache) (*Figure3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		approx, _, _, err := lossyRoundTrip(exact, cfg.IntervalLen, cfg.BufferAddrs, cfg.Epsilon, cfg.Backend, false)
+		lossy, err := compress(exact, cfg.lossy())
+		if err != nil {
+			return nil, fmt.Errorf("fig3 %s: %w", model, err)
+		}
+		approx, err := lossy.decode(false)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 %s: %w", model, err)
 		}
@@ -198,50 +133,12 @@ func (r *Figure3Result) Render(w io.Writer) {
 }
 
 // Figure4Config parameterises the byte-translation ablation (trace 470,
-// 256k sets in the paper).
+// 256k sets in the paper). It runs one model, by default 470.lbm; N
+// defaults to 2·DefaultTraceLen.
 type Figure4Config struct {
-	Model       string // default "470.lbm"
-	N           int
-	IntervalLen int
-	BufferAddrs int
-	Epsilon     float64
-	Backend     string
-	Seed        uint64
-	Sets        int // default 4096 (scaled from the paper's 256k)
-	MaxAssoc    int // default 32
-}
-
-func (c *Figure4Config) fillDefaults() {
-	if c.Model == "" {
-		c.Model = "470.lbm"
-	}
-	if c.N <= 0 {
-		c.N = 2 * DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 20
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
-	if c.Sets <= 0 {
-		c.Sets = 4096
-	}
-	if c.MaxAssoc <= 0 {
-		c.MaxAssoc = 32
-	}
+	Params
+	Sets     int // default 4096 (scaled from the paper's 256k)
+	MaxAssoc int // default 32
 }
 
 // Figure4Result holds the three miss-ratio curves and the footprints.
@@ -258,15 +155,29 @@ type Figure4Result struct {
 
 // RunFigure4 measures the impact of disabling byte translation.
 func RunFigure4(cfg Figure4Config, tc *TraceCache) (*Figure4Result, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	if cfg.N <= 0 {
+		cfg.N = 2 * DefaultTraceLen
 	}
-	exact, err := tc.Get(cfg.Model, cfg.N, cfg.Seed)
+	cfg.fill("470.lbm")
+	if cfg.Sets <= 0 {
+		cfg.Sets = 4096
+	}
+	if cfg.MaxAssoc <= 0 {
+		cfg.MaxAssoc = 32
+	}
+	exact, err := tc.Get(cfg.Models[0], cfg.N, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	approx, noTrans, _, err := lossyRoundTrip(exact, cfg.IntervalLen, cfg.BufferAddrs, cfg.Epsilon, cfg.Backend, true)
+	lossy, err := compress(exact, cfg.lossy())
+	if err != nil {
+		return nil, err
+	}
+	approx, err := lossy.decode(false)
+	if err != nil {
+		return nil, err
+	}
+	noTrans, err := lossy.decode(true)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +205,7 @@ func RunFigure4(cfg Figure4Config, tc *TraceCache) (*Figure4Result, error) {
 // Render prints the three curves.
 func (r *Figure4Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 4: impact of disabling byte translation on trace %s (%d sets)\n",
-		r.Config.Model, r.Config.Sets)
+		r.Config.Models[0], r.Config.Sets)
 	fmt.Fprintf(w, "  footprints: exact=%d translated=%d no-translation=%d distinct blocks\n",
 		r.ExactFootprint, r.TransFootprint, r.NoTransFootprint)
 	assocs := []int{1, 2, 4, 8, 16, 32}
@@ -324,42 +235,10 @@ func (r *Figure4Result) Render(w io.Writer) {
 	}
 }
 
-// Figure5Config parameterises the C/DC predictor comparison.
+// Figure5Config parameterises the C/DC predictor comparison. Models
+// default to all 22.
 type Figure5Config struct {
-	Models      []string // default: all 22
-	N           int
-	IntervalLen int
-	BufferAddrs int
-	Epsilon     float64
-	Backend     string
-	Seed        uint64
-}
-
-func (c *Figure5Config) fillDefaults() {
-	if len(c.Models) == 0 {
-		c.Models = ModelNames()
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 20
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	Params
 }
 
 // Figure5Row is one trace's predictor outcome shares, exact vs lossy.
@@ -377,17 +256,18 @@ type Figure5Result struct {
 
 // RunFigure5 runs the C/DC predictor over exact and lossy traces.
 func RunFigure5(cfg Figure5Config, tc *TraceCache) (*Figure5Result, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
-	}
+	cfg.fill(ModelNames()...)
 	res := &Figure5Result{Config: cfg}
 	for _, model := range cfg.Models {
 		exact, err := tc.Get(model, cfg.N, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		approx, _, _, err := lossyRoundTrip(exact, cfg.IntervalLen, cfg.BufferAddrs, cfg.Epsilon, cfg.Backend, false)
+		lossy, err := compress(exact, cfg.lossy())
+		if err != nil {
+			return nil, fmt.Errorf("fig5 %s: %w", model, err)
+		}
+		approx, err := lossy.decode(false)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 %s: %w", model, err)
 		}
@@ -413,34 +293,11 @@ func (r *Figure5Result) Render(w io.Writer) {
 	}
 }
 
-// Figure8Config parameterises the random-trace demonstration.
+// Figure8Config parameterises the random-trace demonstration (paper:
+// N = 100 M, L = 10 M, so 10 intervals). IntervalLen defaults to N/10;
+// Models and Epsilon are ignored: the run uses the library's default ε.
 type Figure8Config struct {
-	N           int // default DefaultTraceLen (paper: 100 M)
-	IntervalLen int // default N/10 (paper: 10 M -> 10 intervals)
-	BufferAddrs int
-	Backend     string
-	Seed        uint64
-}
-
-func (c *Figure8Config) fillDefaults() {
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 10
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	Params
 }
 
 // Figure8Result reports the compression of a purely random 64-bit stream.
@@ -458,43 +315,30 @@ type Figure8Result struct {
 // stationary random stream look like the first, so a single chunk is
 // stored and the compression ratio approaches N / L.
 func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
-	cfg.fillDefaults()
-	rng := newFig8RNG(cfg.Seed)
-	addrs := make([]uint64, cfg.N)
-	for i := range addrs {
-		addrs[i] = rng.next()
+	if cfg.N <= 0 {
+		cfg.N = DefaultTraceLen
 	}
-	dir, err := tempTrace("atc-fig8")
+	if cfg.IntervalLen <= 0 {
+		cfg.IntervalLen = max(cfg.N/10, 1)
+	}
+	cfg.Epsilon = phase.DefaultEpsilon
+	cfg.fill()
+	lossy, err := compress(workload.Random(cfg.N, cfg.Seed), cfg.lossy())
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	stats, err := writeTrace(dir, addrs, core.Options{
-		Workers:     Workers,
-		Mode:        core.Lossy,
-		Backend:     cfg.Backend,
-		IntervalLen: cfg.IntervalLen,
-		BufferAddrs: cfg.BufferAddrs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	size, err := core.StoreSize(dir)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := core.ReadTrace(dir)
+	decoded, err := lossy.decode(false)
 	if err != nil {
 		return nil, err
 	}
 	raw := int64(cfg.N) * 8
 	return &Figure8Result{
 		Config:           cfg,
-		Chunks:           stats.Chunks,
-		Imitations:       stats.Imitations,
-		CompressedBytes:  size,
+		Chunks:           lossy.stats.Chunks,
+		Imitations:       lossy.stats.Imitations,
+		CompressedBytes:  lossy.size,
 		RawBytes:         raw,
-		CompressionRatio: float64(raw) / float64(size),
+		CompressionRatio: float64(raw) / float64(lossy.size),
 		DecodedLen:       int64(len(decoded)),
 	}, nil
 }
@@ -511,57 +355,14 @@ func (r *Figure8Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  decoded length:    %d (must equal N)\n", r.DecodedLen)
 }
 
-// fig8RNG is a local splitmix64 so the experiment package does not depend
-// on the workload package's unexported PRNG.
-type fig8RNG struct{ s uint64 }
-
-func newFig8RNG(seed uint64) *fig8RNG { return &fig8RNG{s: seed ^ 0x9E3779B97F4A7C15} }
-
-func (r *fig8RNG) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // LongTraceConfig parameterises the whole-execution claim of §6: the lossy
 // compression ratio grows with trace length on phase-stable workloads.
+// It runs one model, by default 482.sphinx3 (stable phases); IntervalLen
+// defaults to DefaultTraceLen/50. N is ignored: Lengths sets each trace's
+// length.
 type LongTraceConfig struct {
-	Model       string // default "482.sphinx3" (stable phases)
-	Lengths     []int  // default {N, 2N, 4N} with N = DefaultTraceLen
-	IntervalLen int    // default DefaultTraceLen/50
-	BufferAddrs int
-	Epsilon     float64
-	Backend     string
-	Seed        uint64
-}
-
-func (c *LongTraceConfig) fillDefaults() {
-	if c.Model == "" {
-		c.Model = "482.sphinx3"
-	}
-	if len(c.Lengths) == 0 {
-		c.Lengths = []int{DefaultTraceLen, 2 * DefaultTraceLen, 4 * DefaultTraceLen}
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = DefaultTraceLen / 50
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	Params
+	Lengths []int // default {1, 2, 4}·DefaultTraceLen
 }
 
 // LongTracePoint is one (length, BPA) sample.
@@ -579,45 +380,32 @@ type LongTraceResult struct {
 
 // RunLongTrace measures lossy BPA at increasing trace lengths.
 func RunLongTrace(cfg LongTraceConfig, tc *TraceCache) (*LongTraceResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	cfg.N = DefaultTraceLen
+	if cfg.IntervalLen <= 0 {
+		cfg.IntervalLen = cfg.N / 50
+	}
+	cfg.fill("482.sphinx3")
+	if len(cfg.Lengths) == 0 {
+		cfg.Lengths = []int{cfg.N, 2 * cfg.N, 4 * cfg.N}
 	}
 	res := &LongTraceResult{Config: cfg}
 	for _, n := range cfg.Lengths {
-		addrs, err := tc.Get(cfg.Model, n, cfg.Seed)
+		addrs, err := tc.Get(cfg.Models[0], n, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		dir, err := tempTrace("atc-long")
+		lossy, err := compress(addrs, cfg.lossy())
 		if err != nil {
 			return nil, err
 		}
-		stats, err := writeTrace(dir, addrs, core.Options{
-			Workers:     Workers,
-			Mode:        core.Lossy,
-			Backend:     cfg.Backend,
-			IntervalLen: cfg.IntervalLen,
-			BufferAddrs: cfg.BufferAddrs,
-			Epsilon:     cfg.Epsilon,
-		})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		v, err := core.BitsPerAddress(dir, int64(n))
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, LongTracePoint{N: n, BPA: v, Chunks: stats.Chunks})
+		res.Points = append(res.Points, LongTracePoint{N: n, BPA: lossy.bpa, Chunks: lossy.stats.Chunks})
 	}
 	return res, nil
 }
 
 // Render prints the BPA-vs-length series.
 func (r *LongTraceResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Whole-execution claim (§6): lossy BPA vs trace length, model %s\n", r.Config.Model)
+	fmt.Fprintf(w, "Whole-execution claim (§6): lossy BPA vs trace length, model %s\n", r.Config.Models[0])
 	fmt.Fprintf(w, "%12s %10s %8s\n", "addresses", "BPA", "chunks")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%12d %10.4f %8d\n", p.N, p.BPA, p.Chunks)

@@ -13,49 +13,12 @@ import (
 // experiment additionally checks Belady/OPT miss ratios — the metric the
 // Cheetah simulator the paper uses was originally built for — and the
 // LRU/OPT gap, which cache-replacement studies read off such traces.
+//
+// Models default to a 4-model subset.
 type OptCompareConfig struct {
-	Models      []string // default: a 4-model subset
-	N           int
-	IntervalLen int
-	BufferAddrs int
-	Epsilon     float64
-	Backend     string
-	Seed        uint64
-	Sets        int // default 1024
-	Ways        int // default 8
-}
-
-func (c *OptCompareConfig) fillDefaults() {
-	if len(c.Models) == 0 {
-		c.Models = []string{"401.bzip2", "429.mcf", "453.povray", "464.h264ref"}
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 20
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
-	if c.Sets <= 0 {
-		c.Sets = 1024
-	}
-	if c.Ways <= 0 {
-		c.Ways = 8
-	}
+	Params
+	Sets int // default 1024
+	Ways int // default 8
 }
 
 // OptCompareRow is one trace's LRU and OPT miss ratios, exact vs lossy.
@@ -73,9 +36,12 @@ type OptCompareResult struct {
 
 // RunOptCompare simulates both replacement policies on both traces.
 func RunOptCompare(cfg OptCompareConfig, tc *TraceCache) (*OptCompareResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	cfg.fill("401.bzip2", "429.mcf", "453.povray", "464.h264ref")
+	if cfg.Sets <= 0 {
+		cfg.Sets = 1024
+	}
+	if cfg.Ways <= 0 {
+		cfg.Ways = 8
 	}
 	res := &OptCompareResult{Config: cfg}
 	for _, model := range cfg.Models {
@@ -83,7 +49,11 @@ func RunOptCompare(cfg OptCompareConfig, tc *TraceCache) (*OptCompareResult, err
 		if err != nil {
 			return nil, err
 		}
-		approx, _, _, err := lossyRoundTrip(exact, cfg.IntervalLen, cfg.BufferAddrs, cfg.Epsilon, cfg.Backend, false)
+		lossy, err := compress(exact, cfg.lossy())
+		if err != nil {
+			return nil, fmt.Errorf("optcompare %s: %w", model, err)
+		}
+		approx, err := lossy.decode(false)
 		if err != nil {
 			return nil, fmt.Errorf("optcompare %s: %w", model, err)
 		}

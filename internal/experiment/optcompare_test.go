@@ -9,8 +9,7 @@ import (
 func TestOptCompareRunAndRender(t *testing.T) {
 	tc := NewTraceCache()
 	cfg := OptCompareConfig{
-		Models: []string{"453.povray", "401.bzip2"},
-		N:      tinyN,
+		Params: Params{Models: []string{"453.povray", "401.bzip2"}, N: tinyN},
 		Sets:   256,
 		Ways:   4,
 	}
@@ -46,8 +45,7 @@ func TestOptCompareRunAndRender(t *testing.T) {
 func TestOptCompareFidelityOnStableTrace(t *testing.T) {
 	tc := NewTraceCache()
 	cfg := OptCompareConfig{
-		Models: []string{"453.povray"},
-		N:      100_000,
+		Params: Params{Models: []string{"453.povray"}, N: 100_000},
 		Sets:   256,
 		Ways:   4,
 	}

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"os"
+	"slices"
 
 	"atc/internal/bytesort"
 	"atc/internal/core"
@@ -11,42 +11,11 @@ import (
 
 // EpsilonSweepConfig parameterises the ε ablation: the paper states that
 // ε = 0.1 balances compression ratio against fidelity (§5.2); the sweep
-// makes that trade-off measurable.
+// makes that trade-off measurable. It runs one model, by default
+// 482.sphinx3; Epsilon is ignored, and zero in the result's Config.
 type EpsilonSweepConfig struct {
-	Model       string // default "482.sphinx3"
-	N           int
-	IntervalLen int
-	BufferAddrs int
-	Epsilons    []float64 // default {0.01, 0.05, 0.1, 0.2, 0.5, 1.0}
-	Backend     string
-	Seed        uint64
-}
-
-func (c *EpsilonSweepConfig) fillDefaults() {
-	if c.Model == "" {
-		c.Model = "482.sphinx3"
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 20
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if len(c.Epsilons) == 0 {
-		c.Epsilons = []float64{0.01, 0.05, 0.1, 0.2, 0.5, 1.0}
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	Params
+	Epsilons []float64 // default {0.01, 0.05, 0.1, 0.2, 0.5, 1.0}
 }
 
 // EpsilonPoint is one sweep sample: compression and fidelity at one ε.
@@ -65,48 +34,33 @@ type EpsilonSweepResult struct {
 
 // RunEpsilonSweep measures BPA and footprint fidelity across thresholds.
 func RunEpsilonSweep(cfg EpsilonSweepConfig, tc *TraceCache) (*EpsilonSweepResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	cfg.fill("482.sphinx3")
+	cfg.Epsilon = 0 // swept: set per point
+	if len(cfg.Epsilons) == 0 {
+		cfg.Epsilons = []float64{0.01, 0.05, 0.1, 0.2, 0.5, 1.0}
 	}
-	exact, err := tc.Get(cfg.Model, cfg.N, cfg.Seed)
+	exact, err := tc.Get(cfg.Models[0], cfg.N, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	exactFoot := Footprint(exact)
 	res := &EpsilonSweepResult{Config: cfg}
 	for _, eps := range cfg.Epsilons {
-		dir, err := tempTrace("atc-eps")
+		opts := cfg.lossy()
+		opts.Epsilon = eps
+		lossy, err := compress(exact, opts)
 		if err != nil {
 			return nil, err
 		}
-		stats, err := writeTrace(dir, exact, core.Options{
-			Workers:     Workers,
-			Mode:        core.Lossy,
-			Backend:     cfg.Backend,
-			IntervalLen: cfg.IntervalLen,
-			BufferAddrs: cfg.BufferAddrs,
-			Epsilon:     eps,
-		})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		v, err := core.BitsPerAddress(dir, int64(cfg.N))
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		decoded, err := core.ReadTrace(dir)
-		os.RemoveAll(dir)
+		approx, err := lossy.decode(false)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, EpsilonPoint{
 			Epsilon:        eps,
-			BPA:            v,
-			Chunks:         stats.Chunks,
-			FootprintRatio: float64(Footprint(decoded)) / float64(exactFoot),
+			BPA:            lossy.bpa,
+			Chunks:         lossy.stats.Chunks,
+			FootprintRatio: float64(Footprint(approx)) / float64(exactFoot),
 		})
 	}
 	return res, nil
@@ -115,7 +69,7 @@ func RunEpsilonSweep(cfg EpsilonSweepConfig, tc *TraceCache) (*EpsilonSweepResul
 // Render prints the sweep.
 func (r *EpsilonSweepResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Epsilon sweep on %s (N=%d, L=%d): compression vs fidelity\n",
-		r.Config.Model, r.Config.N, r.Config.IntervalLen)
+		r.Config.Models[0], r.Config.N, r.Config.IntervalLen)
 	fmt.Fprintf(w, "%8s %10s %8s %16s\n", "eps", "BPA", "chunks", "footprint ratio")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%8.3f %10.4f %8d %16.3f\n", p.Epsilon, p.BPA, p.Chunks, p.FootprintRatio)
@@ -125,36 +79,12 @@ func (r *EpsilonSweepResult) Render(w io.Writer) {
 // IntervalSweepConfig parameterises the myopic-interval study (§5): with a
 // short interval L, an unmitigated lossy compressor understates the trace
 // footprint. The sweep reports the decoded footprint with and without byte
-// translation across interval lengths.
+// translation across interval lengths. It runs one model, by default
+// 429.mcf (large footprint, random-ish). IntervalLen is ignored, and zero
+// in the result's Config; a zero BufferAddrs means L/10 at each point.
 type IntervalSweepConfig struct {
-	Model        string // default "429.mcf" (large footprint, random-ish)
-	N            int
+	Params
 	IntervalLens []int // default {N/200, N/100, N/50, N/20, N/10}
-	BufferAddrs  int
-	Epsilon      float64
-	Backend      string
-	Seed         uint64
-}
-
-func (c *IntervalSweepConfig) fillDefaults() {
-	if c.Model == "" {
-		c.Model = "429.mcf"
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if len(c.IntervalLens) == 0 {
-		c.IntervalLens = []int{c.N / 200, c.N / 100, c.N / 50, c.N / 20, c.N / 10}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
 }
 
 // IntervalPoint is one sweep sample.
@@ -173,11 +103,13 @@ type IntervalSweepResult struct {
 
 // RunIntervalSweep measures footprint fidelity across interval lengths.
 func RunIntervalSweep(cfg IntervalSweepConfig, tc *TraceCache) (*IntervalSweepResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	buf := cfg.BufferAddrs
+	cfg.fill("429.mcf")
+	cfg.IntervalLen, cfg.BufferAddrs = 0, buf // swept: set per point
+	if len(cfg.IntervalLens) == 0 {
+		cfg.IntervalLens = []int{cfg.N / 200, cfg.N / 100, cfg.N / 50, cfg.N / 20, cfg.N / 10}
 	}
-	exact, err := tc.Get(cfg.Model, cfg.N, cfg.Seed)
+	exact, err := tc.Get(cfg.Models[0], cfg.N, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -187,37 +119,24 @@ func RunIntervalSweep(cfg IntervalSweepConfig, tc *TraceCache) (*IntervalSweepRe
 		if L < 1 {
 			continue
 		}
-		buf := cfg.BufferAddrs
-		if buf <= 0 {
-			buf = L / 10
-			if buf < 1 {
-				buf = 1
-			}
-		}
-		approx, noTrans, _, err := lossyRoundTrip(exact, L, buf, cfg.Epsilon, cfg.Backend, true)
+		p := cfg.Params
+		p.IntervalLen = L
+		p.fill() // BufferAddrs = L/10 unless the caller set it
+		lossy, err := compress(exact, p.lossy())
 		if err != nil {
 			return nil, err
 		}
-		dir, err := tempTrace("atc-lsweep")
+		approx, err := lossy.decode(false)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := writeTrace(dir, exact, core.Options{
-			Workers: Workers,
-			Mode:    core.Lossy, Backend: cfg.Backend,
-			IntervalLen: L, BufferAddrs: buf, Epsilon: cfg.Epsilon,
-		}); err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		v, err := core.BitsPerAddress(dir, int64(cfg.N))
-		os.RemoveAll(dir)
+		noTrans, err := lossy.decode(true)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, IntervalPoint{
 			IntervalLen:      L,
-			BPA:              v,
+			BPA:              lossy.bpa,
 			FootprintRatio:   float64(Footprint(approx)) / exactFoot,
 			NoTransFootRatio: float64(Footprint(noTrans)) / exactFoot,
 		})
@@ -228,7 +147,7 @@ func RunIntervalSweep(cfg IntervalSweepConfig, tc *TraceCache) (*IntervalSweepRe
 // Render prints the sweep.
 func (r *IntervalSweepResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Interval-length sweep on %s (N=%d): the myopic-interval problem\n",
-		r.Config.Model, r.Config.N)
+		r.Config.Models[0], r.Config.N)
 	fmt.Fprintf(w, "%12s %10s %18s %18s\n", "L", "BPA", "footprint(trans)", "footprint(no-tr)")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%12d %10.4f %18.3f %18.3f\n",
@@ -238,31 +157,11 @@ func (r *IntervalSweepResult) Render(w io.Writer) {
 
 // BackendCompareConfig parameterises the back-end ablation: bytesort's
 // gain should hold for any byte-level compressor, with the block-sorting
-// back end ahead of flate.
+// back end ahead of flate. Models default to a representative 6-model
+// subset and BufferAddrs to N/10; Backend is unused.
 type BackendCompareConfig struct {
-	Models   []string // default: a representative 6-model subset
-	N        int
-	Buf      int      // bytesort buffer; default N/10
+	Params
 	Backends []string // default {"bsc", "flate"}
-	Seed     uint64
-}
-
-func (c *BackendCompareConfig) fillDefaults() {
-	if len(c.Models) == 0 {
-		c.Models = []string{"403.gcc", "410.bwaves", "429.mcf", "453.povray", "462.libquantum", "473.astar"}
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.Buf <= 0 {
-		c.Buf = c.N / 10
-	}
-	if len(c.Backends) == 0 {
-		c.Backends = []string{"bsc", "flate"}
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
 }
 
 // BackendCompareRow is one (trace, backend) pair of BPA values.
@@ -282,9 +181,15 @@ type BackendCompareResult struct {
 
 // RunBackendCompare measures bytesort's gain under each back end.
 func RunBackendCompare(cfg BackendCompareConfig, tc *TraceCache) (*BackendCompareResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	if cfg.N <= 0 {
+		cfg.N = DefaultTraceLen
+	}
+	if cfg.BufferAddrs <= 0 {
+		cfg.BufferAddrs = max(cfg.N/10, 1)
+	}
+	cfg.fill("403.gcc", "410.bwaves", "429.mcf", "453.povray", "462.libquantum", "473.astar")
+	if len(cfg.Backends) == 0 {
+		cfg.Backends = []string{"bsc", "flate"}
 	}
 	res := &BackendCompareResult{Config: cfg}
 	for _, model := range cfg.Models {
@@ -297,7 +202,7 @@ func RunBackendCompare(cfg BackendCompareConfig, tc *TraceCache) (*BackendCompar
 			if err != nil {
 				return nil, err
 			}
-			blob, err := CompressBytesort(addrs, cfg.Buf, bytesort.Sorted, backend)
+			blob, err := CompressBytesort(addrs, cfg.BufferAddrs, bytesort.Sorted, backend)
 			if err != nil {
 				return nil, err
 			}
@@ -326,46 +231,11 @@ func (r *BackendCompareResult) Render(w io.Writer) {
 	}
 }
 
-// HistorySweepConfig parameterises the phase-table capacity ablation.
+// HistorySweepConfig parameterises the phase-table capacity ablation. It
+// runs one model, by default 471.omnetpp (alternating phases).
 type HistorySweepConfig struct {
-	Model       string // default "471.omnetpp" (alternating phases)
-	N           int
-	IntervalLen int
-	BufferAddrs int
-	Capacities  []int // default {1, 2, 4, 16, 64, 256}
-	Epsilon     float64
-	Backend     string
-	Seed        uint64
-}
-
-func (c *HistorySweepConfig) fillDefaults() {
-	if c.Model == "" {
-		c.Model = "471.omnetpp"
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		c.IntervalLen = c.N / 20
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if len(c.Capacities) == 0 {
-		c.Capacities = []int{1, 2, 4, 16, 64, 256}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	Params
+	Capacities []int // default {1, 2, 4, 16, 64, 256}
 }
 
 // HistoryPoint is one capacity sample.
@@ -383,39 +253,23 @@ type HistorySweepResult struct {
 
 // RunHistorySweep measures the phase-table capacity's effect on chunk reuse.
 func RunHistorySweep(cfg HistorySweepConfig, tc *TraceCache) (*HistorySweepResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	cfg.fill("471.omnetpp")
+	if len(cfg.Capacities) == 0 {
+		cfg.Capacities = []int{1, 2, 4, 16, 64, 256}
 	}
-	exact, err := tc.Get(cfg.Model, cfg.N, cfg.Seed)
+	exact, err := tc.Get(cfg.Models[0], cfg.N, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &HistorySweepResult{Config: cfg}
 	for _, capn := range cfg.Capacities {
-		dir, err := tempTrace("atc-hist")
+		opts := cfg.lossy()
+		opts.TableCapacity = capn
+		lossy, err := compress(exact, opts)
 		if err != nil {
 			return nil, err
 		}
-		stats, err := writeTrace(dir, exact, core.Options{
-			Workers:       Workers,
-			Mode:          core.Lossy,
-			Backend:       cfg.Backend,
-			IntervalLen:   cfg.IntervalLen,
-			BufferAddrs:   cfg.BufferAddrs,
-			Epsilon:       cfg.Epsilon,
-			TableCapacity: capn,
-		})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		v, err := core.BitsPerAddress(dir, int64(cfg.N))
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, HistoryPoint{Capacity: capn, BPA: v, Chunks: stats.Chunks})
+		res.Points = append(res.Points, HistoryPoint{Capacity: capn, BPA: lossy.bpa, Chunks: lossy.stats.Chunks})
 	}
 	return res, nil
 }
@@ -423,7 +277,7 @@ func RunHistorySweep(cfg HistorySweepConfig, tc *TraceCache) (*HistorySweepResul
 // Render prints the sweep.
 func (r *HistorySweepResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Phase-table capacity sweep on %s (N=%d, L=%d)\n",
-		r.Config.Model, r.Config.N, r.Config.IntervalLen)
+		r.Config.Models[0], r.Config.N, r.Config.IntervalLen)
 	fmt.Fprintf(w, "%10s %10s %8s\n", "capacity", "BPA", "chunks")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%10d %10.4f %8d\n", p.Capacity, p.BPA, p.Chunks)
@@ -434,44 +288,12 @@ func (r *HistorySweepResult) Render(w io.Writer) {
 // the lossless stream into independently compressed segments buys the lossy
 // pipeline's embarrassing parallelism at a BPA cost, because every segment
 // restarts the bytesort and back-end context. The sweep measures that
-// capacity-vs-throughput trade across segment sizes.
+// capacity-vs-throughput trade across segment sizes. It runs one model, by
+// default 429.mcf; BufferAddrs defaults to N/10, and IntervalLen and
+// Epsilon are ignored.
 type SegmentSweepConfig struct {
-	Model        string // default "429.mcf"
-	N            int
-	BufferAddrs  int
+	Params
 	SegmentAddrs []int // default {-1 (single chunk), N, N/2, N/4, N/8, N/16}
-	Backend      string
-	Seed         uint64
-}
-
-func (c *SegmentSweepConfig) fillDefaults() {
-	if c.Model == "" {
-		c.Model = "429.mcf"
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.N / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if len(c.SegmentAddrs) == 0 {
-		if SegmentAddrs != 0 {
-			// An explicit -segment compares the single-chunk baseline
-			// against exactly that segment size.
-			c.SegmentAddrs = []int{-1, SegmentAddrs}
-		} else {
-			c.SegmentAddrs = []int{-1, c.N, c.N / 2, c.N / 4, c.N / 8, c.N / 16}
-		}
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
 }
 
 // SegmentPoint is one sweep sample: compression at one segment size.
@@ -491,11 +313,17 @@ type SegmentSweepResult struct {
 // RunSegmentSweep measures the lossless BPA-vs-segment-size curve. Every
 // point is verified to round-trip bit exactly.
 func RunSegmentSweep(cfg SegmentSweepConfig, tc *TraceCache) (*SegmentSweepResult, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	if cfg.N <= 0 {
+		cfg.N = DefaultTraceLen
 	}
-	exact, err := tc.Get(cfg.Model, cfg.N, cfg.Seed)
+	if cfg.BufferAddrs <= 0 {
+		cfg.BufferAddrs = max(cfg.N/10, 1)
+	}
+	cfg.fill("429.mcf")
+	if len(cfg.SegmentAddrs) == 0 {
+		cfg.SegmentAddrs = []int{-1, cfg.N, cfg.N / 2, cfg.N / 4, cfg.N / 8, cfg.N / 16}
+	}
+	exact, err := tc.Get(cfg.Models[0], cfg.N, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -505,40 +333,25 @@ func RunSegmentSweep(cfg SegmentSweepConfig, tc *TraceCache) (*SegmentSweepResul
 		if seg == 0 {
 			continue // 0 would silently mean "library default"; keep points explicit
 		}
-		dir, err := tempTrace("atc-segsweep")
-		if err != nil {
-			return nil, err
-		}
-		stats, err := writeTrace(dir, exact, core.Options{
-			Workers:      Workers,
+		lossless, err := compress(exact, core.Options{
+			Workers:      cfg.Workers,
 			Mode:         core.Lossless,
 			Backend:      cfg.Backend,
 			BufferAddrs:  cfg.BufferAddrs,
 			SegmentAddrs: seg,
 		})
 		if err != nil {
-			os.RemoveAll(dir)
 			return nil, err
 		}
-		v, err := core.BitsPerAddress(dir, int64(cfg.N))
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		decoded, err := core.ReadTrace(dir)
-		os.RemoveAll(dir)
+		decoded, err := lossless.decode(false)
 		if err != nil {
 			return nil, err
 		}
-		if len(decoded) != len(exact) {
-			return nil, fmt.Errorf("experiment: segment %d: decoded %d addresses, want %d", seg, len(decoded), len(exact))
+		if !slices.Equal(decoded, exact) {
+			return nil, fmt.Errorf("experiment: segment %d: lossless round trip diverges", seg)
 		}
-		for i := range exact {
-			if decoded[i] != exact[i] {
-				return nil, fmt.Errorf("experiment: segment %d: lossless round trip diverges at %d", seg, i)
-			}
-		}
-		p := SegmentPoint{SegmentAddrs: seg, BPA: v, Chunks: stats.Chunks}
+		v := lossless.bpa
+		p := SegmentPoint{SegmentAddrs: seg, BPA: v, Chunks: lossless.stats.Chunks}
 		if seg < 0 {
 			baseline = v
 		}
@@ -553,7 +366,7 @@ func RunSegmentSweep(cfg SegmentSweepConfig, tc *TraceCache) (*SegmentSweepResul
 // Render prints the sweep.
 func (r *SegmentSweepResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Lossless segment-size sweep on %s (N=%d): BPA cost of parallelism\n",
-		r.Config.Model, r.Config.N)
+		r.Config.Models[0], r.Config.N)
 	fmt.Fprintf(w, "%12s %10s %8s %10s\n", "segment", "BPA", "chunks", "overhead")
 	for _, p := range r.Points {
 		seg := fmt.Sprintf("%d", p.SegmentAddrs)

@@ -17,52 +17,9 @@ import (
 // defaults keep the paper's ratios: B_small = N/100, B_big = N/10, and
 // TCgen table bits sized to a comparable memory budget.
 type Table1Config struct {
-	Models    []string // default: all 22
-	N         int      // addresses per trace; default DefaultTraceLen
-	SmallBuf  int      // small bytesort buffer; default N/100
-	BigBuf    int      // big bytesort buffer; default N/10
-	TCgenBits int      // VPC table bits; default 16
-	Backend   string   // default "bsc"
-	Seed      uint64   // default DefaultSeed
-}
-
-func (c *Table1Config) fillDefaults() {
-	if len(c.Models) == 0 {
-		c.Models = ModelNames()
-	}
-	if c.N <= 0 {
-		c.N = DefaultTraceLen
-	}
-	if c.SmallBuf <= 0 {
-		c.SmallBuf = c.N / 100
-		if c.SmallBuf < 1 {
-			c.SmallBuf = 1
-		}
-	}
-	if c.BigBuf <= 0 {
-		c.BigBuf = c.N / 10
-		if c.BigBuf < 1 {
-			c.BigBuf = 1
-		}
-	}
-	if c.TCgenBits <= 0 {
-		// Match the predictor-table memory to the big bytesort's working
-		// memory, as the paper does ("matches approximately the amount of
-		// memory used by the big bytesort"): bytesort uses ~17 bytes per
-		// buffered address, the VPC bank 88 bytes per table line.
-		want := int64(c.BigBuf) * 17 / 88
-		bits := 12
-		for int64(1)<<uint(bits+1) <= want && bits < 20 {
-			bits++
-		}
-		c.TCgenBits = bits
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	Params        // Models default to all 22; BufferAddrs is B_big, default N/10
+	SmallBuf  int // small bytesort buffer; default N/100
+	TCgenBits int // VPC table bits; default sized like the big bytesort's memory
 }
 
 // Table1Row holds one trace's bits-per-address results, one per column of
@@ -90,9 +47,27 @@ type Table1Result struct {
 
 // RunTable1 generates the suite and measures every column.
 func RunTable1(cfg Table1Config, tc *TraceCache) (*Table1Result, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	if cfg.N <= 0 {
+		cfg.N = DefaultTraceLen
+	}
+	if cfg.BufferAddrs <= 0 {
+		cfg.BufferAddrs = max(cfg.N/10, 1)
+	}
+	cfg.fill(ModelNames()...)
+	if cfg.SmallBuf <= 0 {
+		cfg.SmallBuf = max(cfg.N/100, 1)
+	}
+	if cfg.TCgenBits <= 0 {
+		// Match the predictor-table memory to the big bytesort's working
+		// memory, as the paper does ("matches approximately the amount of
+		// memory used by the big bytesort"): bytesort uses ~17 bytes per
+		// buffered address, the VPC bank 88 bytes per table line.
+		want := int64(cfg.BufferAddrs) * 17 / 88
+		bits := 12
+		for int64(1)<<uint(bits+1) <= want && bits < 20 {
+			bits++
+		}
+		cfg.TCgenBits = bits
 	}
 	res := &Table1Result{
 		Config:   cfg,
@@ -113,7 +88,7 @@ func RunTable1(cfg Table1Config, tc *TraceCache) (*Table1Result, error) {
 		}
 		row.Bz2 = bpa(rawSize, len(addrs))
 
-		usBlob, err := CompressBytesort(addrs, cfg.BigBuf, bytesort.Unshuffle, cfg.Backend)
+		usBlob, err := CompressBytesort(addrs, cfg.BufferAddrs, bytesort.Unshuffle, cfg.Backend)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s unshuffle: %w", model, err)
 		}
@@ -133,7 +108,7 @@ func RunTable1(cfg Table1Config, tc *TraceCache) (*Table1Result, error) {
 		row.BSSmall = bpa(int64(len(bs1Blob)), len(addrs))
 		res.bs1Blobs[model] = bs1Blob
 
-		bs10Blob, err := CompressBytesort(addrs, cfg.BigBuf, bytesort.Sorted, cfg.Backend)
+		bs10Blob, err := CompressBytesort(addrs, cfg.BufferAddrs, bytesort.Sorted, cfg.Backend)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s bs-big: %w", model, err)
 		}
@@ -158,7 +133,7 @@ func RunTable1(cfg Table1Config, tc *TraceCache) (*Table1Result, error) {
 func (r *Table1Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Table 1: bits per address (smaller is better)\n")
 	fmt.Fprintf(w, "  traces: %d x %d addresses, backend=%s, B_small=%d, B_big=%d, tcgen 2^%d lines\n",
-		len(r.Rows), r.Config.N, r.Config.Backend, r.Config.SmallBuf, r.Config.BigBuf, r.Config.TCgenBits)
+		len(r.Rows), r.Config.N, r.Config.Backend, r.Config.SmallBuf, r.Config.BufferAddrs, r.Config.TCgenBits)
 	fmt.Fprintf(w, "%-16s %8s %8s %8s %8s %8s\n", "trace", "bz2", "us", "tcg", "bs1", "bs10")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-16s %8.3f %8.3f %8.3f %8.3f %8.3f\n",
@@ -186,7 +161,6 @@ type Table2Row struct {
 // RunTable2 measures decompression speed using the artifacts of a Table 1
 // run (which it performs if not supplied).
 func RunTable2(cfg Table1Config, t1 *Table1Result, tc *TraceCache) (*Table2Result, error) {
-	cfg.fillDefaults()
 	if t1 == nil {
 		var err error
 		t1, err = RunTable1(cfg, tc)
@@ -195,10 +169,7 @@ func RunTable2(cfg Table1Config, t1 *Table1Result, tc *TraceCache) (*Table2Resul
 		}
 	}
 	res := &Table2Result{Config: t1.Config}
-	totalAddrs := int64(0)
-	for range t1.Config.Models {
-		totalAddrs += int64(t1.Config.N)
-	}
+	totalAddrs := int64(len(t1.Config.Models) * t1.Config.N)
 
 	// TCgen-style decompression.
 	var tcgTotal, tcgBackend time.Duration

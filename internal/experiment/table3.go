@@ -3,57 +3,16 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"atc/internal/bytesort"
-	"atc/internal/core"
 )
 
 // Table3Config parameterises the lossless-vs-lossy comparison of the
 // paper's Table 3 (1 G-address traces, L = 10 M, ε = 0.1 in the paper; the
-// scaled defaults keep 100 intervals per trace).
+// scaled defaults keep 20 intervals per trace). Models default to all 22,
+// N to 4·DefaultTraceLen.
 type Table3Config struct {
-	Models      []string
-	N           int     // addresses per trace; default 4*DefaultTraceLen
-	IntervalLen int     // default N/20 (see fillDefaults for the scaling note)
-	BufferAddrs int     // chunk bytesort buffer; default IntervalLen/10
-	Epsilon     float64 // default 0.1
-	Backend     string  // default "bsc"
-	Seed        uint64
-}
-
-func (c *Table3Config) fillDefaults() {
-	if len(c.Models) == 0 {
-		c.Models = ModelNames()
-	}
-	if c.N <= 0 {
-		c.N = 4 * DefaultTraceLen
-	}
-	if c.IntervalLen <= 0 {
-		// The paper uses L = N/100 at N = 1 G (L = 10 M). At laptop scale
-		// that ratio would push L below the sorted-histogram sampling-noise
-		// floor (E[d] ≈ 18/sqrt(L), which must stay well under ε): default
-		// to N/20 instead. Paper-scale runs can pass IntervalLen = N/100.
-		c.IntervalLen = c.N / 20
-		if c.IntervalLen < 1 {
-			c.IntervalLen = 1
-		}
-	}
-	if c.BufferAddrs <= 0 {
-		c.BufferAddrs = c.IntervalLen / 10
-		if c.BufferAddrs < 1 {
-			c.BufferAddrs = 1
-		}
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.Backend == "" {
-		c.Backend = "bsc"
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	Params
 }
 
 // Table3Row is one trace's lossless and lossy bits per address.
@@ -75,10 +34,10 @@ type Table3Result struct {
 
 // RunTable3 compresses each trace both ways and reports BPA.
 func RunTable3(cfg Table3Config, tc *TraceCache) (*Table3Result, error) {
-	cfg.fillDefaults()
-	if tc == nil {
-		tc = NewTraceCache()
+	if cfg.N <= 0 {
+		cfg.N = 4 * DefaultTraceLen
 	}
+	cfg.fill(ModelNames()...)
 	res := &Table3Result{Config: cfg}
 	for _, model := range cfg.Models {
 		addrs, err := tc.Get(model, cfg.N, cfg.Seed)
@@ -94,31 +53,14 @@ func RunTable3(cfg Table3Config, tc *TraceCache) (*Table3Result, error) {
 		}
 		row.Lossless = bpa(int64(len(blob)), len(addrs))
 
-		// Lossy: the full ATC pipeline into a directory.
-		dir, err := tempTrace("atc-table3")
+		// Lossy: the full ATC pipeline.
+		lossy, err := compress(addrs, cfg.lossy())
 		if err != nil {
-			return nil, err
-		}
-		stats, err := writeTrace(dir, addrs, core.Options{
-			Workers:     Workers,
-			Mode:        core.Lossy,
-			Backend:     cfg.Backend,
-			IntervalLen: cfg.IntervalLen,
-			BufferAddrs: cfg.BufferAddrs,
-			Epsilon:     cfg.Epsilon,
-		})
-		if err != nil {
-			os.RemoveAll(dir)
 			return nil, fmt.Errorf("table3 %s lossy: %w", model, err)
 		}
-		lossyBPA, err := core.BitsPerAddress(dir, int64(len(addrs)))
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, err
-		}
-		row.Lossy = lossyBPA
-		row.Chunks = stats.Chunks
-		row.Imitations = stats.Imitations
+		row.Lossy = lossy.bpa
+		row.Chunks = lossy.stats.Chunks
+		row.Imitations = lossy.stats.Imitations
 		res.Rows = append(res.Rows, row)
 	}
 	n := float64(len(res.Rows))

@@ -72,3 +72,15 @@ func (p *prng) zipfIndex(n int, skew float64) int {
 	}
 	return idx
 }
+
+// Random returns n values of the stationary, uniformly random 64-bit
+// stream seeded by seed: the generator's raw output, with no cache filter
+// or model structure (the paper's Figure 8 input).
+func Random(n int, seed uint64) []uint64 {
+	rng := newPRNG(seed)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = rng.next()
+	}
+	return out
+}
