@@ -323,8 +323,9 @@ func WithChunkCache(c *TraceChunkCache) ReadOption {
 // WithReadahead bounds how many decoded batches a background pipeline
 // decompresses ahead of Decode (default 2). For lossy and segmented
 // lossless traces it is also the number of spans (intervals/segments)
-// decoding concurrently. Negative n disables readahead and runs the same
-// decode synchronously on the calling goroutine. The decoded stream is
+// decoding concurrently, in that pipeline and in DecodeAll. Negative n
+// disables readahead and runs the same decode, Decode's and DecodeAll's,
+// synchronously on the calling goroutine. The decoded stream is
 // identical either way.
 func WithReadahead(n int) ReadOption {
 	return func(o *core.DecodeOptions) { o.Readahead = n }
@@ -376,7 +377,8 @@ func OpenArchive(path string, opts ...ReadOption) (*Reader, error) {
 // Decode returns the next value; io.EOF signals a verified end of trace.
 func (r *Reader) Decode() (uint64, error) { return r.d.Decode() }
 
-// DecodeAll decodes the remaining trace into memory.
+// DecodeAll decodes the remaining trace into memory, up to WithReadahead
+// spans at once, straight into the returned slice.
 func (r *Reader) DecodeAll() ([]uint64, error) { return r.d.DecodeAll() }
 
 // Mode reports the stored trace's compression mode.

@@ -329,13 +329,11 @@ func (r *Reader) nextBlock() error {
 	// Every symbol before EOB contributes at least one decoded byte (an
 	// MTF symbol exactly one, a RUNA/RUNB run digit one or more), so a
 	// valid block's symbol stream holds at most origLen symbols plus the
-	// EOB — preallocating that bound makes the loop allocation-free and
-	// turns an over-long hostile stream into an early corruption error
-	// instead of an unbounded allocation.
+	// EOB: an over-long hostile stream fails there instead of growing
+	// without bound. syms grows by append, as symbols arrive, so a header
+	// claiming a large block costs nothing before its symbols do; a reused
+	// Reader keeps the capacity, so steady-state blocks allocate nothing.
 	maxSyms := int(origLen) + 1
-	if cap(r.syms) < maxSyms {
-		r.syms = make([]uint16, 0, maxSyms)
-	}
 	r.syms = r.syms[:0]
 	for {
 		s, err := r.dec.ReadSymbol()

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +169,33 @@ func TestCorruptPayloadDetected(t *testing.T) {
 	}
 	if detected == 0 {
 		t.Fatal("no corruption detected for any mutation")
+	}
+}
+
+// TestLargeBlockClaimAllocatesLittle patches the block header of a small
+// stream to claim a MaxBlockSize block. Decoding must fail with
+// ErrCorrupt having allocated for the symbols the stream holds, not for
+// the block the header claims (16 Mi symbols would be 32 MiB).
+func TestLargeBlockClaimAllocatesLittle(t *testing.T) {
+	c, err := Compress(bytes.Repeat([]byte("a claim is not data "), 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The magic, then block marker 1 and the header's origLen field.
+	if string(c[:len(magic)]) != magic || c[len(magic)] != 1 {
+		t.Fatalf("unexpected stream start %x", c[:len(magic)+1])
+	}
+	binary.LittleEndian.PutUint32(c[len(magic)+1:], MaxBlockSize)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = Decompress(c)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("the %d-byte stream allocated %d KiB, want < 1 MiB", len(c), alloc>>10)
 	}
 }
 

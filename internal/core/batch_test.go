@@ -47,10 +47,10 @@ func writeBatchTrace(t *testing.T, kind string, addrs []uint64, opts Options) (s
 // TestBatchedDeliveryByteIdentical checks every delivery path against an
 // oracle that does not share its code: the raw input for lossless traces,
 // and for lossy ones (whose decoded form differs from the input) the
-// random-access materialize path, DecodeRange(0, total). The paths are
-// the readahead pipeline at several depths, the inline decode
-// (Readahead < 0), each at many batch sizes, and random DecodeRange
-// windows.
+// random-access materialize path, DecodeRange(0, total). The paths are a
+// Decode loop through the readahead pipeline at several depths and
+// through the inline decode (Readahead < 0), each at many batch sizes,
+// DecodeAll at the same settings, and random DecodeRange windows.
 func TestBatchedDeliveryByteIdentical(t *testing.T) {
 	addrs := rangeTrace()
 	rng := rand.New(rand.NewSource(55))
@@ -96,8 +96,9 @@ func TestBatchedDeliveryByteIdentical(t *testing.T) {
 						d := dec
 						d.Readahead = readahead
 						d.batchAddrs = batch
-						check(fmt.Sprintf("batch=%d readahead=%d", batch, readahead),
-							decodeAllWith(t, path, d), want)
+						what := fmt.Sprintf("batch=%d readahead=%d", batch, readahead)
+						check(what+" Decode loop", openDecode(t, path, d, decodeLoop), want)
+						check(what+" DecodeAll", decodeAllWith(t, path, d), want)
 					}
 				}
 				d, err := Open(path, dec)
@@ -122,16 +123,30 @@ func TestBatchedDeliveryByteIdentical(t *testing.T) {
 
 func decodeAllWith(t *testing.T, path string, opts DecodeOptions) []uint64 {
 	t.Helper()
+	return openDecode(t, path, opts, (*Decompressor).DecodeAll)
+}
+
+// openDecode opens the trace at path and decodes all of it with decode.
+func openDecode(t *testing.T, path string, opts DecodeOptions, decode func(*Decompressor) ([]uint64, error)) []uint64 {
+	t.Helper()
 	d, err := Open(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	out, err := d.DecodeAll()
+	out, err := decode(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// fullDecodes are the two ways to decode a whole trace: a Decode loop,
+// which runs the readahead pipeline (or the inline decode), and DecodeAll,
+// which decodes straight into its output.
+var fullDecodes = map[string]func(*Decompressor) ([]uint64, error){
+	"Decode loop": decodeLoop,
+	"DecodeAll":   (*Decompressor).DecodeAll,
 }
 
 // TestBatchedSeekResume drives the batched pipeline through its restart
@@ -235,7 +250,8 @@ func TestBatchedSeekStress(t *testing.T) {
 
 // TestBatchedPipelineSurfacesCorruptChunk: errors found by span tasks —
 // a missing chunk, a segment that decodes short — must surface as
-// ErrCorrupt through the batched pipeline, not hang or mis-decode.
+// ErrCorrupt through the batched pipeline and DecodeAll's workers, not
+// hang or mis-decode.
 func TestBatchedPipelineSurfacesCorruptChunk(t *testing.T) {
 	addrs := rangeTrace()
 	for _, m := range []struct {
@@ -262,26 +278,28 @@ func TestBatchedPipelineSurfacesCorruptChunk(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				d, err := Open(dir, DecodeOptions{Readahead: 2, batchAddrs: 128})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer d.Close()
-				_, err = d.DecodeAll()
-				if err == nil || err == io.EOF {
-					t.Fatal("decode of corrupt trace succeeded")
-				}
-				if damage == "missing" && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("decode with missing chunk = %v, want ErrCorrupt", err)
+				for what, decode := range fullDecodes {
+					d, err := Open(dir, DecodeOptions{Readahead: 2, batchAddrs: 128})
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = decode(d)
+					d.Close()
+					if err == nil || err == io.EOF {
+						t.Fatalf("%s of corrupt trace succeeded", what)
+					}
+					if damage == "missing" && !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s with missing chunk = %v, want ErrCorrupt", what, err)
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestBatchedReadaheadChunkReads confirms the batched lossy dispatcher
-// still reads each distinct chunk once per pass: imitations are served
-// from the pinned source chunk, not re-decompressed per record.
+// TestBatchedReadaheadChunkReads confirms the batched lossy dispatcher,
+// and DecodeAll, still read each distinct chunk once per pass: imitations
+// are served from the pinned source chunk, not re-decompressed per record.
 func TestBatchedReadaheadChunkReads(t *testing.T) {
 	addrs := rangeTrace()
 	dir := t.TempDir()
@@ -292,23 +310,25 @@ func TestBatchedReadaheadChunkReads(t *testing.T) {
 	if stats.Imitations == 0 {
 		t.Fatal("trace has no imitations; test needs a mixed record sequence")
 	}
-	d, err := Open(dir, DecodeOptions{Readahead: 2, batchAddrs: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if _, err := d.DecodeAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := d.ChunkReads(), stats.Chunks; got != want {
-		t.Fatalf("full batched decode read %d chunks, want %d (distinct chunks)", got, want)
+	for what, decode := range fullDecodes {
+		d, err := Open(dir, DecodeOptions{Readahead: 2, batchAddrs: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decode(d); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.ChunkReads(), stats.Chunks; got != want {
+			t.Fatalf("%s read %d chunks, want %d (distinct chunks)", what, got, want)
+		}
+		d.Close()
 	}
 }
 
 // TestInlineDecodeLeavesSegmentsUncached: the inline decode
-// (Readahead < 0) streams segments like the pipeline does, so a
-// sequential pass over a segmented trace reads every segment once and
-// pins none of them in the chunk cache.
+// (Readahead < 0) streams segments like the pipeline does, and so does
+// DecodeAll, so a sequential pass over a segmented trace reads every
+// segment once and pins none of them in the chunk cache.
 func TestInlineDecodeLeavesSegmentsUncached(t *testing.T) {
 	addrs := rangeTrace()
 	dir := t.TempDir()
@@ -316,30 +336,31 @@ func TestInlineDecodeLeavesSegmentsUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Open(dir, DecodeOptions{Readahead: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	got, err := d.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(addrs) {
-		t.Fatalf("inline decode: %d addresses, want %d", len(got), len(addrs))
-	}
-	if n := d.ChunkReads(); n != stats.Chunks {
-		t.Fatalf("inline decode read %d chunks, want %d (one per segment)", n, stats.Chunks)
-	}
-	if st := d.cache.Stats(); st.ResidentChunks != 0 {
-		t.Fatalf("inline decode left %d segments in the cache, want 0", st.ResidentChunks)
+	for what, decode := range fullDecodes {
+		d, err := Open(dir, DecodeOptions{Readahead: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decode(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(addrs) {
+			t.Fatalf("inline %s: %d addresses, want %d", what, len(got), len(addrs))
+		}
+		if n := d.ChunkReads(); n != stats.Chunks {
+			t.Fatalf("inline %s read %d chunks, want %d (one per segment)", what, n, stats.Chunks)
+		}
+		if st := d.cache.Stats(); st.ResidentChunks != 0 {
+			t.Fatalf("inline %s left %d segments in the cache, want 0", what, st.ResidentChunks)
+		}
+		d.Close()
 	}
 }
 
-// TestBatchBufferRecycling decodes twice through one Decompressor and
-// checks the free list actually caps buffer churn: the second pass reuses
-// the working set from the first (observable through the pool's level
-// after drain — the consumer returns every recyclable batch).
+// TestBatchBufferRecycling drains a segmented trace through a Decode loop
+// and checks the readahead pipeline returns its batch buffers to the free
+// list (DecodeAll decodes straight into its output and uses none).
 func TestBatchBufferRecycling(t *testing.T) {
 	addrs := rangeTrace()
 	dir := t.TempDir()
@@ -351,8 +372,12 @@ func TestBatchBufferRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.DecodeAll(); err != nil {
-		t.Fatal(err)
+	for {
+		if _, err := d.Decode(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d.batchFree == nil {
 		t.Fatal("batched decode left no free list")

@@ -212,6 +212,16 @@ func (v *TraceChunkCache) Get(id int) ([]uint64, bool) {
 	return addrs, true
 }
 
+// touch marks a cached chunk most recently used, without counting a hit.
+func (v *TraceChunkCache) touch(id int) {
+	c := v.c
+	c.mu.Lock()
+	if e, ok := c.m[byteCacheKey{v.trace, id}]; ok {
+		c.ll.MoveToFront(e)
+	}
+	c.mu.Unlock()
+}
+
 // Put inserts a chunk, evicting LRU-by-bytes back to the shared budget.
 func (v *TraceChunkCache) Put(id int, addrs []uint64) {
 	c := v.c

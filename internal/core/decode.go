@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,10 +44,12 @@ type DecodeOptions struct {
 	// pipeline decompresses ahead of Decode, overlapping back-end
 	// decompression with consumption. For lossy and segmented lossless
 	// traces it is also the number of spans (intervals/segments)
-	// decoding concurrently. 0 selects the default (2); negative runs the
-	// same decode inline on the calling goroutine. The decoded stream is
-	// identical either way. The pipeline starts lazily on the first
-	// Decode and restarts after every Seek, so range access never
+	// decoding concurrently, in that pipeline and in DecodeAll, which
+	// decodes up to Readahead spans at once straight into its output.
+	// 0 selects the default (2); negative runs the same decode on the
+	// calling goroutine, for Decode and DecodeAll alike. The decoded
+	// stream is identical either way. The pipeline starts lazily on the
+	// first Decode and restarts after every Seek, so range access never
 	// prefetches chunks past the window it was asked for.
 	Readahead int
 	// Store overrides the blob container the trace is read from; when nil
@@ -151,7 +154,8 @@ type Decompressor struct {
 
 	// parked is the legacy span's reader between reads (legacyReader):
 	// only the path reading v1 touches it — a pipeline span task, the
-	// inline decode or DecodeRangeAppend.
+	// inline decode or fill (DecodeAll and DecodeRangeAppend), whose one
+	// legacy span the caller decodes.
 	parked *spanReader
 
 	// Consumption state: cursor is the absolute trace position of the
@@ -529,9 +533,9 @@ func (d *Decompressor) produceSpansBatched(par int, start int64) {
 
 // spanReader yields one span's addresses. It is the one way decoded
 // addresses leave a span: the pipeline's span tasks and the inline
-// (Readahead < 0) decode take batches from next, range windows and chunk
-// loads into the cache (readChunkFile) append through appendN, and both
-// copy out through copyTo.
+// (Readahead < 0) Decode take batches from next; DecodeAll, range windows
+// (both through fill) and chunk loads into the cache (readChunkFile)
+// append through appendN; and both copy out through copyTo.
 type spanReader struct {
 	d  *Decompressor
 	sp span
@@ -560,13 +564,13 @@ type spanReader struct {
 // openSpan prepares a reader over sp from trace position start on. With
 // pin set (range windows) every chunk is materialized and pinned in the
 // chunk cache, so a hot range working set decompresses once. Without it
-// (the sequential pipeline and inline decode) only chunks that imitations
-// replay are: segments and lossy chunks no imitation replays have exactly
-// one consumer, this pass, so they stream-decode straight into batch
-// buffers (materializing would cost a transient span-sized buffer, and
-// caching would only evict chunks imitations still need) — unless a
-// random-access pass already left them in the cache. The legacy v1 span
-// always streams.
+// (the sequential pipeline, inline decode and DecodeAll) only chunks that
+// imitations replay are: segments and lossy chunks no imitation replays
+// have exactly one consumer, this pass, so they stream-decode straight
+// into batch buffers or DecodeAll's output (materializing would cost a
+// transient span-sized buffer, and caching would only evict chunks
+// imitations still need) — unless a random-access pass already left them
+// in the cache. The legacy v1 span always streams.
 func (d *Decompressor) openSpan(sp span, start int64, pin bool) (*spanReader, error) {
 	if d.legacy {
 		return d.legacyReader(sp, start), nil
@@ -681,16 +685,12 @@ func (r *spanReader) copyTo(dst []uint64) (int, error) {
 }
 
 // appendN appends the span's next n addresses to dst. The count comes from
-// the untrusted INFO, so dst grows only once it is full: to twice its
-// length, or by min(n, maxDecodeAllPrealloc) if that is more. Doubling
-// keeps a window over many spans linear; slices.Grow would too, but under
-// -race it allocates each request twice. A span that ends short of n is
-// corrupt.
+// the untrusted INFO, so dst grows only once it is full (grow). A span
+// that ends short of n is corrupt.
 func (r *spanReader) appendN(dst []uint64, n int64) ([]uint64, error) {
 	for n > 0 {
 		if len(dst) == cap(dst) {
-			grow := max(len(dst), int(min(n, maxDecodeAllPrealloc)))
-			dst = append(make([]uint64, 0, len(dst)+grow), dst...)
+			dst = grow(dst, n)
 		}
 		got, err := r.copyTo(dst[len(dst):min(cap(dst), len(dst)+int(n))])
 		if err != nil {
@@ -737,6 +737,15 @@ func (r *spanReader) fill(dst []uint64) (int, error) {
 		return 0, nil
 	}
 	return r.read(dst)
+}
+
+// end checks that a streamed span read to its index count ends there: a
+// longer stream fails at its first excess address instead of being
+// decoded whole.
+func (r *spanReader) end() error {
+	var past [1]uint64
+	_, err := r.fill(past[:])
+	return err
 }
 
 // read is one timed ReadSlice from the decode unit, checked against the
@@ -1134,18 +1143,9 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 	if tr != nil {
 		tr.Add(obs.StageIndex, time.Since(t0))
 	}
-	for i := start; i < len(d.index) && d.index[i].start < to; i++ {
-		sp := d.index[i]
-		lo, hi := max(from, sp.start), min(to, sp.end)
-		r, err := d.openSpan(sp, lo, true)
-		if err != nil {
-			return nil, err
-		}
-		dst, err = r.appendN(dst, hi-lo)
-		r.close()
-		if err != nil {
-			return nil, err
-		}
+	dst, err := d.fill(dst, start, from, to, 1, true)
+	if err != nil {
+		return nil, err
 	}
 	return dst, nil
 }
@@ -1229,30 +1229,185 @@ func (d *Decompressor) nextBatch() (aheadBatch, bool) {
 	}
 }
 
-// maxDecodeAllPrealloc caps the first growth of DecodeAll's output and
-// of appendN's (range windows and chunk loads): 2 Mi addresses (16 MB).
-// Counts come from the untrusted INFO, and a corrupt one must not demand
-// an enormous allocation before any decode error can surface: a lossy
-// DecodeAll can hold both growths at once (its output and a chunk load).
+// maxDecodeAllPrealloc caps how far an output grows past its length in
+// one step (grow): 2 Mi addresses (16 MB). Counts come from the untrusted
+// INFO, and a corrupt one must not demand an enormous allocation before
+// any decode error can surface: a lossy DecodeAll can hold a growth of
+// its output and of every chunk load in flight at once.
 const maxDecodeAllPrealloc = 1 << 21
 
-// DecodeAll decodes the remaining trace into memory. The output is sized
-// from the trailer's count, capped at maxDecodeAllPrealloc, before the
-// first Decode starts the readahead pipeline: sized after it, the block
-// arrives while the pipeline fills, and the peak RSS of five decodes of
-// a 2 Mi-address lossy trace rose by about 10 MiB.
+// grow returns dst, copied into a new array with room for more addresses:
+// twice its length, or its length plus min(rest, maxDecodeAllPrealloc)
+// if that is more. rest is how many addresses are still to come; it may
+// come from the untrusted INFO, so dst grows by at most its own length
+// past the bound, and only as decoded data fills it. Doubling keeps an
+// output over many spans linear; slices.Grow would too, but under -race
+// it allocates each request twice.
+func grow(dst []uint64, rest int64) []uint64 {
+	more := max(len(dst), int(min(rest, maxDecodeAllPrealloc)))
+	return append(make([]uint64, 0, len(dst)+more), dst...)
+}
+
+// DecodeAll decodes the remaining trace into memory. It hands out the
+// rest of the pending batch, stops the readahead pipeline and then
+// decodes straight into its output (fill): up to Readahead spans at once,
+// each into its own part of the output, with no batch buffers in
+// between. The output grows one group of spans at a time (grow), so it is
+// sized from the trailer's count, capped at maxDecodeAllPrealloc, before
+// any span decodes. On an error it returns the addresses before the
+// failing span, and Decode repeats the error; after a complete decode
+// Decode returns io.EOF.
 func (d *Decompressor) DecodeAll() ([]uint64, error) {
-	out := make([]uint64, 0, min(max(d.total-d.cursor, 0), maxDecodeAllPrealloc))
-	for {
-		v, err := d.Decode()
-		if err == io.EOF {
-			return out, nil
+	if d.err != nil {
+		if d.err == io.EOF {
+			return []uint64{}, nil
+		}
+		return nil, d.err
+	}
+	out := append([]uint64{}, d.pending[d.pos:]...)
+	d.recycleBatch(d.pendingBuf)
+	d.pending, d.pendingBuf, d.pos = nil, nil, 0
+	d.stopReadahead()
+	from := d.cursor + int64(len(out))
+	out, err := d.fill(out, d.spanIndex(from), from, d.total, max(d.opts.Readahead, 1), false)
+	d.cursor += int64(len(out))
+	if d.err = err; err == nil {
+		d.err = io.EOF
+	}
+	return out, err
+}
+
+// fill appends the addresses at trace positions [from, to) to out, from
+// the span index[i] on, and returns the extended slice; on an error it
+// returns out up to the start of the failing span. Before each span that
+// does not fit, out grows (grow, bounded by what is left of the window).
+// With par > 1 the spans that then fit decode as a group (fillGroup);
+// otherwise, and for a group of one span, the caller decodes them in
+// trace order. Range windows pass pin and par 1; DecodeAll passes par
+// Readahead.
+func (d *Decompressor) fill(out []uint64, i int, from, to int64, par int, pin bool) ([]uint64, error) {
+	for i < len(d.index) && d.index[i].start < to {
+		sp := d.index[i]
+		lo, hi := max(from, sp.start), min(to, sp.end)
+		if int64(cap(out)-len(out)) < hi-lo {
+			out = grow(out, to-lo)
+		}
+		n, hot := 1, []int(nil)
+		if par > 1 {
+			n, hot = d.group(i, lo+int64(cap(out)-len(out)), to)
+		}
+		var err error
+		if n > 1 {
+			out, err = d.fillGroup(out, d.index[i:i+n], hot, lo, to, par)
+		} else {
+			n = 1
+			out, err = d.fillSpan(out, sp, lo, hi, pin)
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, v)
+		i += n
 	}
+	return out, nil
+}
+
+// group reports how many spans from index[i] on decode together: those
+// ending (or cut off by to) at or before the trace position limit, where
+// the output's capacity ends, and together replaying no more distinct
+// chunks than the chunk cache holds, so no chunk a group replays is
+// evicted before the group is done with it. It also returns those
+// replayed chunks' IDs.
+func (d *Decompressor) group(i int, limit, to int64) (int, []int) {
+	maxHot := 1
+	if stride := int64(d.intervalLen) * 8; stride > 0 {
+		maxHot = max(int(d.cache.c.budget/stride), 1)
+	}
+	var hot []int
+	n := 0
+	for ; i+n < len(d.index); n++ {
+		sp := d.index[i+n]
+		if sp.start >= to || min(to, sp.end) > limit {
+			break
+		}
+		if _, ok := d.imitated[sp.rec.chunkID]; ok && !slices.Contains(hot, sp.rec.chunkID) {
+			if len(hot) == maxHot {
+				break
+			}
+			hot = append(hot, sp.rec.chunkID)
+		}
+	}
+	return n, hot
+}
+
+// fillGroup decodes the spans of group into out's spare capacity, each
+// span into its own sub-slice, lo being the trace position of out's end
+// (the first span may start before it). Up to par workers, the caller
+// one of them, take the spans; chunk records go before imitations, so
+// the chunks the group replays load at the same time, and an imitation
+// waits only for its own source chunk (TraceChunkCache.GetOrLoad). The
+// replayed chunks already cached are first marked recently used, so
+// loading the others evicts none of them. On an error the result ends
+// where the first failing span in trace order starts.
+func (d *Decompressor) fillGroup(out []uint64, group []span, hot []int, lo, to int64, par int) ([]uint64, error) {
+	for _, id := range hot {
+		d.cache.touch(id)
+	}
+	base := len(out)
+	at := func(pos int64) int { return base + int(pos-lo) }
+	order := make([]int, 0, len(group))
+	for _, chunks := range []bool{true, false} {
+		for k, sp := range group {
+			if (sp.rec.tag == recChunk) == chunks {
+				order = append(order, k)
+			}
+		}
+	}
+	errs := make([]error, len(group))
+	var next atomic.Int64
+	work := func() {
+		for t := next.Add(1) - 1; t < int64(len(order)); t = next.Add(1) - 1 {
+			k := order[t]
+			sp := group[k]
+			a, b := max(lo, sp.start), min(to, sp.end)
+			_, errs[k] = d.fillSpan(out[at(a):at(a):at(b)], sp, a, b, false)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(par, len(group)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			return out[:at(max(lo, group[k].start))], err
+		}
+	}
+	return out[:at(min(to, group[len(group)-1].end))], nil
+}
+
+// fillSpan appends sp's addresses at trace positions [lo, hi) to out
+// through one span reader, and returns out unchanged on an error. A span
+// streamed to its end is checked to end there, as a loaded chunk is
+// (readChunkFile).
+func (d *Decompressor) fillSpan(out []uint64, sp span, lo, hi int64, pin bool) ([]uint64, error) {
+	r, err := d.openSpan(sp, lo, pin)
+	if err != nil {
+		return out, err
+	}
+	defer r.close()
+	next, err := r.appendN(out, hi-lo)
+	if err == nil && hi == sp.end && r.chunk == nil {
+		err = r.end()
+	}
+	if err != nil {
+		return out, err
+	}
+	return next, nil
 }
 
 // chunkBufSize is the buffered-read size fronting chunk blobs.
@@ -1325,11 +1480,10 @@ func (d *Decompressor) readChunkFile(sp span) ([]uint64, error) {
 	r := &spanReader{d: d, sp: sp}
 	defer r.release()
 	addrs, err := r.appendN(nil, sp.end-sp.start)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = r.end()
 	}
-	var past [1]uint64
-	if _, err := r.fill(past[:]); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return addrs, nil

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"atc/internal/bsc"
@@ -22,6 +23,7 @@ var goldenDirs = []string{"testdata/v1-lossless", "testdata/v1-lossy", "testdata
 // trace and then, from a seek back to 0, a full decode must each return
 // TotalAddrs() addresses or ErrCorrupt, within 48 MiB of allocation: the
 // INFO's counts must never size a buffer the decoded data does not fill.
+// When both succeed they must give the same addresses.
 func FuzzOpenDecode(f *testing.F) {
 	golden := make([]map[string][]byte, len(goldenDirs))
 	for i, dir := range goldenDirs {
@@ -65,7 +67,7 @@ func FuzzOpenDecode(f *testing.F) {
 			return
 		}
 		defer d.Close()
-		check := func(what string, decode func() ([]uint64, error)) {
+		check := func(what string, decode func() ([]uint64, error)) ([]uint64, bool) {
 			t.Helper()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -80,13 +82,17 @@ func FuzzOpenDecode(f *testing.F) {
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 48<<20 {
 				t.Fatalf("%s allocated %d MiB, want < 48 MiB", what, alloc>>20)
 			}
+			return got, err == nil
 		}
-		check("DecodeRange", func() ([]uint64, error) { return d.DecodeRange(0, d.TotalAddrs()) })
-		check("DecodeAll", func() ([]uint64, error) {
+		rng, rangeOK := check("DecodeRange", func() ([]uint64, error) { return d.DecodeRange(0, d.TotalAddrs()) })
+		all, allOK := check("DecodeAll", func() ([]uint64, error) {
 			if err := d.SeekTo(0); err != nil {
 				return nil, err
 			}
 			return d.DecodeAll()
 		})
+		if rangeOK && allOK && !slices.Equal(rng, all) {
+			t.Fatal("DecodeRange over the whole trace and DecodeAll both succeed but differ")
+		}
 	})
 }
