@@ -65,12 +65,13 @@
 // lossless layout, which streams with bounded memory but compresses and
 // decompresses on a single goroutine.
 //
-// Decoding symmetrically overlaps back-end decompression with consumption
-// through a bounded readahead pipeline (WithReadahead, default 2 buffered
-// batches; negative disables it); segmented lossless traces additionally
-// decompress up to WithReadahead segments concurrently and deliver them in
-// order. Reader.Close stops the readahead goroutines, so it must be called
-// even on early abandonment.
+// Decoding symmetrically overlaps back-end decompression with consumption:
+// WithReadahead is the number of spans (intervals or segments) decoding at
+// once, on every path (default 2; negative decodes on the calling
+// goroutine). Reader.Decode's span workers decode ahead in trace order
+// into a few recycled batch buffers, and Reader.DecodeAll decodes straight
+// into its output. Reader.Close stops the span workers, so it must be
+// called even on early abandonment.
 //
 // # Random access
 //
@@ -320,13 +321,12 @@ func WithChunkCache(c *TraceChunkCache) ReadOption {
 	return func(o *core.DecodeOptions) { o.ChunkCache = c }
 }
 
-// WithReadahead bounds how many decoded batches a background pipeline
-// decompresses ahead of Decode (default 2). For lossy and segmented
-// lossless traces it is also the number of spans (intervals/segments)
-// decoding concurrently, in that pipeline and in DecodeAll. Negative n
-// disables readahead and runs the same decode, Decode's and DecodeAll's,
-// synchronously on the calling goroutine. The decoded stream is
-// identical either way.
+// WithReadahead sets the number of spans (intervals or segments)
+// decoding at once, on every path (default 2): Decode's span workers,
+// which decode ahead of the caller into recycled batch buffers, and
+// DecodeAll's, which decode straight into its output. Negative n runs the
+// same decode, Decode's and DecodeAll's, on the calling goroutine. The
+// decoded stream is identical either way.
 func WithReadahead(n int) ReadOption {
 	return func(o *core.DecodeOptions) { o.Readahead = n }
 }

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	noTranslate := flag.Bool("no-translation", false, "disable byte translation (the Figure 4 ablation)")
-	readahead := flag.Int("readahead", 0, "decoded batches buffered ahead of consumption, and spans decoded concurrently (0 selects 2; negative decodes inline, with no background goroutines)")
+	readahead := flag.Int("readahead", 0, "spans decoding at once, on every path (0 selects 2; negative decodes inline, with no background goroutines)")
 	archive := flag.Bool("archive", false, "require a single-file .atc archive (no directory fallback)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: atc2bin [flags] <directory | file.atc>\nwrites 64-bit LE values to stdout\n")

@@ -383,11 +383,11 @@ func openTrace(name, path string, cfg poolConfig) (*tracePool, error) {
 		sharedBytes: cfg.sharedBytes.ForTrace(name),
 	}
 	readerOpts := []atc.ReadOption{
-		// DecodeRange never starts the readahead pipeline, so this does
-		// not change what a request decodes. A negative readahead only
-		// sizes each pooled reader's free lists for one span task: 3
-		// pooled decode units instead of 4 and 12 batch buffers
-		// instead of 16.
+		// DecodeRange never starts Decode's span workers and decodes one
+		// span at a time on the caller, so this does not change what a
+		// request decodes. A negative readahead only sizes each pooled
+		// reader's free lists for one span at a time: 1 pooled decode
+		// unit instead of 2 and 5 batch buffers instead of 7.
 		atc.WithReadStore(st), atc.WithReadahead(-1),
 		atc.WithChunkCache(p.sharedBytes),
 	}

@@ -1,7 +1,7 @@
 package core
 
 // Tests of batched decode delivery (DecodeOptions.batchAddrs): delivery
-// in batchAddrs-sized batches, through the readahead pipeline or inline,
+// in batchAddrs-sized batches, through Decode's span workers or inline,
 // must reproduce the trace for every format mode, every store backend and
 // any batch size, including pathological ones.
 
@@ -48,7 +48,7 @@ func writeBatchTrace(t *testing.T, kind string, addrs []uint64, opts Options) (s
 // oracle that does not share its code: the raw input for lossless traces,
 // and for lossy ones (whose decoded form differs from the input) the
 // random-access materialize path, DecodeRange(0, total). The paths are a
-// Decode loop through the readahead pipeline at several depths and
+// Decode loop through the span workers at several depths and
 // through the inline decode (Readahead < 0), each at many batch sizes,
 // DecodeAll at the same settings, and random DecodeRange windows.
 func TestBatchedDeliveryByteIdentical(t *testing.T) {
@@ -142,15 +142,15 @@ func openDecode(t *testing.T, path string, opts DecodeOptions, decode func(*Deco
 }
 
 // fullDecodes are the two ways to decode a whole trace: a Decode loop,
-// which runs the readahead pipeline (or the inline decode), and DecodeAll,
+// which runs Decode's span workers (or the inline decode), and DecodeAll,
 // which decodes straight into its output.
 var fullDecodes = map[string]func(*Decompressor) ([]uint64, error){
 	"Decode loop": decodeLoop,
 	"DecodeAll":   (*Decompressor).DecodeAll,
 }
 
-// TestBatchedSeekResume drives the batched pipeline through its restart
-// path: seeks landing mid-batch, mid-span and on span boundaries must
+// TestBatchedSeekResume drives Decode's span workers through their
+// restart path: seeks landing mid-batch, mid-span and on span boundaries must
 // resume the stream exactly, for every mode and store.
 func TestBatchedSeekResume(t *testing.T) {
 	addrs := rangeTrace()
@@ -190,11 +190,11 @@ func TestBatchedSeekResume(t *testing.T) {
 	}
 }
 
-// TestBatchedSeekStress hammers the pipeline's restart path with batches
-// much smaller than a span: random seeks (forwards, backwards, mid-batch,
-// mid-span) with a decode burst between them, each stopping an in-flight
-// pipeline — span tasks mid-stream included. Under -race it also shakes
-// the producer/consumer handoff and the batch-buffer free list.
+// TestBatchedSeekStress hammers the span workers' restart path with
+// batches much smaller than a span: random seeks (forwards, backwards,
+// mid-batch, mid-span) with a decode burst between them, each stopping
+// the workers — span tasks mid-stream included. Under -race it also
+// shakes the worker/consumer handoff and the batch-buffer free list.
 func TestBatchedSeekStress(t *testing.T) {
 	addrs := rangeTrace()
 	n := int64(len(addrs))
@@ -250,7 +250,7 @@ func TestBatchedSeekStress(t *testing.T) {
 
 // TestBatchedPipelineSurfacesCorruptChunk: errors found by span tasks —
 // a missing chunk, a segment that decodes short — must surface as
-// ErrCorrupt through the batched pipeline and DecodeAll's workers, not
+// ErrCorrupt through Decode's span workers and DecodeAll's, not
 // hang or mis-decode.
 func TestBatchedPipelineSurfacesCorruptChunk(t *testing.T) {
 	addrs := rangeTrace()
@@ -297,8 +297,8 @@ func TestBatchedPipelineSurfacesCorruptChunk(t *testing.T) {
 	}
 }
 
-// TestBatchedReadaheadChunkReads confirms the batched lossy dispatcher,
-// and DecodeAll, still read each distinct chunk once per pass: imitations
+// TestBatchedReadaheadChunkReads confirms Decode's span workers, and
+// DecodeAll's, still read each distinct chunk once per pass: imitations
 // are served from the pinned source chunk, not re-decompressed per record.
 func TestBatchedReadaheadChunkReads(t *testing.T) {
 	addrs := rangeTrace()
@@ -326,7 +326,7 @@ func TestBatchedReadaheadChunkReads(t *testing.T) {
 }
 
 // TestInlineDecodeLeavesSegmentsUncached: the inline decode
-// (Readahead < 0) streams segments like the pipeline does, and so does
+// (Readahead < 0) streams segments like the span workers do, and so does
 // DecodeAll, so a sequential pass over a segmented trace reads every
 // segment once and pins none of them in the chunk cache.
 func TestInlineDecodeLeavesSegmentsUncached(t *testing.T) {
@@ -359,7 +359,7 @@ func TestInlineDecodeLeavesSegmentsUncached(t *testing.T) {
 }
 
 // TestBatchBufferRecycling drains a segmented trace through a Decode loop
-// and checks the readahead pipeline returns its batch buffers to the free
+// and checks Decode's span workers return their batch buffers to the free
 // list (DecodeAll decodes straight into its output and uses none).
 func TestBatchBufferRecycling(t *testing.T) {
 	addrs := rangeTrace()

@@ -66,7 +66,7 @@ func TestLegacyRangeResumesStream(t *testing.T) {
 	if n := d.ChunkReads(); n != 2 {
 		t.Fatalf("backward window: %d stream opens, want 2", n)
 	}
-	// The readahead pipeline takes the parked reader too: a Decode from
+	// A decode from the cursor takes the parked reader too: DecodeAll from
 	// where the last window stopped resumes the stream.
 	if err := d.SeekTo(4000); err != nil {
 		t.Fatal(err)

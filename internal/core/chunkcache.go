@@ -212,14 +212,17 @@ func (v *TraceChunkCache) Get(id int) ([]uint64, bool) {
 	return addrs, true
 }
 
-// touch marks a cached chunk most recently used, without counting a hit.
-func (v *TraceChunkCache) touch(id int) {
+// touch marks a cached chunk most recently used, without counting a hit,
+// and reports whether it is cached.
+func (v *TraceChunkCache) touch(id int) bool {
 	c := v.c
 	c.mu.Lock()
-	if e, ok := c.m[byteCacheKey{v.trace, id}]; ok {
+	defer c.mu.Unlock()
+	e, ok := c.m[byteCacheKey{v.trace, id}]
+	if ok {
 		c.ll.MoveToFront(e)
 	}
-	c.mu.Unlock()
+	return ok
 }
 
 // Put inserts a chunk, evicting LRU-by-bytes back to the shared budget.

@@ -40,17 +40,14 @@ type DecodeOptions struct {
 	// here; DecodeRange pins every chunk it touches except the legacy v1
 	// stream, which is never materialized.
 	ChunkCache *TraceChunkCache
-	// Readahead bounds the number of decoded batches a background
-	// pipeline decompresses ahead of Decode, overlapping back-end
-	// decompression with consumption. For lossy and segmented lossless
-	// traces it is also the number of spans (intervals/segments)
-	// decoding concurrently, in that pipeline and in DecodeAll, which
-	// decodes up to Readahead spans at once straight into its output.
-	// 0 selects the default (2); negative runs the same decode on the
-	// calling goroutine, for Decode and DecodeAll alike. The decoded
-	// stream is identical either way. The pipeline starts lazily on the
-	// first Decode and restarts after every Seek, so range access never
-	// prefetches chunks past the window it was asked for.
+	// Readahead is the number of spans (intervals or segments) decoding
+	// at once, on every path: Decode's span workers decode ahead of the
+	// caller, each span into at most two recycled batch buffers, and
+	// DecodeAll's straight into its output. 0 selects the default (2);
+	// negative runs the same decode on the calling goroutine. The decoded
+	// stream is identical either way. Decode's workers start lazily on
+	// the first Decode and restart after every Seek, so range access
+	// never prefetches chunks past the window it was asked for.
 	Readahead int
 	// Store overrides the blob container the trace is read from; when nil
 	// the path passed to Open is inspected — a regular file opens as a
@@ -69,7 +66,7 @@ type DecodeOptions struct {
 	batchAddrs int
 }
 
-// DefaultReadahead is the default number of buffered readahead batches.
+// DefaultReadahead is the default number of spans decoding at once.
 const DefaultReadahead = 2
 
 // DefaultBatchAddrs is the default decode batch size: 64 Ki addresses,
@@ -79,17 +76,6 @@ const DefaultBatchAddrs = 1 << 16
 // privateCacheChunks is how many chunks of the trace's stride a
 // Decompressor's private chunk cache holds.
 const privateCacheChunks = 8
-
-// aheadBatch is one decode unit — up to batchAddrs decoded addresses —
-// or the error that ended production.
-type aheadBatch struct {
-	addrs []uint64
-	// buf is the recyclable backing buffer of addrs, nil when addrs
-	// aliases shared memory (a cached chunk). The consumer returns it to
-	// the batch free list once the batch is drained.
-	buf []uint64
-	err error
-}
 
 // span is one entry of the chunk index: the record backing the absolute
 // address range [start, end) of the trace.
@@ -152,29 +138,20 @@ type Decompressor struct {
 	storeClosed bool
 	closed      bool
 
-	// parked is the legacy span's reader between reads (legacyReader):
-	// only the path reading v1 touches it — a pipeline span task, the
-	// inline decode or fill (DecodeAll and DecodeRangeAppend), whose one
-	// legacy span the caller decodes.
+	// parked is the legacy span's reader between reads (legacyReader),
+	// touched only by the one task reading the v1 span.
 	parked *spanReader
 
-	// Consumption state: cursor is the absolute trace position of the
-	// next address Decode returns; pending/pos hold the current batch.
-	// pendingBuf is the batch's recyclable backing buffer (nil when the
-	// batch aliases a cached chunk), returned to batchFree when drained.
-	cursor     int64
-	pending    []uint64
-	pendingBuf []uint64
-	pos        int
+	// pending is the batch buffer Decode hands out, pos the index of its
+	// next address and cursor the trace position of pending[0]; pending
+	// is empty whenever err is set.
+	cursor  int64
+	pending []uint64
+	pos     int
 
-	// batchFree recycles batch buffers (capacity batchAddrs each) between
-	// the producer tasks that fill them and the consumer that drains
-	// them, bounding the pipeline's total allocation.
+	// batchFree recycles batch buffers (capacity batchAddrs each) from
+	// Decode back to the span tasks that fill them.
 	batchFree chan []uint64
-
-	// inline is the open span when Readahead < 0: Decode pulls batches
-	// from it on the caller's goroutine instead of from a pipeline.
-	inline *spanReader
 
 	// cache holds decompressed chunks: the caller's shared view, or a
 	// private one sized at Open from the trace's stride.
@@ -187,10 +164,8 @@ type Decompressor struct {
 	readerFree chan *backendReader
 
 	// imitated, for lossy traces, holds every chunk ID that some
-	// imitation record replays. A chunk absent from it has exactly one
-	// consumer — its own chunk record in the sequential pass — so the
-	// batched pipeline stream-decodes it straight into batch buffers
-	// instead of materializing and caching the whole interval.
+	// imitation record replays; any other chunk has one consumer in a
+	// sequential pass, its own record, so that pass streams it.
 	imitated map[int]struct{}
 
 	// chunkReads counts chunk-blob opens (not cache hits) — the
@@ -202,14 +177,11 @@ type Decompressor struct {
 	// decodes.
 	traceRec *obs.Trace
 
-	// Readahead pipeline. When ahead is non-nil a producer goroutine owns
-	// the decoding state (parked, cache) and streams batches into the
-	// channel; Decode only touches pending/pos/cursor. The pipeline
-	// starts lazily at the current cursor and is quiesced (stopReadahead)
-	// before any state the producer owns is touched from the caller.
-	ahead     chan aheadBatch
-	aheadStop chan struct{}
-	aheadWG   sync.WaitGroup
+	// Decode's span scheduler (startDecode), stopped before the caller
+	// touches anything its workers own; cur is the span task Decode
+	// drains.
+	sched *sched
+	cur   *spanTask
 
 	err error
 }
@@ -278,15 +250,14 @@ func Open(path string, opts DecodeOptions) (*Decompressor, error) {
 	}
 	d.backend = backend
 	d.backendName = backendName
-	// Bound retained decode state to the pipeline's concurrency: at most
-	// Readahead span tasks decode at once, plus the random-access path.
+	// Retained decode state matches the scheduler: one decode unit per
+	// span decoding at once; two batch buffers per span Decode has
+	// claimed (the one it drains and up to Readahead waiting) and the one
+	// it hands out. They survive restarts, so a seek-heavy consumer
+	// allocates its batch working set once.
 	par := max(d.opts.Readahead, 1)
-	d.readerFree = make(chan *backendReader, par+2)
-	// Enough batch buffers for the ahead channel, the consumer's pending
-	// batch, and every in-flight span task's slot plus working buffer;
-	// they survive pipeline restarts, so a seek-heavy consumer allocates
-	// its batch working set once.
-	d.batchFree = make(chan []uint64, 4*par+8)
+	d.readerFree = make(chan *backendReader, par)
+	d.batchFree = make(chan []uint64, 2*par+3)
 	if err := d.readInfo(backendName, mi.version); err != nil {
 		closeStore()
 		return nil, err
@@ -379,22 +350,6 @@ func (d *Decompressor) spanIndex(addr int64) int {
 	return sort.Search(len(d.index), func(i int) bool { return d.index[i].end > addr })
 }
 
-// startReadahead launches the producer pipeline that decompresses up to n
-// batches ahead of Decode, starting at the current cursor. It takes
-// ownership of the parked legacy reader and the chunk cache; Decode then
-// only consumes from the ahead channel.
-func (d *Decompressor) startReadahead(n int) {
-	d.ahead = make(chan aheadBatch, n)
-	d.aheadStop = make(chan struct{})
-	start := d.cursor
-	d.aheadWG.Add(1)
-	go func() {
-		defer d.aheadWG.Done()
-		defer close(d.ahead)
-		d.produceSpansBatched(n, start)
-	}()
-}
-
 // batchBuf takes a recycled batch buffer, or allocates a fresh one with
 // capacity batchAddrs.
 //
@@ -420,122 +375,210 @@ func (d *Decompressor) recycleBatch(buf []uint64) {
 	}
 }
 
-// stopReadahead quiesces production: after it returns, no goroutine
-// touches the decoder, buffered batches are discarded and the inline
-// span (Readahead < 0) is closed. The consumption cursor is untouched, so
-// a later Decode (or Seek) resumes — restarting production lazily —
-// without skipping addresses.
-func (d *Decompressor) stopReadahead() {
-	if d.inline != nil {
-		d.inline.close()
-		d.inline = nil
-	}
-	if d.ahead == nil {
-		return
-	}
-	close(d.aheadStop)
-	// Unblock a producer parked on a full channel, then wait for it to
-	// exit before touching anything it owned. Drained batches were never
-	// delivered, so their buffers go straight back to the free list — a
-	// seek-heavy consumer keeps its batch working set across restarts.
-	for b := range d.ahead {
-		d.recycleBatch(b.buf)
-	}
-	d.aheadWG.Wait()
-	d.ahead = nil
-	d.aheadStop = nil
+// sched is the one span scheduler of every decode path: workers claim
+// the tasks of todo in order, each running its task before it claims
+// again. Decode's scheduler refills todo a window at a time (next) and
+// publishes each span task it hands out on out while still holding mu,
+// so Decode receives them in claim order: a claimer blocked on a full
+// out holds back the others, which would wait for the same free slot,
+// and closing stop releases it.
+type sched struct {
+	mu   sync.Mutex
+	todo []*spanTask
+	next func() []*spanTask
+	out  chan *spanTask
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
-// stopping reports whether the readahead pipeline is being torn down;
-// it is always false outside the pipeline.
-func (d *Decompressor) stopping() bool {
+// take claims the next task: nil once there is none or s stopped, so no
+// span task is published after a stop dropped one.
+func (s *sched) take() *spanTask {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	select {
-	case <-d.aheadStop:
-		return true
+	case <-s.stop:
+		return nil
 	default:
-		return false
+	}
+	if len(s.todo) == 0 && s.next != nil {
+		if s.todo = s.next(); len(s.todo) == 0 && s.out != nil {
+			close(s.out)
+		}
+	}
+	if len(s.todo) == 0 {
+		s.next = nil
+		return nil
+	}
+	t := s.todo[0]
+	s.todo = s.todo[1:]
+	if t.batches != nil {
+		select {
+		case s.out <- t:
+		case <-s.stop:
+			return nil
+		}
+	}
+	return t
+}
+
+// work runs s's tasks on the calling goroutine until none is left.
+func (d *Decompressor) work(s *sched) {
+	for t := s.take(); t != nil; t = s.take() {
+		d.run(t)
 	}
 }
 
-// deliver sends one batch on ch — the ahead channel, or a span task's
-// slot — aborting if the pipeline was stopped. It reports whether
-// production should continue. The stop channel is polled first so a stop
-// that is draining the ahead channel cannot keep the producer decoding to
-// the end of the trace.
-func (d *Decompressor) deliver(ch chan aheadBatch, b aheadBatch) bool {
-	if d.stopping() {
-		return false
-	}
-	select {
-	case ch <- b:
-		return b.err == nil
-	case <-d.aheadStop:
-		return false
+// spawn starts n more workers on s; s.wg waits for them.
+func (d *Decompressor) spawn(s *sched, n int) {
+	for range n {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			d.work(s)
+		}()
 	}
 }
 
-// produceSpansBatched is the decode pipeline for every format: every
-// span streams through its own bounded slot of batches, up to par spans
-// decoding concurrently, with delivery strictly in trace order.
-// Peak buffered memory is a multiple of batchAddrs, not of
-// IntervalLen/SegmentAddrs. The dispatcher opens the spans, so chunks
-// that imitations replay load (and pin) there, serially, while slicing,
-// byte translation and stream decoding fan out across the span tasks.
-func (d *Decompressor) produceSpansBatched(par int, start int64) {
-	slots := make(chan chan aheadBatch, par)
-	var tasks sync.WaitGroup
-	d.aheadWG.Add(1)
-	go func() { // dispatcher
-		defer d.aheadWG.Done()
-		defer close(slots)
-		// Every Add below happens on this goroutine, and every task exits
-		// on aheadStop even when delivery stopped early, so this Wait
-		// terminates once stopReadahead fires. stopReadahead blocks on
-		// aheadWG, so no task outlives it.
-		defer tasks.Wait()
-		for i := d.spanIndex(start); i < len(d.index); i++ {
-			r, err := d.openSpan(d.index[i], start, false)
-			slot := make(chan aheadBatch, 2)
-			select {
-			case slots <- slot:
-			case <-d.aheadStop:
-				return
-			}
+// spanTask decodes span sp from trace position lo to hi into dst, the
+// span's part of DecodeAll's or a range window's output; a task of no
+// addresses only opens the span, which loads its chunk (group). Decode's
+// tasks are batched instead: each batchAddrs addresses go to a recycled
+// batch buffer, held until it is sent on batches or, inline (nil
+// batches), until Decode takes it. r is the span's reader while open.
+type spanTask struct {
+	sp      span
+	lo, hi  int64
+	pin     bool
+	dst     []uint64
+	batched bool
+	batches chan []uint64
+	held    []uint64
+	r       *spanReader
+	done    bool
+	err     error
+}
+
+// run decodes t from t.lo on, opening the span (openSpan) unless an
+// earlier run left it open. A batched task returns early, span open, when
+// a stop ends a blocked send, or inline once it holds a batch. A span
+// read to its end is checked to end there, as a loaded chunk is
+// (readChunkFile). On an error t.dst is left as it was.
+func (d *Decompressor) run(t *spanTask) {
+	if t.r == nil {
+		t.r, t.err = d.openSpan(t.sp, t.lo, t.pin)
+	}
+	if t.err == nil && !t.batched {
+		if dst, err := t.r.appendN(t.dst, t.hi-t.lo); err != nil {
+			t.err = err
+		} else {
+			t.dst, t.lo = dst, t.hi
+		}
+	}
+	for t.batched && t.err == nil && (t.lo < t.hi || t.held != nil) {
+		if t.held == nil {
+			buf := d.batchBuf()
+			b, err := t.r.appendN(buf, min(int64(cap(buf)), t.hi-t.lo))
 			if err != nil {
-				d.deliver(slot, aheadBatch{err: err})
-				close(slot)
-				return
+				d.recycleBatch(buf)
+				t.err = err
+				break
 			}
-			tasks.Add(1)
-			go func() {
-				defer tasks.Done()
-				defer close(slot)
-				defer r.close()
-				for {
-					b, ok := r.next()
-					if !ok || !d.deliver(slot, b) {
-						return
-					}
-				}
-			}()
+			t.held, t.lo = b, t.lo+int64(len(b))
 		}
-	}()
-	// In-order delivery: drain each span's batches completely before
-	// moving to the next.
-	for slot := range slots {
-		for b := range slot {
-			if !d.deliver(d.ahead, b) {
-				return
+		if t.batches == nil {
+			return
+		}
+		select {
+		case t.batches <- t.held:
+			t.held = nil
+		case <-d.sched.stop:
+			return
+		}
+	}
+	if t.err == nil && t.hi == t.sp.end && t.r.chunk == nil {
+		t.err = t.r.end()
+	}
+	t.r.close() // the legacy v1 reader parks
+	t.r, t.done = nil, true
+	if t.batches != nil {
+		close(t.batches)
+	}
+}
+
+// startDecode starts Decode's span scheduler at the cursor. With
+// Readahead > 1 it hands out the spans a window at a time, a group of up
+// to maxDecodeAllPrealloc addresses (or one longer span), loads first and
+// then span tasks in trace order. Decode drains those in order while up
+// to Readahead workers decode ahead: the worker on the span Decode drains
+// never waits for a later one, and at most Readahead claimed spans wait
+// for Decode. Inline (Readahead < 0), Decode claims and runs them itself.
+func (d *Decompressor) startDecode() {
+	from, i := d.cursor, d.spanIndex(d.cursor)
+	s := &sched{stop: make(chan struct{})}
+	if d.opts.Readahead > 0 {
+		// At most Readahead claimed spans wait for Decode.
+		s.out = make(chan *spanTask, d.opts.Readahead)
+	}
+	s.next = func() []*spanTask {
+		if i == len(d.index) {
+			return nil
+		}
+		n, todo := 1, []*spanTask(nil)
+		if d.opts.Readahead > 1 {
+			sp := d.index[i]
+			n, todo = d.group(i, max(sp.end, sp.start+maxDecodeAllPrealloc), d.total)
+		}
+		for _, sp := range d.index[i : i+n] {
+			t := &spanTask{sp: sp, lo: max(from, sp.start), hi: sp.end, batched: true}
+			if s.out != nil {
+				t.batches = make(chan []uint64, 1)
 			}
+			todo = append(todo, t)
 		}
+		i += n
+		return todo
+	}
+	d.sched = s
+	d.spawn(s, max(d.opts.Readahead, 0))
+}
+
+// stopDecode sends the one stop signal of Seek, Close, range windows and
+// DecodeAll, and returns the span tasks Decode's scheduler handed out, in
+// trace order from the one Decode drains, each with its decoded batches
+// and, unless done, its open reader, for takeOver or release.
+func (d *Decompressor) stopDecode() []*spanTask {
+	if d.sched == nil {
+		return nil
+	}
+	close(d.sched.stop)
+	d.sched.wg.Wait()
+	var tasks []*spanTask
+	if d.cur != nil {
+		tasks = append(tasks, d.cur)
+	}
+	for len(d.sched.out) > 0 {
+		tasks = append(tasks, <-d.sched.out)
+	}
+	d.sched, d.cur = nil, nil
+	return tasks
+}
+
+// release drops stopped tasks: their batches go back to the free list and
+// their readers close, the legacy v1 one parking for a later read.
+func (d *Decompressor) release(tasks []*spanTask) {
+	for _, t := range tasks {
+		for len(t.batches) > 0 {
+			d.recycleBatch(<-t.batches)
+		}
+		d.recycleBatch(t.held)
+		t.r.close()
 	}
 }
 
 // spanReader yields one span's addresses. It is the one way decoded
-// addresses leave a span: the pipeline's span tasks and the inline
-// (Readahead < 0) Decode take batches from next; DecodeAll, range windows
-// (both through fill) and chunk loads into the cache (readChunkFile)
-// append through appendN; and both copy out through copyTo.
+// addresses leave a span: span tasks (run) and chunk loads into the cache
+// (readChunkFile) append them through appendN.
 type spanReader struct {
 	d  *Decompressor
 	sp span
@@ -564,13 +607,10 @@ type spanReader struct {
 // openSpan prepares a reader over sp from trace position start on. With
 // pin set (range windows) every chunk is materialized and pinned in the
 // chunk cache, so a hot range working set decompresses once. Without it
-// (the sequential pipeline, inline decode and DecodeAll) only chunks that
-// imitations replay are: segments and lossy chunks no imitation replays
-// have exactly one consumer, this pass, so they stream-decode straight
-// into batch buffers or DecodeAll's output (materializing would cost a
-// transient span-sized buffer, and caching would only evict chunks
-// imitations still need) — unless a random-access pass already left them
-// in the cache. The legacy v1 span always streams.
+// only chunks that imitations replay are: other chunks have one consumer,
+// this pass, so they stream into the task's destination unless already
+// cached (materializing would cost a span-sized buffer, and caching would
+// evict chunks imitations still need). The v1 span always streams.
 func (d *Decompressor) openSpan(sp span, start int64, pin bool) (*spanReader, error) {
 	if d.legacy {
 		return d.legacyReader(sp, start), nil
@@ -596,8 +636,9 @@ func (d *Decompressor) openSpan(sp span, start int64, pin bool) (*spanReader, er
 	} else if r.chunk, err = d.loadChunk(sp); err != nil {
 		return nil, err
 	}
-	if err := checkChunk(sp, r.chunk); err != nil {
-		return nil, err
+	if int64(len(r.chunk)) != sp.end-sp.start { // not a silently shifted tail
+		return nil, fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
+			ErrCorrupt, sp.rec.chunkID, len(r.chunk), sp.end-sp.start)
 	}
 	r.off = int(r.skip)
 	return r, nil
@@ -616,46 +657,6 @@ func (d *Decompressor) legacyReader(sp span, start int64) *spanReader {
 	}
 	r.skip = start - (sp.start + r.got)
 	return r
-}
-
-// checkChunk verifies a materialized chunk holds exactly the addresses
-// the index assigns sp: a wrong-length chunk must surface as corruption,
-// not as a silently shifted tail.
-func checkChunk(sp span, chunk []uint64) error {
-	if int64(len(chunk)) != sp.end-sp.start {
-		return fmt.Errorf("%w: chunk %d decodes to %d addresses, index says %d",
-			ErrCorrupt, sp.rec.chunkID, len(chunk), sp.end-sp.start)
-	}
-	return nil
-}
-
-// next returns the span's next batch; ok is false once the span is
-// exhausted. A batch carrying an error is the span's last. A materialized
-// chunk record yields zero-copy sub-slices of the chunk; imitations and
-// streamed spans copy out into recycled batch buffers, so an imitation
-// never allocates a whole-interval copy and a streamed chunk is never
-// materialized whole: per-span memory is one batch plus, when streaming,
-// the pooled decode unit's working buffers.
-//
-//atc:hotpath
-func (r *spanReader) next() (aheadBatch, bool) {
-	d := r.d
-	if r.chunk != nil && r.trans == nil {
-		if r.off >= len(r.chunk) {
-			return aheadBatch{}, false
-		}
-		end := min(r.off+d.opts.batchAddrs, len(r.chunk))
-		addrs := r.chunk[r.off:end]
-		r.off = end
-		return aheadBatch{addrs: addrs}, true
-	}
-	buf := d.batchBuf()
-	n, err := r.copyTo(buf[:cap(buf)])
-	if err != nil || n == 0 {
-		d.recycleBatch(buf)
-		return aheadBatch{err: err}, err != nil
-	}
-	return aheadBatch{addrs: buf[:n], buf: buf[:n]}, true
 }
 
 // copyTo copies the span's next addresses into dst and returns how many
@@ -708,10 +709,10 @@ func (r *spanReader) appendN(dst []uint64, n int64) ([]uint64, error) {
 
 // fill decodes the span's next addresses into dst, opening the chunk
 // blob on first use and first dropping the skip leading addresses through
-// a batch buffer, checking for a pipeline stop once per batch. It returns
-// how many addresses it left in dst (0 once the span is exhausted or a
-// stop cut the skip short) and ErrCorrupt when the chunk disagrees with
-// the index (checkStream).
+// a batch buffer. Only the first span a decode reads skips, and its
+// caller waits for it, so no stop can cut the skip short. fill returns
+// how many addresses it left in dst (0 once the span is exhausted) and
+// ErrCorrupt when the chunk disagrees with the index (checkStream).
 func (r *spanReader) fill(dst []uint64) (int, error) {
 	if r.pr == nil && !r.eof {
 		if err := r.openStream(); err != nil {
@@ -723,9 +724,6 @@ func (r *spanReader) fill(dst []uint64) (int, error) {
 		buf := r.d.batchBuf()
 		defer r.d.recycleBatch(buf)
 		for r.skip > 0 && !r.eof {
-			if r.d.stopping() {
-				return 0, nil
-			}
 			n, err := r.read(buf[:min(r.skip, int64(cap(buf)))])
 			r.skip -= int64(n)
 			if err != nil {
@@ -1047,11 +1045,11 @@ func (d *Decompressor) Backend() string { return d.backend.Name() }
 
 // Position reports the absolute trace position (in addresses) of the next
 // value Decode will return.
-func (d *Decompressor) Position() int64 { return d.cursor }
+func (d *Decompressor) Position() int64 { return d.cursor + int64(d.pos) }
 
 // ChunkReads reports how many times a chunk blob has been opened for
 // decoding — chunk-cache hits and resumed legacy v1 streams do not count.
-// It is safe to call while a readahead pipeline is running.
+// It is safe to call while Decode's span workers run.
 func (d *Decompressor) ChunkReads() int64 { return d.chunkReads.Load() }
 
 // SetTrace attaches a per-request trace recorder: subsequent synchronous
@@ -1077,16 +1075,14 @@ func (d *Decompressor) ChunkIndex() []ChunkSpan {
 	return out
 }
 
-// Seek repositions the decoder so the next Decode returns the address at
-// absolute trace position addr; addr may be anywhere in [0, TotalAddrs()]
-// (seeking to the total makes the next Decode return io.EOF). Seeking
-// clears a pending io.EOF, stops any readahead in flight (it restarts
-// from the new position on the next Decode) and, for lossy and segmented
-// traces, costs only the decode of the chunk covering addr when it is not
-// already cached. Legacy v1 lossless traces are a single compressed
-// stream: the next read resumes it when addr lies ahead of where it
-// stopped and reopens it otherwise, decoding and discarding up to addr
-// addresses.
+// SeekTo repositions the decoder so the next Decode returns the address
+// at trace position addr, anywhere in [0, TotalAddrs()] (the total makes
+// the next Decode return io.EOF). It clears a pending io.EOF and stops
+// Decode's span workers, which restart at addr on the next Decode; for
+// lossy and segmented traces that costs only the chunk covering addr
+// when it is not cached. The legacy v1 stream resumes when addr lies
+// ahead of where it stopped and otherwise reopens, decoding and
+// discarding up to addr addresses.
 func (d *Decompressor) SeekTo(addr int64) error {
 	if d.closed {
 		return fmt.Errorf("%w: SeekTo", ErrClosed)
@@ -1094,11 +1090,9 @@ func (d *Decompressor) SeekTo(addr int64) error {
 	if addr < 0 || addr > d.total {
 		return fmt.Errorf("%w: seek to %d outside trace [0, %d]", ErrOutOfRange, addr, d.total)
 	}
-	d.stopReadahead()
-	d.recycleBatch(d.pendingBuf)
-	d.pending = nil
-	d.pendingBuf = nil
-	d.pos = 0
+	d.release(d.stopDecode())
+	d.recycleBatch(d.pending)
+	d.pending, d.pos = nil, 0
 	d.cursor = addr
 	d.err = nil
 	return nil
@@ -1109,18 +1103,15 @@ func (d *Decompressor) SeekTo(addr int64) error {
 // the chunks overlapping the window (every touched chunk is pinned in the
 // chunk cache, so repeated ranges over a working set are served from
 // memory; a legacy v1 window decodes straight from the stream, resuming
-// it when the window lies ahead). The streaming position is unaffected: a
-// Decode after a DecodeRange continues where it left off, though any
-// readahead in flight is quiesced and restarts lazily.
+// it when the window lies ahead). A Decode after it continues where it
+// left off; Decode's span workers stop and restart lazily.
 func (d *Decompressor) DecodeRange(from, to int64) ([]uint64, error) {
 	return d.DecodeRangeAppend([]uint64{}, from, to)
 }
 
-// DecodeRangeAppend is DecodeRange decoding into a caller-provided
-// buffer: the addresses at [from, to) are appended to dst and the
-// extended slice returned. A dst with capacity for the window is never
-// regrown: beyond the chunk work, each span the window touches costs one
-// small span reader.
+// DecodeRangeAppend is DecodeRange appending to a caller-provided dst. A
+// dst with capacity for the window is never regrown: beyond the chunk
+// work, each span the window touches costs a small span reader and task.
 func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64, error) {
 	if d.closed {
 		return nil, fmt.Errorf("%w: DecodeRange", ErrClosed)
@@ -1131,7 +1122,7 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 	if from == to {
 		return dst, nil
 	}
-	d.stopReadahead()
+	d.release(d.stopDecode())
 	// Per-request tracing: the index walk is timed only when a recorder
 	// is attached — too fine-grained to time every call.
 	tr := d.traceRec
@@ -1151,81 +1142,72 @@ func (d *Decompressor) DecodeRangeAppend(dst []uint64, from, to int64) ([]uint64
 }
 
 // Decode returns the next trace value (the paper's atc_decode); io.EOF
-// signals a complete, verified end of trace. With readahead enabled
-// (the default), decompression of upcoming batches proceeds on a
-// background pipeline — started lazily at the current position — while
-// the caller consumes earlier values.
+// signals a complete, verified end of trace. Unless Readahead < 0, span
+// workers started lazily at the current position decode ahead.
 func (d *Decompressor) Decode() (uint64, error) {
-	if d.err != nil {
-		return 0, d.err
-	}
-	if d.pos >= len(d.pending) && !d.refill() {
-		return 0, d.err
+	if d.pos == len(d.pending) {
+		return d.refill()
 	}
 	v := d.pending[d.pos]
 	d.pos++
-	d.cursor++
-	if d.cursor > d.total {
-		d.err = fmt.Errorf("%w: more addresses than trailer count %d", ErrCorrupt, d.total)
-		return 0, d.err
-	}
 	return v, nil
 }
 
-// refill replaces the drained pending batch with the next one. At the
-// end of the trace, or on a decode error, it sets d.err (io.EOF for a
-// complete, verified end) and reports false.
-func (d *Decompressor) refill() bool {
-	for d.pos >= len(d.pending) {
-		batch, ok := d.nextBatch()
-		switch {
-		case !ok && d.cursor != d.total:
-			d.err = fmt.Errorf("%w: decoded %d addresses, trailer says %d", ErrCorrupt, d.cursor, d.total)
-		case !ok:
-			d.err = io.EOF
-		default:
-			d.err = batch.err
-		}
-		if d.err != nil {
-			return false
-		}
-		d.recycleBatch(d.pendingBuf)
-		d.pending = batch.addrs
-		d.pendingBuf = batch.buf
-		d.pos = 0
+// refill replaces the drained pending batch with the next one and
+// returns its first address, or sets and returns d.err: io.EOF at the
+// end of the trace, or the decode error.
+func (d *Decompressor) refill() (uint64, error) {
+	if d.err != nil {
+		return 0, d.err
 	}
-	return true
+	d.cursor += int64(len(d.pending))
+	d.recycleBatch(d.pending)
+	d.pending, d.pos = nil, 0
+	batch, err := d.nextBatch()
+	if err == nil && batch == nil {
+		err = io.EOF // the tasks cover every span up to the trailer's total
+	}
+	if d.err = err; err != nil {
+		return 0, err
+	}
+	d.pending, d.pos = batch, 1
+	return batch[0], nil
 }
 
-// nextBatch returns the batch starting at the cursor; ok is false at the
-// end of the trace. With Readahead > 0 it comes from the pipeline;
-// otherwise it is decoded inline, on the calling goroutine, by the same
-// span readers the pipeline runs.
-func (d *Decompressor) nextBatch() (aheadBatch, bool) {
-	if d.opts.Readahead > 0 {
-		if d.ahead == nil {
-			d.startReadahead(d.opts.Readahead)
-		}
-		b, ok := <-d.ahead
-		return b, ok
+// nextBatch returns the next batch of the span task Decode drains, sent
+// by a worker or, inline, decoded now (run); nil at the end of the trace.
+func (d *Decompressor) nextBatch() ([]uint64, error) {
+	if d.sched == nil {
+		d.startDecode()
 	}
+	inline := d.sched.out == nil
 	for {
-		if d.inline == nil {
-			i := d.spanIndex(d.cursor)
-			if i >= len(d.index) {
-				return aheadBatch{}, false
+		if d.cur == nil {
+			if inline {
+				d.cur = d.sched.take()
+			} else {
+				d.cur = <-d.sched.out
 			}
-			r, err := d.openSpan(d.index[i], d.cursor, false)
-			if err != nil {
-				return aheadBatch{err: err}, true
+			if d.cur == nil {
+				return nil, nil
 			}
-			d.inline = r
 		}
-		if b, ok := d.inline.next(); ok {
-			return b, true
+		t, b := d.cur, []uint64(nil)
+		if !inline {
+			b = <-t.batches
+		} else {
+			if !t.done {
+				d.run(t)
+			}
+			b, t.held = t.held, nil
 		}
-		d.inline.close()
-		d.inline = nil
+		if b != nil {
+			return b, nil
+		}
+		if t.err != nil {
+			return nil, t.err
+		}
+		d.cur = nil
 	}
 }
 
@@ -1248,15 +1230,12 @@ func grow(dst []uint64, rest int64) []uint64 {
 	return append(make([]uint64, 0, len(dst)+more), dst...)
 }
 
-// DecodeAll decodes the remaining trace into memory. It hands out the
-// rest of the pending batch, stops the readahead pipeline and then
-// decodes straight into its output (fill): up to Readahead spans at once,
-// each into its own part of the output, with no batch buffers in
-// between. The output grows one group of spans at a time (grow), so it is
-// sized from the trailer's count, capped at maxDecodeAllPrealloc, before
-// any span decodes. On an error it returns the addresses before the
-// failing span, and Decode repeats the error; after a complete decode
-// Decode returns io.EOF.
+// DecodeAll decodes the remaining trace into memory: the rest of the
+// pending batch, the spans Decode's stopped workers claimed (takeOver),
+// then the rest straight into its output (fill), which grows one group
+// of spans at a time (grow). On an error it returns the addresses before
+// the failing span, and Decode repeats the error; after a complete
+// decode Decode returns io.EOF.
 func (d *Decompressor) DecodeAll() ([]uint64, error) {
 	if d.err != nil {
 		if d.err == io.EOF {
@@ -1264,27 +1243,57 @@ func (d *Decompressor) DecodeAll() ([]uint64, error) {
 		}
 		return nil, d.err
 	}
+	pos := d.Position()
 	out := append([]uint64{}, d.pending[d.pos:]...)
-	d.recycleBatch(d.pendingBuf)
-	d.pending, d.pendingBuf, d.pos = nil, nil, 0
-	d.stopReadahead()
-	from := d.cursor + int64(len(out))
-	out, err := d.fill(out, d.spanIndex(from), from, d.total, max(d.opts.Readahead, 1), false)
-	d.cursor += int64(len(out))
+	d.recycleBatch(d.pending)
+	d.pending, d.pos = nil, 0
+	out, err := d.takeOver(out, d.stopDecode())
+	if err == nil {
+		from := pos + int64(len(out))
+		out, err = d.fill(out, d.spanIndex(from), from, d.total, max(d.opts.Readahead, 1), false)
+	}
+	d.cursor = pos + int64(len(out))
 	if d.err = err; err == nil {
 		d.err = io.EOF
 	}
 	return out, err
 }
 
+// takeOver appends the stopped span tasks to out in trace order: the
+// batches Decode did not take, then the rest of the span, which run reads
+// on from the task's open reader straight into out, so no span is read
+// twice. On an error it releases the tasks left and returns out up to the
+// failing task's first batch.
+func (d *Decompressor) takeOver(out []uint64, tasks []*spanTask) ([]uint64, error) {
+	for k, t := range tasks {
+		mark := len(out)
+		for len(t.batches) > 0 {
+			b := <-t.batches
+			out = append(out, b...)
+			d.recycleBatch(b)
+		}
+		out = append(out, t.held...)
+		d.recycleBatch(t.held)
+		t.held = nil
+		if !t.done {
+			t.batched, t.batches, t.dst = false, nil, out
+			d.run(t)
+			out = t.dst
+		}
+		if t.err != nil {
+			d.release(tasks[k+1:])
+			return out[:mark], t.err
+		}
+	}
+	return out, nil
+}
+
 // fill appends the addresses at trace positions [from, to) to out, from
-// the span index[i] on, and returns the extended slice; on an error it
-// returns out up to the start of the failing span. Before each span that
-// does not fit, out grows (grow, bounded by what is left of the window).
-// With par > 1 the spans that then fit decode as a group (fillGroup);
-// otherwise, and for a group of one span, the caller decodes them in
-// trace order. Range windows pass pin and par 1; DecodeAll passes par
-// Readahead.
+// the span index[i] on; on an error it returns out up to the start of the
+// failing span. Before each span that does not fit, out grows (grow,
+// bounded by what is left of the window). With par > 1 the spans that
+// then fit decode as a group (fillGroup); otherwise the caller runs the
+// span's task into out, which grows as the span fills it (appendN).
 func (d *Decompressor) fill(out []uint64, i int, from, to int64, par int, pin bool) ([]uint64, error) {
 	for i < len(d.index) && d.index[i].start < to {
 		sp := d.index[i]
@@ -1292,16 +1301,17 @@ func (d *Decompressor) fill(out []uint64, i int, from, to int64, par int, pin bo
 		if int64(cap(out)-len(out)) < hi-lo {
 			out = grow(out, to-lo)
 		}
-		n, hot := 1, []int(nil)
+		n, loads := 1, []*spanTask(nil)
 		if par > 1 {
-			n, hot = d.group(i, lo+int64(cap(out)-len(out)), to)
+			n, loads = d.group(i, lo+int64(cap(out)-len(out)), to)
 		}
 		var err error
 		if n > 1 {
-			out, err = d.fillGroup(out, d.index[i:i+n], hot, lo, to, par)
+			out, err = d.fillGroup(out, d.index[i:i+n], loads, lo, to, par)
 		} else {
-			n = 1
-			out, err = d.fillSpan(out, sp, lo, hi, pin)
+			t := &spanTask{sp: sp, lo: lo, hi: hi, pin: pin, dst: out}
+			d.run(t)
+			n, out, err = 1, t.dst, t.err
 		}
 		if err != nil {
 			return out, err
@@ -1312,17 +1322,20 @@ func (d *Decompressor) fill(out []uint64, i int, from, to int64, par int, pin bo
 }
 
 // group reports how many spans from index[i] on decode together: those
-// ending (or cut off by to) at or before the trace position limit, where
-// the output's capacity ends, and together replaying no more distinct
-// chunks than the chunk cache holds, so no chunk a group replays is
-// evicted before the group is done with it. It also returns those
-// replayed chunks' IDs.
-func (d *Decompressor) group(i int, limit, to int64) (int, []int) {
+// ending (or cut off by to) at or before the trace position limit, and
+// together replaying no more distinct chunks than the chunk cache holds,
+// so none is evicted before the group is done with it. It marks those
+// already cached recently used and returns a task of no addresses for
+// each chunk record of the group whose chunk is replayed but not cached:
+// run first, these load the replayed chunks at the same time, and an
+// imitation waits only for its own source chunk (GetOrLoad).
+func (d *Decompressor) group(i int, limit, to int64) (int, []*spanTask) {
 	maxHot := 1
 	if stride := int64(d.intervalLen) * 8; stride > 0 {
 		maxHot = max(int(d.cache.c.budget/stride), 1)
 	}
 	var hot []int
+	var loads []*spanTask
 	n := 0
 	for ; i+n < len(d.index); n++ {
 		sp := d.index[i+n]
@@ -1334,80 +1347,37 @@ func (d *Decompressor) group(i int, limit, to int64) (int, []int) {
 				break
 			}
 			hot = append(hot, sp.rec.chunkID)
-		}
-	}
-	return n, hot
-}
-
-// fillGroup decodes the spans of group into out's spare capacity, each
-// span into its own sub-slice, lo being the trace position of out's end
-// (the first span may start before it). Up to par workers, the caller
-// one of them, take the spans; chunk records go before imitations, so
-// the chunks the group replays load at the same time, and an imitation
-// waits only for its own source chunk (TraceChunkCache.GetOrLoad). The
-// replayed chunks already cached are first marked recently used, so
-// loading the others evicts none of them. On an error the result ends
-// where the first failing span in trace order starts.
-func (d *Decompressor) fillGroup(out []uint64, group []span, hot []int, lo, to int64, par int) ([]uint64, error) {
-	for _, id := range hot {
-		d.cache.touch(id)
-	}
-	base := len(out)
-	at := func(pos int64) int { return base + int(pos-lo) }
-	order := make([]int, 0, len(group))
-	for _, chunks := range []bool{true, false} {
-		for k, sp := range group {
-			if (sp.rec.tag == recChunk) == chunks {
-				order = append(order, k)
+			if !d.cache.touch(sp.rec.chunkID) && sp.rec.tag == recChunk {
+				loads = append(loads, &spanTask{sp: sp, lo: sp.start, hi: sp.start})
 			}
 		}
 	}
-	errs := make([]error, len(group))
-	var next atomic.Int64
-	work := func() {
-		for t := next.Add(1) - 1; t < int64(len(order)); t = next.Add(1) - 1 {
-			k := order[t]
-			sp := group[k]
-			a, b := max(lo, sp.start), min(to, sp.end)
-			_, errs[k] = d.fillSpan(out[at(a):at(a):at(b)], sp, a, b, false)
-		}
+	return n, loads
+}
+
+// fillGroup decodes the spans of group into out's spare capacity, each
+// into its own sub-slice, lo being the trace position of out's end (the
+// first span may start before it). Up to par workers, the caller one of
+// them, run the group's loads and then its spans in trace order. On an
+// error the result ends where the first failing span starts.
+func (d *Decompressor) fillGroup(out []uint64, group []span, loads []*spanTask, lo, to int64, par int) ([]uint64, error) {
+	base := len(out)
+	at := func(pos int64) int { return base + int(pos-lo) }
+	tasks := make([]*spanTask, 0, len(group))
+	for _, sp := range group {
+		a, b := max(lo, sp.start), min(to, sp.end)
+		tasks = append(tasks, &spanTask{sp: sp, lo: a, hi: b, dst: out[at(a):at(a):at(b)]})
 	}
-	var wg sync.WaitGroup
-	for range min(par, len(group)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return out[:at(max(lo, group[k].start))], err
+	s := &sched{todo: append(loads, tasks...)}
+	d.spawn(s, min(par, len(group))-1)
+	d.work(s)
+	s.wg.Wait()
+	for _, t := range tasks {
+		if t.err != nil {
+			return out[:at(max(lo, t.sp.start))], t.err
 		}
 	}
 	return out[:at(min(to, group[len(group)-1].end))], nil
-}
-
-// fillSpan appends sp's addresses at trace positions [lo, hi) to out
-// through one span reader, and returns out unchanged on an error. A span
-// streamed to its end is checked to end there, as a loaded chunk is
-// (readChunkFile).
-func (d *Decompressor) fillSpan(out []uint64, sp span, lo, hi int64, pin bool) ([]uint64, error) {
-	r, err := d.openSpan(sp, lo, pin)
-	if err != nil {
-		return out, err
-	}
-	defer r.close()
-	next, err := r.appendN(out, hi-lo)
-	if err == nil && hi == sp.end && r.chunk == nil {
-		err = r.end()
-	}
-	if err != nil {
-		return out, err
-	}
-	return next, nil
 }
 
 // chunkBufSize is the buffered-read size fronting chunk blobs.
@@ -1490,13 +1460,11 @@ func (d *Decompressor) readChunkFile(sp span) ([]uint64, error) {
 }
 
 // loadChunk returns the decoded addresses of sp's chunk through the chunk
-// cache, pinning a freshly read chunk there (subject to the cache's
-// eviction policy): the sequential lossy pipeline pins chunks so
-// imitations avoid re-reading them, and random access pins everything it
-// touches so a hot range working set decompresses once. Concurrent
-// readers of one chunk through a shared cache trigger a single
-// decompression. Callers check the result's length with checkChunk: a
-// cached chunk may have been loaded for another span.
+// cache, pinning a freshly read chunk there (subject to eviction), so
+// imitations and a hot range working set decompress it once; concurrent
+// readers through a shared cache trigger a single decompression.
+// openSpan checks the length: a cached chunk may have been loaded for
+// another span.
 func (d *Decompressor) loadChunk(sp span) ([]uint64, error) {
 	loaded := false
 	addrs, err := d.cache.GetOrLoad(sp.rec.chunkID, func() ([]uint64, error) {
@@ -1514,13 +1482,14 @@ func (d *Decompressor) loadChunk(sp span) ([]uint64, error) {
 	return addrs, err
 }
 
-// Close stops the readahead pipeline (if any) and releases open blobs,
-// plus the store itself when Open built it from a path. A caller-provided
-// DecodeOptions.Store stays open for further use. The Decompressor cannot
-// be used afterwards — buffered readahead batches were discarded, so
-// resuming would silently skip addresses.
+// Close stops Decode's span workers and releases open blobs, plus the
+// store itself when Open built it from a path (a caller-provided
+// DecodeOptions.Store stays open). The Decompressor cannot be used after.
 func (d *Decompressor) Close() error {
-	d.stopReadahead()
+	d.release(d.stopDecode())
+	d.cursor = d.Position()
+	d.recycleBatch(d.pending)
+	d.pending, d.pos = nil, 0
 	if !d.closed {
 		d.closed = true
 		if d.err == nil {

@@ -367,3 +367,106 @@ func TestDecodeAllRejectsLongChunk(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeAllAfterDecodeReadsNoChunkTwice runs DecodeAll after k Decode
+// calls, k = 10 and k just past the end of the first span (half the trace
+// for the one-span v1 stream): it must read no more chunks than a
+// DecodeAll from 0 on a fresh reader at the same settings, so the spans
+// Decode's workers already opened are finished, not read again. Default
+// batches cover a whole span, so workers run furthest ahead; 64-address
+// batches leave them mid-span.
+func TestDecodeAllAfterDecodeReadsNoChunkTwice(t *testing.T) {
+	traces := decodeAllTraces(t)
+	segmented := store.NewMem()
+	opts := rangeModes[2].opts
+	opts.Store = segmented
+	if _, err := WriteTrace("", rangeTrace(), opts); err != nil {
+		t.Fatal(err)
+	}
+	traces["segmented"] = segmented
+	for name, st := range traces {
+		for _, batch := range []int{0, 64} {
+			for _, ra := range []int{-1, 1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/batch=%d/readahead=%d", name, batch, ra), func(t *testing.T) {
+					open := func() *Decompressor {
+						d, err := Open("", DecodeOptions{Store: st, Readahead: ra, batchAddrs: batch})
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(func() { d.Close() })
+						return d
+					}
+					fresh := open()
+					want, err := fresh.DecodeAll()
+					if err != nil {
+						t.Fatal(err)
+					}
+					index := fresh.ChunkIndex()
+					past := int(index[0].End) + 1
+					if len(index) == 1 {
+						past = len(want) / 2
+					}
+					for _, k := range []int{10, past} {
+						d := open()
+						for i := 0; i < k; i++ {
+							if _, err := d.Decode(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						got, err := d.DecodeAll()
+						if err != nil || !slices.Equal(got, want[k:]) {
+							t.Fatalf("DecodeAll after %d Decodes differs (err %v)", k, err)
+						}
+						if d.ChunkReads() > fresh.ChunkReads() {
+							t.Fatalf("DecodeAll after %d Decodes read %d chunks, from 0 on a fresh reader %d",
+								k, d.ChunkReads(), fresh.ChunkReads())
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCloseStopsSpanWorkers closes a reader while Decode's workers have
+// spans in flight, directly after partial Decode calls and after a SeekTo
+// that restarted them: every worker must exit.
+func TestCloseStopsSpanWorkers(t *testing.T) {
+	for name, st := range decodeAllTraces(t) {
+		for _, ra := range []int{-1, 1, 2, 4} {
+			for _, seek := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/readahead=%d/seek=%v", name, ra, seek), func(t *testing.T) {
+					goroutines := runtime.NumGoroutine()
+					d, err := Open("", DecodeOptions{Store: st, Readahead: ra, batchAddrs: 64})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 100; i++ {
+						if _, err := d.Decode(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if seek {
+						if err := d.SeekTo(d.TotalAddrs() / 3); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := d.Decode(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if ra > 0 && runtime.NumGoroutine() <= goroutines {
+						t.Fatalf("no span worker in flight before Close (%d goroutines, %d at the start)",
+							runtime.NumGoroutine(), goroutines)
+					}
+					d.Close()
+					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+						if time.Now().After(deadline) {
+							t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), goroutines)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				})
+			}
+		}
+	}
+}

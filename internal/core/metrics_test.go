@@ -76,7 +76,7 @@ func TestDecodeTraceStages(t *testing.T) {
 	}
 }
 
-// TestSequentialDecodeTimesTranslate checks that the readahead pipeline
+// TestSequentialDecodeTimesTranslate checks that Decode's span workers
 // and the inline decode time an imitation's translation into the
 // translate stage, as range windows do: all three copy out through one
 // routine.

@@ -204,7 +204,7 @@ func TestSegmentedMetadata(t *testing.T) {
 
 func TestSegmentedCorruptChunkSurfaces(t *testing.T) {
 	// 40 segments with an early one missing: when the error surfaces, the
-	// parallel readahead dispatcher still has dozens of segments queued —
+	// span workers still have dozens of segments to claim —
 	// the early-termination interleaving that once risked a WaitGroup
 	// Add-vs-Wait panic in produceLosslessSegmented.
 	addrs := randomTrace(t, 24, 10_000)
@@ -234,7 +234,7 @@ func TestSegmentedEarlyCloseStopsPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Abandon the decode with ~38 of 40 segments still pending: Close must
-	// stop the dispatcher and every in-flight segment decode without
+	// stop every span worker and in-flight segment decode without
 	// deadlock or WaitGroup misuse.
 	for i := 0; i < 100; i++ {
 		if _, err := d.Decode(); err != nil {

@@ -268,13 +268,13 @@ func TestReadAddrsAt(t *testing.T) {
 }
 
 // TestSeekDuringReadaheadStress hammers the readahead restart path: a
-// reader with an active readahead pipeline is seeked to random positions
-// (forwards, backwards, mid-span) with a partial decode between seeks,
-// for every mode. Each seek stops an in-flight
-// pipeline — span tasks mid-stream included — and the next Decode
-// restarts it at the new cursor; the decoded values must match the raw
-// trace exactly. Run under -race this also shakes the producer/consumer
-// handoff and the batch-buffer free list.
+// reader whose span workers are decoding ahead is seeked to random
+// positions (forwards, backwards, mid-span) with a partial decode between
+// seeks, for every mode. Each seek stops the workers — span tasks
+// mid-stream included — and the next Decode restarts them at the new
+// cursor; the decoded values must match the raw trace exactly. Run under
+// -race this also shakes the worker/consumer handoff and the
+// batch-buffer free list.
 func TestSeekDuringReadaheadStress(t *testing.T) {
 	addrs := seekTestAddrs(t)
 	n := int64(len(addrs))
@@ -308,7 +308,7 @@ func TestSeekDuringReadaheadStress(t *testing.T) {
 					t.Fatalf("iter %d: Seek(%d): %v", iter, at, err)
 				}
 				// Decode a burst of varying length: sometimes shorter than
-				// one batch (the pipeline is stopped while producing),
+				// one batch (the span workers are stopped mid-span),
 				// sometimes spanning several spans.
 				burst := int64(1 + rng.Intn(4000))
 				for i := int64(0); i < burst && at+i < n; i++ {
