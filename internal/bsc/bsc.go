@@ -20,6 +20,13 @@
 //
 // Writer implements io.WriteCloser, Reader implements io.Reader, so the
 // package composes with any byte stream.
+//
+// The Reader decodes each block in one pass per stage. Every Huffman
+// symbol goes straight into the inverse MTF (mtf.Decoder), with no symbol
+// array in between, and that pass also counts the bytes it emits. The
+// inverse BWT starts from those counts and walks one packed table whose
+// entries hold a row index in 24 bits above a byte, so a block holds at
+// most MaxBlockSize = 1<<24 - 1 bytes.
 package bsc
 
 import (
@@ -41,8 +48,9 @@ const (
 	magic = "BSC1"
 	// DefaultBlockSize matches bzip2 -9 (900 KB blocks).
 	DefaultBlockSize = 900 * 1000
-	// MaxBlockSize bounds memory use for hostile streams.
-	MaxBlockSize = 16 << 20
+	// MaxBlockSize bounds memory use for hostile streams. It is the
+	// longest block the inverse BWT's 24-bit rows reach, 1<<24 - 1.
+	MaxBlockSize = bwt.MaxInverseLen
 
 	lenBits = 5 // bits per Huffman code length in the header (max huffman.MaxBits)
 )
@@ -205,8 +213,8 @@ func compressBlock(w io.Writer, block []byte) error {
 // than it holds, so after EOB it has taken exactly the bytes up to the
 // block's padding, and block boundaries stay in sync.
 //
-// A Reader owns all of its block-decode working state (symbol buffer,
-// Huffman tables, MTF and BWT scratch, the block buffer itself) and
+// A Reader owns all of its block-decode working state (Huffman tables,
+// MTF decoder and output, BWT table, the block buffer itself) and
 // Reset re-targets it at a new stream while keeping that state, so one
 // Reader can decompress any number of streams with amortised-zero
 // allocation — this is what the decode pipeline's per-Decompressor
@@ -225,10 +233,9 @@ type Reader struct {
 	dec     huffman.Decoder
 	hdr     [12]byte // framing scratch: magic, block markers, block headers
 	lengths [mtf.NumSyms]uint8
-	syms    []uint16
-	mtfOut  []byte  // MTF+run decode output (the BWT last column)
-	block   []byte  // reconstructed block (bwt.InverseInto dst)
-	next    []int32 // bwt.InverseInto successor-table scratch
+	unmtf   mtf.Decoder // its output is the BWT last column
+	block   []byte      // reconstructed block (bwt.InverseCountedInto dst)
+	tt      []int32     // bwt.InverseCountedInto table scratch
 }
 
 // NewReader returns a Reader decompressing from r.
@@ -326,40 +333,32 @@ func (r *Reader) nextBlock() error {
 	if err := r.dec.Reset(r.lengths[:], &r.bit); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// Every symbol before EOB contributes at least one decoded byte (an
-	// MTF symbol exactly one, a RUNA/RUNB run digit one or more), so a
-	// valid block's symbol stream holds at most origLen symbols plus the
-	// EOB: an over-long hostile stream fails there instead of growing
-	// without bound. syms grows by append, as symbols arrive, so a header
+	// Each Huffman symbol goes straight into the inverse MTF, which fails
+	// once its output would pass origLen: every symbol before EOB adds at
+	// least one byte, so an over-long hostile stream stops after origLen
+	// symbols. The output grows by append, as symbols arrive, so a header
 	// claiming a large block costs nothing before its symbols do; a reused
 	// Reader keeps the capacity, so steady-state blocks allocate nothing.
-	maxSyms := int(origLen) + 1
-	r.syms = r.syms[:0]
+	r.unmtf.Reset(r.unmtf.Bytes(), int(origLen))
 	for {
 		s, err := r.dec.ReadSymbol()
 		if err != nil {
 			return fmt.Errorf("%w: symbol stream: %v", ErrCorrupt, err)
 		}
-		if len(r.syms) == maxSyms {
-			return fmt.Errorf("%w: symbol stream exceeds block length %d", ErrCorrupt, origLen)
+		eob, err := r.unmtf.Put(s)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		r.syms = append(r.syms, uint16(s))
-		if s == mtf.EOB {
+		if eob {
 			break
 		}
 	}
-	transformed, _, err := mtf.DecodeIntoLimit(r.mtfOut, r.syms, int(origLen))
-	if transformed != nil {
-		r.mtfOut = transformed
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	transformed := r.unmtf.Bytes()
 	if uint32(len(transformed)) != origLen {
 		return fmt.Errorf("%w: block length mismatch (%d != %d)", ErrCorrupt, len(transformed), origLen)
 	}
-	block, next, err := bwt.InverseInto(r.block, r.next, transformed, int(primary))
-	r.next = next
+	block, tt, err := bwt.InverseCountedInto(r.block, r.tt, transformed, int(primary), r.unmtf.Counts())
+	r.tt = tt
 	if block != nil {
 		r.block = block
 	}

@@ -1,6 +1,7 @@
 package bsc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -173,29 +174,31 @@ func TestCorruptPayloadDetected(t *testing.T) {
 }
 
 // TestLargeBlockClaimAllocatesLittle patches the block header of a small
-// stream to claim a MaxBlockSize block. Decoding must fail with
-// ErrCorrupt having allocated for the symbols the stream holds, not for
-// the block the header claims (16 Mi symbols would be 32 MiB).
+// stream to claim a MaxBlockSize block, and then one past it. Decoding
+// must fail with ErrCorrupt having allocated for the symbols the stream
+// holds, not for the block the header claims.
 func TestLargeBlockClaimAllocatesLittle(t *testing.T) {
-	c, err := Compress(bytes.Repeat([]byte("a claim is not data "), 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The magic, then block marker 1 and the header's origLen field.
-	if string(c[:len(magic)]) != magic || c[len(magic)] != 1 {
-		t.Fatalf("unexpected stream start %x", c[:len(magic)+1])
-	}
-	binary.LittleEndian.PutUint32(c[len(magic)+1:], MaxBlockSize)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err = Decompress(c)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("the %d-byte stream allocated %d KiB, want < 1 MiB", len(c), alloc>>10)
+	for _, claim := range []uint32{MaxBlockSize, 1 << 24} {
+		c, err := Compress(bytes.Repeat([]byte("a claim is not data "), 20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The magic, then block marker 1 and the header's origLen field.
+		if string(c[:len(magic)]) != magic || c[len(magic)] != 1 {
+			t.Fatalf("unexpected stream start %x", c[:len(magic)+1])
+		}
+		binary.LittleEndian.PutUint32(c[len(magic)+1:], claim)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err = Decompress(c)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("claim %d: err = %v, want ErrCorrupt", claim, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("claim %d: the %d-byte stream allocated %d KiB, want < 1 MiB", claim, len(c), alloc>>10)
+		}
 	}
 }
 
@@ -472,8 +475,10 @@ func TestLengthAboveMaxBitsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzReader decompresses any bytes as a whole bsc stream. The result is
-// data, or an error wrapping ErrCorrupt or ErrChecksum; never a panic.
+// FuzzReader decompresses any bytes as a whole bsc stream and checks the
+// Reader against refDecompress: both give the same bytes, and either both
+// succeed or both fail, with the same one of ErrCorrupt and ErrChecksum.
+// It never panics.
 func FuzzReader(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]byte, 600)
@@ -487,6 +492,16 @@ func FuzzReader(f *testing.F) {
 		{bytes.Repeat([]byte("corruption canary "), 40), 256},
 		{random, 200},
 		{bytes.Repeat([]byte{0}, 3000), 1000},
+		{[]byte("a"), DefaultBlockSize},
+		{oneBlock(f, "ends in a zero run", []byte("zzzzzzzzzzzz"), func(syms []uint16, _ int) bool {
+			return syms[len(syms)-2] <= mtf.RunB
+		}), DefaultBlockSize},
+		{oneBlock(f, "has primary 1", []byte("abcdefgh"), func(_ []uint16, primary int) bool {
+			return primary == 1
+		}), DefaultBlockSize},
+		{oneBlock(f, "has primary n", []byte("hgfedcba"), func(_ []uint16, primary int) bool {
+			return primary == 8
+		}), DefaultBlockSize},
 	} {
 		c, err := CompressSize(in.data, in.blockSize)
 		if err != nil {
@@ -496,9 +511,194 @@ func FuzzReader(f *testing.F) {
 	}
 	f.Add(longCodeStream(f))
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		_, err := io.ReadAll(NewReader(bytes.NewReader(stream)))
+		got, err := io.ReadAll(NewReader(bytes.NewReader(stream)))
 		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrChecksum) {
 			t.Fatalf("error %v wraps neither ErrCorrupt nor ErrChecksum", err)
 		}
+		want, refErr := refDecompress(stream)
+		if (err == nil) != (refErr == nil) || errors.Is(err, ErrChecksum) != errors.Is(refErr, ErrChecksum) {
+			t.Fatalf("Reader error %v, reference error %v", err, refErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Reader gave %d bytes, reference %d, and they differ", len(got), len(want))
+		}
 	})
+}
+
+// oneBlock returns block after checking that its symbol stream and BWT
+// primary index have the property a seed is named for.
+func oneBlock(tb testing.TB, what string, block []byte, ok func(syms []uint16, primary int) bool) []byte {
+	transformed, primary := bwt.Transform(block)
+	if !ok(mtf.Encode(transformed), primary) {
+		tb.Fatalf("block %q no longer %s", block, what)
+	}
+	return block
+}
+
+// refDecompress is the stage-by-stage decode that the Reader's one pass
+// per stage replaced, kept as FuzzReader's reference. Each block reads its
+// whole Huffman symbol stream into an array of at most origLen+1 symbols,
+// then inverts the MTF and zero-run coding (refMTFDecode), then the BWT
+// (refInverseBWT). It returns the bytes of every block before the first
+// bad one.
+func refDecompress(stream []byte) ([]byte, error) {
+	br := bufio.NewReader(bytes.NewReader(stream))
+	var m [len(magic)]byte
+	if _, err := io.ReadFull(br, m[:]); err != nil {
+		if err == io.EOF {
+			return nil, nil
+		}
+		return nil, ErrCorrupt
+	}
+	if string(m[:]) != magic {
+		return nil, ErrCorrupt
+	}
+	var (
+		out     []byte
+		bit     bitio.Reader
+		dec     huffman.Decoder
+		lengths [mtf.NumSyms]uint8
+		hdr     [12]byte
+	)
+	for {
+		marker, err := br.ReadByte()
+		if err != nil || marker > 1 {
+			return out, ErrCorrupt
+		}
+		if marker == 0 {
+			return out, nil
+		}
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return out, ErrCorrupt
+		}
+		origLen := binary.LittleEndian.Uint32(hdr[0:4])
+		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
+		primary := binary.LittleEndian.Uint32(hdr[8:12])
+		if origLen > MaxBlockSize {
+			return out, ErrCorrupt
+		}
+		bit.Reset(br)
+		for i := range lengths {
+			v, err := bit.ReadBits(lenBits)
+			if err != nil {
+				return out, ErrCorrupt
+			}
+			lengths[i] = uint8(v)
+		}
+		if err := dec.Reset(lengths[:], &bit); err != nil {
+			return out, ErrCorrupt
+		}
+		var syms []uint16
+		for {
+			s, err := dec.ReadSymbol()
+			if err != nil || len(syms) == int(origLen)+1 {
+				return out, ErrCorrupt
+			}
+			syms = append(syms, uint16(s))
+			if s == mtf.EOB {
+				break
+			}
+		}
+		transformed, err := refMTFDecode(syms, int(origLen))
+		if err != nil || len(transformed) != int(origLen) {
+			return out, ErrCorrupt
+		}
+		block, err := refInverseBWT(transformed, int(primary))
+		if err != nil {
+			return out, ErrCorrupt
+		}
+		if crc32.ChecksumIEEE(block) != wantCRC {
+			return out, ErrChecksum
+		}
+		out = append(out, block...)
+	}
+}
+
+// refMTFDecode inverts the MTF and zero-run coding of syms, which end in
+// EOB, failing when a zero run would take the output past limit bytes.
+func refMTFDecode(syms []uint16, limit int) ([]byte, error) {
+	var order [256]byte
+	for i := range order {
+		order[i] = byte(i)
+	}
+	var out []byte
+	for i := 0; i < len(syms); {
+		switch s := syms[i]; {
+		case s == mtf.EOB:
+			return out, nil
+		case s == mtf.RunA || s == mtf.RunB:
+			run := 0
+			for shift := 0; i < len(syms) && syms[i] <= mtf.RunB; shift++ {
+				run += int(syms[i]+1) << shift
+				i++
+				if run > limit-len(out) {
+					return nil, ErrCorrupt
+				}
+			}
+			out = append(out, bytes.Repeat(order[:1], run)...)
+		case s <= 256:
+			pos := int(s) - 1
+			b := order[pos]
+			copy(order[1:pos+1], order[:pos])
+			order[0] = b
+			out = append(out, b)
+			i++
+		default:
+			return nil, ErrCorrupt
+		}
+	}
+	return nil, ErrCorrupt
+}
+
+// refInverseBWT inverts the BWT with a successor table and a branch on the
+// sentinel's row for every byte.
+func refInverseBWT(out []byte, primary int) ([]byte, error) {
+	n := len(out)
+	if n == 0 {
+		if primary != 0 {
+			return nil, ErrCorrupt
+		}
+		return nil, nil
+	}
+	if primary < 1 || primary > n {
+		return nil, ErrCorrupt
+	}
+	// realByte maps a row of the (n+1)-row last column, with the sentinel
+	// at row primary, to its byte.
+	realByte := func(i int) byte {
+		if i < primary {
+			return out[i]
+		}
+		return out[i-1]
+	}
+	var start [256]int
+	for _, b := range out {
+		start[b]++
+	}
+	sum := 1 // row 0 of the first column is the sentinel
+	for c, k := range start {
+		start[c] = sum
+		sum += k
+	}
+	next := make([]int32, n+1)
+	for i := 0; i <= n; i++ {
+		if i != primary {
+			c := realByte(i)
+			next[i] = int32(start[c])
+			start[c]++
+		}
+	}
+	s := make([]byte, n)
+	i := 0
+	for k := n - 1; k >= 0; k-- {
+		if i == primary {
+			return nil, ErrCorrupt
+		}
+		s[k] = realByte(i)
+		i = int(next[i])
+	}
+	if i != primary {
+		return nil, ErrCorrupt
+	}
+	return s, nil
 }

@@ -8,6 +8,11 @@
 // by a plain suffix array, so the forward transform reduces to suffix
 // sorting, done here by induced sorting (SA-IS) in O(n) time whatever the
 // input, including the long repeats BWT blocks frequently hold.
+//
+// The inverse walks one table packed as bzip2 packs its tt: one uint32
+// per row holding the next row in its top 24 bits and the row's byte in
+// the low 8, so each output byte costs one dependent load. A row index must fit in 24
+// bits, which caps the inverse at MaxInverseLen = 1<<24 - 1 bytes.
 package bwt
 
 import (
@@ -29,8 +34,8 @@ var ErrCorrupt = errors.New("bwt: corrupt transform data")
 // primary index p in [1, n] (row of the virtual sentinel in the sorted
 // rotation matrix). Transforming an empty slice returns (nil, 0).
 // The output slice is freshly allocated; data is not modified.
-// Suffix positions are int32, so len(data) must stay below 1<<31-1;
-// bsc.MaxBlockSize (16 MiB) keeps every block well inside that bound.
+// Suffix positions are int32, so len(data) must stay below 1<<31-1, and
+// InverseInto inverts no more than MaxInverseLen bytes.
 func Transform(data []byte) (out []byte, primary int) {
 	n := len(data)
 	if n == 0 {
@@ -60,73 +65,95 @@ func Inverse(out []byte, primary int) ([]byte, error) {
 	return s, err
 }
 
+// MaxInverseLen is the longest transform InverseInto inverts: its table
+// packs a row index into the top 24 bits of each entry.
+const MaxInverseLen = 1<<24 - 1
+
+// ErrTooLong is returned by InverseInto for input longer than
+// MaxInverseLen.
+var ErrTooLong = errors.New("bwt: transform too long to invert")
+
 // InverseInto is Inverse with caller-owned working storage: dst receives
-// the reconstructed bytes and next is the (n+1)-entry successor table the
-// cycle walk needs — both are grown only when too small, so a caller
-// recycling them (the bsc Reader's pooled decode state) inverts block
-// after block without allocating. It returns the reconstructed slice
-// (aliasing dst's storage unless grown) and the possibly-grown scratch,
-// which the caller should retain even on error.
-func InverseInto(dst []byte, next []int32, out []byte, primary int) ([]byte, []int32, error) {
+// the reconstructed bytes and tt is the (n+1)-entry table the cycle walk
+// needs — both are grown only when too small, so a caller recycling them
+// inverts block after block without allocating. It returns the
+// reconstructed slice (aliasing dst's storage unless grown) and the
+// possibly-grown scratch, which the caller should retain even on error.
+func InverseInto(dst []byte, tt []int32, out []byte, primary int) ([]byte, []int32, error) {
+	var counts [256]int
+	for _, b := range out {
+		counts[b]++
+	}
+	return InverseCountedInto(dst, tt, out, primary, &counts)
+}
+
+// InverseCountedInto is InverseInto for a caller that already holds the
+// byte counts of out, as a move-to-front decoder does once it has emitted
+// them; counts must be exactly those counts.
+//
+// The table is packed as bzip2's tt: one entry per row of the (n+1)-row
+// matrix, holding the row that the LF mapping takes it to above the
+// row's last-column byte, row<<8 | byte. Two branch-free loops build it, one on
+// each side of the sentinel's row, and the walk then costs one dependent
+// load per byte.
+func InverseCountedInto(dst []byte, tt []int32, out []byte, primary int, counts *[256]int) ([]byte, []int32, error) {
 	n := len(out)
+	if n > MaxInverseLen {
+		return nil, tt, fmt.Errorf("%w: %d bytes, at most %d", ErrTooLong, n, MaxInverseLen)
+	}
 	if n == 0 {
 		if primary != 0 {
-			return nil, next, ErrBadPrimary
+			return nil, tt, ErrBadPrimary
 		}
-		return nil, next, nil
+		return nil, tt, nil
 	}
 	if primary < 1 || primary > n {
-		return nil, next, fmt.Errorf("%w: %d not in [1,%d]", ErrBadPrimary, primary, n)
+		return nil, tt, fmt.Errorf("%w: %d not in [1,%d]", ErrBadPrimary, primary, n)
 	}
-	// realByte maps an index in the (n+1)-row column (sentinel at `primary`)
-	// to the stored byte.
-	realByte := func(i int) byte {
-		if i < primary {
-			return out[i]
-		}
-		return out[i-1]
+	// lf[c]: the first-column row of the next c to come in the last
+	// column. Row 0 of the first column is the sentinel, hence the 1.
+	var lf [256]uint32
+	row := uint32(1)
+	for c, k := range counts {
+		lf[c] = row
+		row += uint32(k)
 	}
-	var cnt [256]int
-	for _, b := range out {
-		cnt[b]++
+	if cap(tt) < n+1 {
+		tt = make([]int32, n+1)
 	}
-	// start[c]: first row in the F column holding byte c (row 0 is the
-	// sentinel, hence the +1 initialisation).
-	var start [256]int
-	sum := 1
-	for c := 0; c < 256; c++ {
-		start[c] = sum
-		sum += cnt[c]
+	tt = tt[:n+1]
+	// Last-column row i holds out[i] below the sentinel's row and
+	// out[i-1] above it.
+	for i, c := range out[:primary] {
+		tt[i] = int32(lf[c]<<8 | uint32(c))
+		lf[c]++
 	}
-	if cap(next) < n+1 {
-		next = make([]int32, n+1)
-	}
-	next = next[:n+1]
-	var occ [256]int
-	for i := 0; i <= n; i++ {
-		if i == primary {
-			continue
-		}
-		c := realByte(i)
-		next[i] = int32(start[c] + occ[c])
-		occ[c]++
+	tt[primary] = 0 // never read: the walk ends at the sentinel's row
+	above := tt[primary+1:]
+	for i, c := range out[primary:] {
+		above[i] = int32(lf[c]<<8 | uint32(c))
+		lf[c]++
 	}
 	if cap(dst) < n {
 		dst = make([]byte, n)
 	}
 	s := dst[:n]
+	// Row 0 is the rotation that starts with the sentinel, so its
+	// last-column byte ends the block; LF steps back one byte at a time,
+	// and the last step lands on the sentinel's row.
 	i := 0
-	for k := n - 1; k >= 0; k-- {
+	for k := len(s) - 1; k >= 0; k-- {
 		if i == primary {
-			return nil, next, fmt.Errorf("%w: cycle hit sentinel early (wrong primary?)", ErrCorrupt)
+			return nil, tt, fmt.Errorf("%w: cycle hit sentinel early (wrong primary?)", ErrCorrupt)
 		}
-		s[k] = realByte(i)
-		i = int(next[i])
+		e := uint32(tt[i])
+		s[k] = byte(e)
+		i = int(e >> 8)
 	}
 	if i != primary {
-		return nil, next, fmt.Errorf("%w: cycle did not terminate at sentinel (wrong primary?)", ErrCorrupt)
+		return nil, tt, fmt.Errorf("%w: cycle did not terminate at sentinel (wrong primary?)", ErrCorrupt)
 	}
-	return s, next, nil
+	return s, tt, nil
 }
 
 // suffixArray returns the suffix array of data: the start of every suffix,

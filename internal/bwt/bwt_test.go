@@ -129,6 +129,35 @@ func TestInverseWrongPrimaryDetected(t *testing.T) {
 	}
 }
 
+// TestInverseMaxLen inverts a MaxInverseLen-byte transform, whose rows
+// fill all 24 bits of a table entry: a block of zero bytes, whose
+// transform is itself with the sentinel in the last row.
+func TestInverseMaxLen(t *testing.T) {
+	zeros := make([]byte, MaxInverseLen)
+	got, err := Inverse(zeros, len(zeros))
+	if err != nil || !bytes.Equal(got, zeros) {
+		t.Fatalf("Inverse of %d zero bytes: %v, equal %v", len(zeros), err, bytes.Equal(got, zeros))
+	}
+}
+
+// TestInverseTooLong gives InverseInto one byte past MaxInverseLen, whose
+// last row does not fit a table entry: it must fail with ErrTooLong, not
+// panic, before allocating its table.
+func TestInverseTooLong(t *testing.T) {
+	out := make([]byte, MaxInverseLen+1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, tt, err := InverseInto(nil, nil, out, 1)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLong) {
+		t.Fatalf("err = %v, want ErrTooLong", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; tt != nil || alloc >= 1<<20 {
+		t.Fatalf("allocated %d KiB and a %d-entry table, want < 1 MiB and none", alloc>>10, len(tt))
+	}
+}
+
 func TestSuffixArrayAgainstNaive(t *testing.T) {
 	decreasing := make([]byte, 256)
 	for i := range decreasing {

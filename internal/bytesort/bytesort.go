@@ -374,18 +374,18 @@ func inverseSegment(blocks []byte, n int, mode Mode) ([]uint64, error) {
 	return addrs, nil
 }
 
-// inverseSegmentInto reconstructs n addresses into addrs (len n; cleared
-// here, so a reused buffer is fine). pos and perm are scratch of at
-// least n entries for Sorted mode (unused for Unshuffle).
+// inverseSegmentInto reconstructs n addresses into addrs (len n; every
+// entry is overwritten, so a reused buffer is fine). pos and perm are
+// scratch of at least n entries for Sorted mode (unused for Unshuffle).
 func inverseSegmentInto(addrs []uint64, blocks []byte, n int, mode Mode, pos, perm []int32) {
-	for i := range addrs {
-		addrs[i] = 0
+	// Column 0 is in sequence order in both modes.
+	for e, c := range blocks[:n] {
+		addrs[e] = uint64(c)
 	}
 	if mode == Unshuffle {
-		for j := 0; j < 8; j++ {
-			blk := blocks[j*n : (j+1)*n]
-			for i := 0; i < n; i++ {
-				addrs[i] = addrs[i]<<8 | uint64(blk[i])
+		for j := 1; j < 8; j++ {
+			for e, c := range blocks[j*n : (j+1)*n] {
+				addrs[e] = addrs[e]<<8 | uint64(c)
 			}
 		}
 		return
@@ -397,32 +397,27 @@ func inverseSegmentInto(addrs []uint64, blocks []byte, n int, mode Mode, pos, pe
 		pos[i] = int32(i)
 	}
 	var start [256]int32
-	for j := 0; j < 8; j++ {
-		blk := blocks[j*n : (j+1)*n]
-		if j > 0 {
-			// The order of block j is the stable counting sort of block
-			// j-1's order by block j-1's values: rebuild that permutation
-			// from the previous block's histogram.
-			prev := blocks[(j-1)*n : j*n]
-			var hist [256]int32
-			for _, c := range prev {
-				hist[c]++
-			}
-			start[0] = 0
-			for c := 1; c < 256; c++ {
-				start[c] = start[c-1] + hist[c-1]
-			}
-			for i := 0; i < n; i++ {
-				c := prev[i]
-				perm[i] = start[c]
-				start[c]++
-			}
-			for e := range pos {
-				pos[e] = perm[pos[e]]
-			}
+	for j := 1; j < 8; j++ {
+		// The order of block j is the stable counting sort of block j-1's
+		// order by block j-1's values: rebuild that permutation from the
+		// previous block's histogram, then gather block j through it.
+		prev, blk := blocks[(j-1)*n:j*n], blocks[j*n:(j+1)*n]
+		var hist [256]int32
+		for _, c := range prev {
+			hist[c]++
 		}
-		for e := 0; e < n; e++ {
-			addrs[e] = addrs[e]<<8 | uint64(blk[pos[e]])
+		start[0] = 0
+		for c := 1; c < 256; c++ {
+			start[c] = start[c-1] + hist[c-1]
+		}
+		for i, c := range prev {
+			perm[i] = start[c]
+			start[c]++
+		}
+		for e := range pos {
+			p := perm[pos[e]]
+			pos[e] = p
+			addrs[e] = addrs[e]<<8 | uint64(blk[p])
 		}
 	}
 }

@@ -92,6 +92,51 @@ func TestDecodeBadSymbol(t *testing.T) {
 	if _, _, err := Decode([]uint16{300, EOB}); err == nil {
 		t.Fatal("out-of-range symbol not detected")
 	}
+	var d Decoder
+	d.Reset(nil, 10)
+	if _, err := d.Put(-1); err == nil {
+		t.Fatal("negative symbol not detected")
+	}
+}
+
+// TestDecoderCounts feeds a Decoder one symbol at a time and checks its
+// output and its byte counts, which the inverse BWT starts from.
+func TestDecoderCounts(t *testing.T) {
+	f := func(data []byte, runs uint8) bool {
+		data = append(data, bytes.Repeat(data[:min(len(data), 1)], int(runs))...)
+		var d Decoder
+		d.Reset(nil, len(data))
+		var want [256]int
+		for _, b := range data {
+			want[b]++
+		}
+		for i, s := range Encode(data) {
+			eob, err := d.Put(int(s))
+			if err != nil || eob != (s == EOB) {
+				t.Logf("symbol %d (%d): eob %v, err %v", i, s, eob, err)
+				return false
+			}
+		}
+		return bytes.Equal(d.Bytes(), data) && *d.Counts() == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeIntoLimit decodes streams whose output ends in a literal and
+// in a zero run, with limits at and one below the output's length: the
+// limit bounds both kinds of symbol.
+func TestDecodeIntoLimit(t *testing.T) {
+	for _, data := range [][]byte{[]byte("abcabc"), []byte("abccccc")} {
+		syms := Encode(data)
+		if out, _, err := DecodeIntoLimit(nil, syms, len(data)); err != nil || !bytes.Equal(out, data) {
+			t.Errorf("%q at its own length: %q, %v", data, out, err)
+		}
+		if _, _, err := DecodeIntoLimit(nil, syms, len(data)-1); err == nil {
+			t.Errorf("%q decoded within %d bytes", data, len(data)-1)
+		}
+	}
 }
 
 func TestCompressionEffect(t *testing.T) {
