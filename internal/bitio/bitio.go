@@ -21,7 +21,7 @@ var ErrTooManyBits = errors.New("bitio: bit count out of range [0,64]")
 // The zero value is not usable; use NewWriter.
 type Writer struct {
 	w     *bufio.Writer
-	acc   uint64 // bit accumulator, top bits are pending output
+	acc   uint64 // bit accumulator: its low nacc bits are pending output
 	nacc  uint   // number of valid bits in acc (always < 8 after a write)
 	count int64  // total bits written
 	err   error
@@ -29,7 +29,19 @@ type Writer struct {
 
 // NewWriter returns a Writer emitting bits to w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
+	// A buffer of its own: bufio.NewWriter(w) returns w itself when w is a
+	// large enough *bufio.Writer, and Reset would then retarget the caller's.
+	bw := bufio.NewWriter(nil)
+	bw.Reset(w)
+	return &Writer{w: bw}
+}
+
+// Reset discards any pending bits, the bit count and the error, and
+// retargets w at dst, keeping its buffer: after Reset, w behaves exactly
+// like NewWriter(dst). Flush first to keep what was written.
+func (w *Writer) Reset(dst io.Writer) {
+	w.w.Reset(dst)
+	w.acc, w.nacc, w.count, w.err = 0, 0, 0, nil
 }
 
 // WriteBits writes the low n bits of v, most significant first.
@@ -42,30 +54,28 @@ func (w *Writer) WriteBits(v uint64, n uint) error {
 		w.err = ErrTooManyBits
 		return w.err
 	}
-	if n == 0 {
-		return nil
-	}
 	w.count += int64(n)
-	if n < 64 {
-		v &= (1 << n) - 1
-	}
-	// Accumulate; emit full bytes as they form.
-	for n > 0 {
-		take := 8 - w.nacc
-		if take > n {
-			take = n
+	if n > 56 {
+		// acc holds fewer than 8 bits, so 56 more always fit: the high
+		// bits go first.
+		if err := w.put(v>>32&(1<<(n-32)-1), n-32); err != nil {
+			return err
 		}
-		// Bits of v to take: the top `take` of the remaining n.
-		chunk := v >> (n - take)
-		w.acc = (w.acc << take) | (chunk & ((1 << take) - 1))
-		w.nacc += take
-		n -= take
-		if w.nacc == 8 {
-			if werr := w.w.WriteByte(byte(w.acc)); werr != nil {
-				w.err = werr
-				return werr
-			}
-			w.acc, w.nacc = 0, 0
+		n = 32
+	}
+	return w.put(v&(1<<n-1), n)
+}
+
+// put appends the n ≤ 56 bits of v, which has no bit above them set, to
+// the accumulator and emits every byte they complete.
+func (w *Writer) put(v uint64, n uint) error {
+	w.acc = w.acc<<n | v
+	w.nacc += n
+	for w.nacc >= 8 {
+		w.nacc -= 8
+		if err := w.w.WriteByte(byte(w.acc >> w.nacc)); err != nil {
+			w.err = err
+			return err
 		}
 	}
 	return nil

@@ -21,6 +21,12 @@
 // Writer implements io.WriteCloser, Reader implements io.Reader, so the
 // package composes with any byte stream.
 //
+// The Writer keeps every block's working storage (block buffer, suffix
+// array, BWT output, symbols, Huffman tables) and Reset starts it on a
+// new stream, so a steady stream of blocks compresses without
+// allocating. Its MTF pass counts the symbol frequencies the Huffman code
+// is built from.
+//
 // The Reader decodes each block in one pass per stage. Every Huffman
 // symbol goes straight into the inverse MTF (mtf.Decoder), with no symbol
 // array in between, and that pass also counts the bytes it emits. The
@@ -65,13 +71,30 @@ var (
 // Writer compresses data written to it and emits the compressed stream to
 // the underlying writer. Close must be called to flush the final block and
 // the end-of-stream marker.
+//
+// A Writer owns all of its block-encode working state: the block buffer,
+// the suffix-array scratch and output of the BWT, the MTF symbols and
+// their frequencies, the Huffman lengths and code table, and the bit
+// writer. Reset re-targets it at a new stream while keeping that state,
+// so one Writer compresses any number of streams with amortised-zero
+// allocation; the encoder's per-worker units rely on this.
 type Writer struct {
 	w         io.Writer
-	buf       []byte
+	buf       []byte // the block being filled, grown up to blockSize
 	blockSize int
 	wroteHdr  bool
 	closed    bool
 	err       error
+
+	// Reusable per-block encode state.
+	sa      []int32  // bwt.TransformInto suffix-array scratch
+	last    []byte   // BWT output, the last column
+	syms    []uint16 // mtf.EncodeInto symbols
+	freqs   [mtf.NumSyms]int64
+	lengths [mtf.NumSyms]uint8
+	hdr     [13]byte // framing scratch: block header, end-of-stream marker
+	bit     *bitio.Writer
+	enc     huffman.Encoder
 }
 
 // NewWriter returns a Writer with the default block size.
@@ -88,7 +111,19 @@ func NewWriterSize(w io.Writer, blockSize int) *Writer {
 	if blockSize > MaxBlockSize {
 		blockSize = MaxBlockSize
 	}
-	return &Writer{w: w, blockSize: blockSize, buf: make([]byte, 0, blockSize)}
+	return &Writer{w: w, blockSize: blockSize, bit: bitio.NewWriter(nil)}
+}
+
+// Reset discards all stream state — buffered data, position and error —
+// and restarts the Writer on dst with the same block size, retaining the
+// encode working buffers. After Reset the Writer behaves exactly like
+// NewWriterSize(dst, blockSize).
+func (w *Writer) Reset(dst io.Writer) {
+	w.w = dst
+	w.buf = w.buf[:0]
+	w.wroteHdr = false
+	w.closed = false
+	w.err = nil
 }
 
 // Write buffers p, compressing complete blocks as they fill.
@@ -101,11 +136,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	total := 0
 	for len(p) > 0 {
-		room := w.blockSize - len(w.buf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
+		n := min(len(p), w.blockSize-len(w.buf))
 		w.buf = append(w.buf, p[:n]...)
 		p = p[n:]
 		total += n
@@ -137,7 +168,7 @@ func (w *Writer) flushBlock() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	if err := compressBlock(w.w, w.buf); err != nil {
+	if err := w.compressBlock(w.buf); err != nil {
 		w.err = err
 		return err
 	}
@@ -157,7 +188,8 @@ func (w *Writer) Close() error {
 	if err := w.flushBlock(); err != nil {
 		return err
 	}
-	if _, err := w.w.Write([]byte{0}); err != nil {
+	w.hdr[0] = 0
+	if _, err := w.w.Write(w.hdr[:1]); err != nil {
 		w.err = err
 		return err
 	}
@@ -165,44 +197,39 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// compressBlock writes one framed compressed block.
-func compressBlock(w io.Writer, block []byte) error {
-	transformed, primary := bwt.Transform(block)
-	syms := mtf.Encode(transformed)
-	freqs := make([]int64, mtf.NumSyms)
-	for _, s := range syms {
-		freqs[s]++
-	}
-	lengths, err := huffman.BuildLengths(freqs, huffman.MaxBits)
-	if err != nil {
+// compressBlock writes one framed compressed block. The MTF pass counts
+// the symbol frequencies the Huffman code is built from.
+func (w *Writer) compressBlock(block []byte) error {
+	var primary int
+	w.last, w.sa, primary = bwt.TransformInto(w.last, w.sa, block)
+	w.syms = mtf.EncodeInto(w.syms, w.last, &w.freqs)
+	if err := huffman.BuildLengthsInto(w.lengths[:], w.freqs[:], huffman.MaxBits); err != nil {
 		return fmt.Errorf("bsc: %w", err)
 	}
-	cb, err := huffman.NewCodebook(lengths)
-	if err != nil {
+	if err := w.enc.Reset(w.lengths[:], w.bit); err != nil {
 		return fmt.Errorf("bsc: %w", err)
 	}
 
-	var hdr [13]byte
+	hdr := w.hdr[:]
 	hdr[0] = 1
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(block)))
 	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(block))
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(primary))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
-	bw := bitio.NewWriter(w)
-	for _, l := range lengths {
-		if err := bw.WriteBits(uint64(l), lenBits); err != nil {
+	w.bit.Reset(w.w)
+	for _, l := range w.lengths {
+		if err := w.bit.WriteBits(uint64(l), lenBits); err != nil {
 			return err
 		}
 	}
-	enc := huffman.NewEncoder(cb, bw)
-	for _, s := range syms {
-		if err := enc.WriteSymbol(int(s)); err != nil {
+	for _, s := range w.syms {
+		if err := w.enc.WriteSymbol(int(s)); err != nil {
 			return err
 		}
 	}
-	return bw.Close()
+	return w.bit.Close()
 }
 
 // Reader decompresses a bsc stream.

@@ -2,9 +2,13 @@ package bsc
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
+
+	"atc/internal/bytesort"
+	"atc/internal/workload"
 )
 
 // TestReaderReset decodes a sequence of unrelated streams through one
@@ -102,5 +106,115 @@ func TestReaderResetAmortisedZeroAlloc(t *testing.T) {
 	decode() // warm up the scratch buffers
 	if allocs := testing.AllocsPerRun(5, decode); allocs > 1 {
 		t.Fatalf("decode through Reset allocates %.0f objects per stream, want ≤1", allocs)
+	}
+}
+
+// writerPayloads are streams for the Writer reuse tests at 64 KiB
+// blocks: empty, one block, several blocks with a short last one, one
+// exactly full block, and incompressible bytes.
+func writerPayloads() [][]byte {
+	rng := rand.New(rand.NewSource(2))
+	multi := make([]byte, 230_000)
+	for j := range multi {
+		multi[j] = byte(j >> 6)
+	}
+	full := make([]byte, 64<<10)
+	for j := range full {
+		full[j] = byte(rng.Intn(4))
+	}
+	noise := make([]byte, 70_000)
+	rng.Read(noise)
+	return [][]byte{nil, []byte("one short block"), multi, full, noise}
+}
+
+// TestWriterReset compresses a sequence of unrelated streams through one
+// Writer via Reset and requires the bytes of a fresh Writer for each —
+// no state may leak across streams, including after a stream abandoned
+// mid-block and one whose destination failed.
+func TestWriterReset(t *testing.T) {
+	payloads := writerPayloads()
+	var out bytes.Buffer
+	w := NewWriterSize(&out, 64<<10)
+	for round := 0; round < 3; round++ {
+		for i, p := range payloads {
+			out.Reset()
+			w.Reset(&out)
+			if _, err := w.Write(p); err != nil {
+				t.Fatalf("round %d payload %d: write: %v", round, i, err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("round %d payload %d: close: %v", round, i, err)
+			}
+			want, err := CompressSize(p, 64<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("round %d payload %d: %d bytes differ from a fresh Writer's %d", round, i, out.Len(), len(want))
+			}
+		}
+		// Abandon a stream mid-block, then fail one at its first block.
+		w.Reset(io.Discard)
+		if _, err := w.Write(payloads[2][:100_000]); err != nil {
+			t.Fatal(err)
+		}
+		w.Reset(failWriter{})
+		if _, err := w.Write(payloads[2]); err == nil {
+			t.Fatal("write to a failing destination succeeded")
+		}
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriterResetAmortisedZeroAlloc pins the point of the Writer's
+// reusable state: once it has compressed a stream, compressing streams
+// of the same shape through Reset allocates at most one object each. The
+// streams are a pattern in 64 KiB blocks and a 128 Ki-address 403.gcc
+// segment as bytesort emits it, a full block and a short one at the
+// default block size.
+func TestWriterResetAmortisedZeroAlloc(t *testing.T) {
+	pattern := make([]byte, 150_000)
+	for j := range pattern {
+		pattern[j] = byte(j >> 4)
+	}
+	addrs, err := workload.GenerateFiltered("403.gcc", 128<<10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segment bytes.Buffer
+	enc := bytesort.NewEncoder(&segment, len(addrs))
+	if err := enc.WriteSlice(addrs); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		p         []byte
+		blockSize int
+	}{
+		{"pattern", pattern, 64 << 10},
+		{"gcc", segment.Bytes(), DefaultBlockSize},
+	} {
+		var out bytes.Buffer
+		w := NewWriterSize(&out, c.blockSize)
+		compress := func() {
+			out.Reset()
+			w.Reset(&out)
+			if _, err := w.Write(c.p); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compress() // warm up the scratch buffers
+		if allocs := testing.AllocsPerRun(3, compress); allocs > 1 {
+			t.Fatalf("%s: compress through Reset allocates %.0f objects per stream, want ≤1", c.name, allocs)
+		}
 	}
 }

@@ -9,6 +9,16 @@
 // sorting, done here by induced sorting (SA-IS) in O(n) time whatever the
 // input, including the long repeats BWT blocks frequently hold.
 //
+// Those repeats are mostly runs of one byte: bytesort's high columns are
+// near constant, so a 403.gcc block starts with a run of half a million
+// zeros. Each induce pass places such a run as a chain: once it puts a
+// suffix in the slot next to the one it is scanning, every predecessor
+// with the same byte follows in the next slot along, and the chain is
+// written in one tight loop instead of one scan step per suffix. Bytes
+// are counted into four interleaved histograms for the same reason.
+// TransformInto sorts into caller-owned scratch, so a writer recycling
+// it transforms block after block without allocating.
+//
 // The inverse walks one table packed as bzip2 packs its tt: one uint32
 // per row holding the next row in its top 24 bits and the row's byte in
 // the low 8, so each output byte costs one dependent load. A row index must fit in 24
@@ -37,17 +47,31 @@ var ErrCorrupt = errors.New("bwt: corrupt transform data")
 // Suffix positions are int32, so len(data) must stay below 1<<31-1, and
 // InverseInto inverts no more than MaxInverseLen bytes.
 func Transform(data []byte) (out []byte, primary int) {
+	out, _, primary = TransformInto(nil, nil, data)
+	return out, primary
+}
+
+// TransformInto is Transform with caller-owned storage: dst receives the
+// output bytes and sa is the suffix-array scratch, each grown only when
+// shorter than data, so a caller recycling them transforms block after
+// block without allocating. It returns the output (aliasing dst's
+// storage unless grown), the possibly-grown scratch and the primary
+// index; an empty data gives dst[:0] and primary 0.
+func TransformInto(dst []byte, sa []int32, data []byte) (out []byte, _ []int32, primary int) {
 	n := len(data)
 	if n == 0 {
-		return nil, 0
+		return dst[:0], sa, 0
 	}
-	sa := suffixArray(data)
-	out = make([]byte, n)
+	sa = suffixArrayInto(sa, data)
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	out = dst[:n]
 	// Row 0 is the rotation that starts with the sentinel; its last column
 	// entry is the final byte of the input.
 	out[0] = data[n-1]
 	w := 1
-	for k, s := range sa {
+	for k, s := range sa[:n] {
 		if s == 0 {
 			// This row's last column is the sentinel: record its position.
 			primary = k + 1
@@ -56,7 +80,7 @@ func Transform(data []byte) (out []byte, primary int) {
 		out[w] = data[s-1]
 		w++
 	}
-	return out, primary
+	return out, sa, primary
 }
 
 // Inverse reconstructs the original data from a BWT output and primary index.
@@ -160,8 +184,20 @@ func InverseCountedInto(dst []byte, tt []int32, out []byte, primary int, counts 
 // in ascending order of the suffixes, where a suffix that is a prefix of
 // another sorts first (as if data ended with the virtual sentinel).
 func suffixArray(data []byte) []int32 {
-	sa := make([]int32, len(data))
-	sais(data, sa, 256)
+	return suffixArrayInto(nil, data)[:len(data)]
+}
+
+// suffixArrayInto is suffixArray into sa's first len(data) entries,
+// growing sa only when too short. The rest of sa holds the byte level's
+// two bucket tables, and the deeper levels' tables where they fit, so a
+// scratch sized for a long block sorts a shorter one with more room.
+func suffixArrayInto(sa []int32, data []byte) []int32 {
+	n := len(data)
+	if cap(sa) < n+2*256 {
+		sa = make([]int32, n+2*256)
+	}
+	sa = sa[:cap(sa)]
+	sais(data, sa[:n], 256, sa[n:])
 	return sa
 }
 
@@ -185,21 +221,26 @@ type symbol interface{ byte | int32 }
 // array, found by recursion, is the order of the LMS suffixes. Each level
 // is linear, so the whole sort is O(n).
 //
-// The reduced string and its suffix array live in sa itself, so a level
-// allocates only its two k-entry bucket tables. A zero entry in sa is an
-// empty slot: suffix 0 has no predecessor to induce, so it never needs to
-// be told apart from one.
-func sais[T symbol](text []T, sa []int32, k int) {
+// The reduced string and its suffix array live in sa itself. A level's
+// two k-entry bucket tables come from work, scratch that overlaps neither
+// text nor sa, and are allocated only when work is too short; a
+// recursion takes the rest of work or the free slots of sa between the
+// reduced string and its suffix array, whichever is longer. A zero entry
+// in sa is an empty slot: suffix 0 has no predecessor to induce, so it
+// never needs to be told apart from one.
+func sais[T symbol](text []T, sa []int32, k int, work []int32) {
 	clear(sa)
 	n := len(text)
 	if n < 2 {
 		return
 	}
-	freq := make([]int32, k)
-	for _, c := range text {
-		freq[c]++
+	var freq, bkt []int32
+	if len(work) >= 2*k {
+		freq, bkt, work = work[:k:k], work[k:2*k:2*k], work[2*k:]
+	} else {
+		freq, bkt, work = make([]int32, k), make([]int32, k), nil
 	}
-	bkt := make([]int32, k)
+	countSymbols(text, freq)
 
 	// Sort the LMS substrings.
 	bucketEnds(freq, bkt)
@@ -258,7 +299,10 @@ func sais[T symbol](text []T, sa []int32, k int) {
 			}
 		}
 		if int(name) < n1 {
-			sais(reduced, lms, int(name))
+			if free := sa[n1 : n-n1]; len(free) > len(work) {
+				work = free
+			}
+			sais(reduced, lms, int(name), work)
 		} else {
 			for i, c := range reduced {
 				lms[c] = int32(i)
@@ -290,6 +334,33 @@ func sais[T symbol](text []T, sa []int32, k int) {
 	induceS(text, sa, freq, bkt)
 }
 
+// countSymbols sets freq[c] to the number of times c occurs in text.
+// Bytes are counted into four interleaved histograms, so a run of one
+// byte does not serialize on a single counter.
+func countSymbols[T symbol](text []T, freq []int32) {
+	clear(freq)
+	b, ok := any(text).([]byte)
+	if !ok {
+		for _, c := range text {
+			freq[c]++
+		}
+		return
+	}
+	var f [4][256]int32
+	for ; len(b) >= 4; b = b[4:] {
+		f[0][b[0]]++
+		f[1][b[1]]++
+		f[2][b[2]]++
+		f[3][b[3]]++
+	}
+	for _, c := range b {
+		f[0][c]++
+	}
+	for c := range freq {
+		freq[c] = f[0][c] + f[1][c] + f[2][c] + f[3][c]
+	}
+}
+
 // lmsDown yields the LMS positions of text from last to first.
 func lmsDown[T symbol](text []T) iter.Seq[int] {
 	return func(yield func(int) bool) {
@@ -312,19 +383,37 @@ func lmsDown[T symbol](text []T) iter.Seq[int] {
 // with n-1, at the head of its bucket once its successor has been seen.
 // The predecessor of a suffix already in place is L-type exactly when its
 // symbol is not smaller.
+//
+// When a suffix j-1 lands in the slot right after the scan's, the scan
+// would next read it and place j-2 in the slot after that if it has the
+// same symbol, and so on down a run of that symbol: the run chain is
+// placed in one loop, with the same writes to the same slots, and the
+// scan resumes at the last suffix placed.
 func induceL[T symbol](text []T, sa, freq, bkt []int32) {
 	bucketStarts(freq, bkt)
 	n := len(text)
 	c := text[n-1]
 	sa[bkt[c]] = int32(n - 1)
 	bkt[c]++
-	for _, j := range sa {
-		if j > 0 {
-			if c0 := text[j-1]; c0 >= text[j] {
-				sa[bkt[c0]] = j - 1
-				bkt[c0]++
-			}
+	for i := 0; i < len(sa); i++ {
+		j := sa[i]
+		if j == 0 {
+			continue
 		}
+		c0 := text[j-1]
+		if c0 < text[j] {
+			continue
+		}
+		b := bkt[c0]
+		sa[b] = j - 1
+		if int(b) == i+1 {
+			for j--; j > 0 && text[j-1] == c0; j-- {
+				b++
+				sa[b] = j - 1
+			}
+			i = int(b) - 1
+		}
+		bkt[c0] = b + 1
 	}
 }
 
@@ -333,7 +422,8 @@ func induceL[T symbol](text []T, sa, freq, bkt []int32) {
 // S-type suffixes from the tail down ahead of the scan, so a suffix whose
 // slot lies at or beyond its bucket's fill point is S-type; with an equal
 // symbol its predecessor shares its type. On return bkt holds the start of
-// each bucket's S-type run.
+// each bucket's S-type run. A suffix placed in the slot right below the
+// scan's starts a run chain, as in induceL.
 func induceS[T symbol](text []T, sa, freq, bkt []int32) {
 	bucketEnds(freq, bkt)
 	for i := len(sa) - 1; i >= 0; i-- {
@@ -343,8 +433,16 @@ func induceS[T symbol](text []T, sa, freq, bkt []int32) {
 		}
 		c0, c1 := text[j-1], text[j]
 		if c0 < c1 || c0 == c1 && i >= int(bkt[c1]) {
-			bkt[c0]--
-			sa[bkt[c0]] = j - 1
+			b := bkt[c0] - 1
+			sa[b] = j - 1
+			if int(b) == i-1 {
+				for j--; j > 0 && text[j-1] == c0; j-- {
+					b--
+					sa[b] = j - 1
+				}
+				i = int(b) + 1
+			}
+			bkt[c0] = b
 		}
 	}
 }

@@ -254,7 +254,20 @@ func fibonacciWord(n int) []byte {
 // gccBlock returns the first n bytes of bytesort's output for a
 // cache-filtered 403.gcc trace: the kind of block bsc transforms.
 func gccBlock(tb testing.TB, n int) []byte {
-	addrs, err := workload.GenerateFiltered("403.gcc", n/8+1, 1)
+	return modelBlock(tb, "403.gcc", n)
+}
+
+// mcfBlock returns bytesort's output for one 32768-address chunk of a
+// cache-filtered 429.mcf trace, as a lossy trace of that interval length
+// compresses it.
+func mcfBlock(tb testing.TB) []byte {
+	return modelBlock(tb, "429.mcf", 32768*8)
+}
+
+// modelBlock returns the first n bytes of bytesort's output for a
+// cache-filtered trace of the named workload model.
+func modelBlock(tb testing.TB, model string, n int) []byte {
+	addrs, err := workload.GenerateFiltered(model, n/8+1, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -285,6 +298,9 @@ func BenchmarkTransform1MB(b *testing.B) {
 		{"period2", func(*testing.B) []byte { return bytes.Repeat([]byte("ab"), n/2) }},
 		{"fibonacci", func(*testing.B) []byte { return fibonacciWord(n) }},
 		{"gcc", func(b *testing.B) []byte { return gccBlock(b, n) }},
+		// The block size bsc's writer cuts.
+		{"gcc900k", func(b *testing.B) []byte { return gccBlock(b, 900_000) }},
+		{"mcf", func(b *testing.B) []byte { return mcfBlock(b) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -323,6 +339,14 @@ func FuzzTransform(f *testing.F) {
 	f.Add(fibonacciWord(300))
 	f.Add(append(bytes.Repeat([]byte{0x00}, 50), bytes.Repeat([]byte{0xFF}, 50)...))
 	f.Add(append(bytes.Repeat([]byte{0xFF}, 50), bytes.Repeat([]byte{0x00}, 50)...))
+	// Run chains: S-type and L-type runs that reach position 0, a run at
+	// the end, runs of both types side by side, and a text whose reduced
+	// string holds runs of equal names.
+	f.Add(append(bytes.Repeat([]byte{0}, 64), 9, 1, 9, 0, 0))
+	f.Add(append(bytes.Repeat([]byte{9}, 64), 1, 5, 1))
+	f.Add(append([]byte{4, 1, 7, 2}, bytes.Repeat([]byte{5}, 64)...))
+	f.Add([]byte("aaaaaaaaccccccccbbbbbbbbaaaaaaaaccccdddd"))
+	f.Add(append(bytes.Repeat([]byte("cab"), 50), bytes.Repeat([]byte("dab"), 50)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4<<10 {
 			return

@@ -57,13 +57,15 @@ const maxSegmentAddrs = 1 << 27
 
 // Encoder applies the transformation to a stream of addresses and writes
 // framed segments to an underlying writer (typically a compression back
-// end).
+// end). Reset re-targets it at a new stream while keeping its buffers.
 type Encoder struct {
 	w       io.Writer
 	mode    Mode
-	buf     []uint64
+	size    int      // addresses per segment
+	buf     []uint64 // the segment being filled; at least size entries of capacity
 	scratch []uint64
 	block   []byte
+	hdr     [4]byte
 	hist    [256]int32
 	jb      [256]int32
 	err     error
@@ -78,16 +80,32 @@ func NewEncoder(w io.Writer, bufAddrs int) *Encoder {
 
 // NewEncoderMode returns an Encoder for the given variant.
 func NewEncoderMode(w io.Writer, bufAddrs int, mode Mode) *Encoder {
+	e := &Encoder{mode: mode}
+	e.Reset(w, bufAddrs)
+	return e
+}
+
+// Reset discards all stream state — buffered addresses and error — and
+// restarts the Encoder on w in the same mode with a buffer of bufAddrs
+// addresses (values < 1 are replaced with DefaultBufferAddrs). Its
+// buffers are kept and grow only for a larger bufAddrs, so an Encoder
+// reset onto chunk after chunk allocates nothing once it has seen the
+// largest. After Reset the Encoder behaves exactly like
+// NewEncoderMode(w, bufAddrs, mode).
+func (e *Encoder) Reset(w io.Writer, bufAddrs int) {
 	if bufAddrs < 1 {
 		bufAddrs = DefaultBufferAddrs
 	}
-	return &Encoder{
-		w:       w,
-		mode:    mode,
-		buf:     make([]uint64, 0, bufAddrs),
-		scratch: make([]uint64, bufAddrs),
-		block:   make([]byte, bufAddrs),
+	if cap(e.buf) < bufAddrs {
+		e.buf = make([]uint64, 0, bufAddrs)
+		e.scratch = make([]uint64, bufAddrs)
+		e.block = make([]byte, bufAddrs)
 	}
+	e.w = w
+	e.size = bufAddrs
+	e.buf = e.buf[:0]
+	e.err = nil
+	e.closed = false
 }
 
 // Write adds one address; a full buffer is flushed automatically.
@@ -99,7 +117,7 @@ func (e *Encoder) Write(addr uint64) error {
 		return errors.New("bytesort: write after close")
 	}
 	e.buf = append(e.buf, addr)
-	if len(e.buf) == cap(e.buf) {
+	if len(e.buf) == e.size {
 		return e.flush()
 	}
 	return nil
@@ -115,13 +133,10 @@ func (e *Encoder) WriteSlice(addrs []uint64) error {
 		return errors.New("bytesort: write after close")
 	}
 	for len(addrs) > 0 {
-		n := cap(e.buf) - len(e.buf)
-		if n > len(addrs) {
-			n = len(addrs)
-		}
+		n := min(e.size-len(e.buf), len(addrs))
 		e.buf = append(e.buf, addrs[:n]...)
 		addrs = addrs[n:]
-		if len(e.buf) == cap(e.buf) {
+		if len(e.buf) == e.size {
 			if err := e.flush(); err != nil {
 				return err
 			}
@@ -150,8 +165,8 @@ func (e *Encoder) Close() error {
 	if err := e.flush(); err != nil {
 		return err
 	}
-	var z [4]byte
-	if _, err := e.w.Write(z[:]); err != nil {
+	e.hdr = [4]byte{}
+	if _, err := e.w.Write(e.hdr[:]); err != nil {
 		e.err = err
 		return err
 	}
@@ -164,16 +179,17 @@ func (e *Encoder) flush() error {
 	if n == 0 {
 		return nil
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
-	if _, err := e.w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(e.hdr[:], uint32(n))
+	if _, err := e.w.Write(e.hdr[:]); err != nil {
 		e.err = err
 		return err
 	}
 	a := e.buf
 	b := e.scratch[:n]
 	for j := 0; j < 8; j++ {
-		if j > 0 && e.mode == Sorted {
+		// A block of one byte value, as the high bytes of a trace often
+		// are, sorts to the order it is in: the shift alone does the sort.
+		if j > 0 && e.mode == Sorted && e.hist[a[0]>>56] != int32(n) {
 			// Stable counting sort of a by its current top byte (which is
 			// the byte emitted in the previous round), shifting left so the
 			// next original byte becomes the top byte. Mirrors sort_bytes()

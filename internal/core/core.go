@@ -61,12 +61,18 @@
 // (SegmentAddrs < 0) streams with bounded memory on the caller's
 // goroutine and is unaffected by Workers.
 //
+// Encode memory is the chunk buffers plus one encode unit per worker.
 // Chunk buffers recycle through a bounded free list: a stream allocates
 // at most Workers + queue + 1 chunk buffers, and once that many exist the
 // caller waits for a recycled one. Workers=1 runs a single worker behind
 // an unbuffered queue: a double buffer (one chunk filling, one classified
 // or compressing) that caps streaming memory at two chunk buffers while
-// still overlapping compression with trace production.
+// still overlapping compression with trace production. Each worker owns
+// one encode unit, a blobWriter (bufio buffer, back-end writer, bytesort
+// encoder), and resets it onto every chunk blob it writes, so the
+// bytesort buffers and the back end's block scratch (about 17 bytes per
+// bytesort-buffered address, up to 8 per bsc block byte) are allocated once
+// per worker and dropped when the workers exit at Close.
 //
 // Decoding mirrors this with a bounded readahead goroutine (see
 // DecodeOptions.Readahead in decode.go) that overlaps back-end
@@ -376,10 +382,13 @@ func (c *Compressor) startWorkers() {
 		c.workerWG.Add(1)
 		go func() {
 			defer c.workerWG.Done()
+			// The worker's encode unit, reset onto each chunk it writes
+			// and dropped when the queue closes.
+			var unit blobWriter
 			for job := range c.jobs {
 				metEncodeQueue.Dec()
 				if c.workerErr() == nil {
-					if err := c.writeChunk(job.id, job.addrs); err != nil {
+					if err := c.writeChunk(&unit, job.id, job.addrs); err != nil {
 						c.setWorkerErr(err)
 					}
 				}
@@ -563,7 +572,8 @@ func Create(path string, opts Options) (*Compressor, error) {
 	}
 	switch {
 	case opts.Mode == Lossless && !opts.segmented():
-		if c.stream, err = c.openChunk(1, opts.BufferAddrs); err != nil {
+		c.stream = new(blobWriter)
+		if err = c.openChunk(c.stream, 1, opts.BufferAddrs); err != nil {
 			c.abortCreate()
 			return nil, err
 		}
@@ -597,40 +607,53 @@ func (c *Compressor) chunkName(id int) string {
 
 // blobWriter is the one write stack for every compressed blob: the blob,
 // a 64 KiB bufio buffer, the back-end writer and — for chunk blobs — a
-// bytesort encoder on top.
+// bytesort encoder on top. Each pool worker keeps one as its encode unit
+// and resets it onto every chunk blob it writes, so the layers' buffers
+// and the back end's working state are allocated once per worker, not
+// once per chunk.
 type blobWriter struct {
 	f   io.WriteCloser
 	bw  *bufio.Writer
-	cw  io.WriteCloser
+	cw  xcompress.ResetWriter
 	enc *bytesort.Encoder // chunk blobs only
 }
 
-// openBlob creates the named blob with create and stacks the back end on
-// it.
-func (c *Compressor) openBlob(create func(store.Store, string) (io.WriteCloser, error), name string) (*blobWriter, error) {
+// openBlob creates the named blob with create and stacks w's layers on
+// it, resetting the layers w already has and making them otherwise.
+func (c *Compressor) openBlob(w *blobWriter, create func(store.Store, string) (io.WriteCloser, error), name string) error {
 	f, err := create(c.st, name)
 	if err != nil {
-		return nil, fmt.Errorf("atc: %w", err)
+		return fmt.Errorf("atc: %w", err)
+	}
+	if w.bw != nil {
+		w.f = f
+		w.bw.Reset(f)
+		w.cw.Reset(w.bw)
+		return nil
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
 	cw, err := c.backend.NewWriter(bw)
 	if err != nil {
 		f.Close()
 		c.st.Remove(name) // best effort; uncommitted archive blobs leave nothing
-		return nil, err
+		return err
 	}
-	return &blobWriter{f: f, bw: bw, cw: cw}, nil
+	w.f, w.bw, w.cw = f, bw, cw
+	return nil
 }
 
-// openChunk opens chunk id's blob with a bytesort encoder of bufAddrs
-// addresses on top.
-func (c *Compressor) openChunk(id, bufAddrs int) (*blobWriter, error) {
-	w, err := c.openBlob(createChunkFileHook, c.chunkName(id))
-	if err != nil {
-		return nil, err
+// openChunk opens chunk id's blob in w with a bytesort encoder of
+// bufAddrs addresses on top.
+func (c *Compressor) openChunk(w *blobWriter, id, bufAddrs int) error {
+	if err := c.openBlob(w, createChunkFileHook, c.chunkName(id)); err != nil {
+		return err
 	}
-	w.enc = bytesort.NewEncoder(w.cw, bufAddrs)
-	return w, nil
+	if w.enc == nil {
+		w.enc = bytesort.NewEncoder(w.cw, bufAddrs)
+	} else {
+		w.enc.Reset(w.cw, bufAddrs)
+	}
+	return nil
 }
 
 // close finishes the layers top down — encoder, back end, bufio flush —
@@ -728,17 +751,16 @@ func (c *Compressor) CodeSlice(xs []uint64) error {
 	return nil
 }
 
-// writeChunk stores one chunk as a bytesorted, back-end-compressed blob.
-// Only pool workers call it, concurrently; it touches only immutable
-// Compressor fields (st, opts, backend), and the store's Create is
-// concurrent-safe by contract.
-func (c *Compressor) writeChunk(id int, addrs []uint64) error {
+// writeChunk stores one chunk as a bytesorted, back-end-compressed blob,
+// written through the calling worker's encode unit w. Only pool workers
+// call it, concurrently; it touches only immutable Compressor fields (st,
+// opts, backend), and the store's Create is concurrent-safe by contract.
+func (c *Compressor) writeChunk(w *blobWriter, id int, addrs []uint64) error {
 	start := time.Now()
-	w, err := c.openChunk(id, min(c.opts.BufferAddrs, len(addrs)))
-	if err != nil {
+	if err := c.openChunk(w, id, min(c.opts.BufferAddrs, len(addrs))); err != nil {
 		return err
 	}
-	err = w.enc.WriteSlice(addrs)
+	err := w.enc.WriteSlice(addrs)
 	if e := w.close(); err == nil {
 		err = e
 	}
@@ -820,8 +842,8 @@ func (c *Compressor) writeManifest() error {
 }
 
 func (c *Compressor) writeInfo() error {
-	blob, err := c.openBlob(store.Store.Create, infoBase+"."+c.opts.Backend)
-	if err != nil {
+	blob := new(blobWriter)
+	if err := c.openBlob(blob, store.Store.Create, infoBase+"."+c.opts.Backend); err != nil {
 		return err
 	}
 	w := &infoWriter{w: bufio.NewWriter(blob.cw)}
@@ -850,7 +872,7 @@ func (c *Compressor) writeInfo() error {
 	}
 	w.byte(recEnd)
 	w.uvarint(uint64(c.total))
-	err = w.flush()
+	err := w.flush()
 	if e := blob.close(); err == nil {
 		err = e
 	}

@@ -20,7 +20,8 @@ import (
 )
 
 // decodePathTraces are the benchmark's traces, each 1 Mi addresses of a
-// workload model generated with seed 1.
+// workload model generated with seed 1. BenchmarkEncodePaths writes the
+// same traces.
 var decodePathTraces = []struct {
 	name  string
 	model string
@@ -30,7 +31,26 @@ var decodePathTraces = []struct {
 	{"lossy-mcf", "429.mcf", Options{Mode: Lossy, IntervalLen: 32768}},
 }
 
-var decodePathStores sync.Map // trace name -> store.Store
+var (
+	decodePathStores sync.Map // trace name -> store.Store
+	decodePathAddrs  sync.Map // trace name -> []uint64
+)
+
+// decodePathTrace generates the addresses of the named trace once per
+// process.
+func decodePathTrace(b *testing.B, k int) []uint64 {
+	b.Helper()
+	tr := decodePathTraces[k]
+	if raw, ok := decodePathAddrs.Load(tr.name); ok {
+		return raw.([]uint64)
+	}
+	raw, err := workload.GenerateFiltered(tr.model, 1<<20, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	decodePathAddrs.Store(tr.name, raw)
+	return raw
+}
 
 // decodePathStore compresses the named trace into a memory store once
 // per process.
@@ -40,14 +60,10 @@ func decodePathStore(b *testing.B, k int) store.Store {
 	if st, ok := decodePathStores.Load(tr.name); ok {
 		return st.(store.Store)
 	}
-	raw, err := workload.GenerateFiltered(tr.model, 1<<20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	st := store.NewMem()
 	opts := tr.opts
 	opts.Store = st
-	if _, err := WriteTrace("", raw, opts); err != nil {
+	if _, err := WriteTrace("", decodePathTrace(b, k), opts); err != nil {
 		b.Fatal(err)
 	}
 	decodePathStores.Store(tr.name, st)

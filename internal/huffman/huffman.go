@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"atc/internal/bitio"
 )
@@ -40,30 +39,49 @@ var (
 // symbols with nonzero frequency; lengths never exceed it. The frequencies
 // must sum to at most math.MaxInt64.
 func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
-	if maxBits < 1 || maxBits > MaxBits {
-		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
-	}
 	lengths := make([]uint8, len(freqs))
-	var syms []int
+	if err := BuildLengthsInto(lengths, freqs, maxBits); err != nil {
+		return nil, err
+	}
+	return lengths, nil
+}
+
+// smallAlphabet is the largest alphabet BuildLengthsInto builds with
+// scratch on the stack alone; bsc's 258 symbols fit.
+const smallAlphabet = 512
+
+// BuildLengthsInto is BuildLengths writing the table into lengths, which
+// must have len(freqs) entries. It allocates nothing for an alphabet of
+// up to 512 symbols.
+func BuildLengthsInto(lengths []uint8, freqs []int64, maxBits int) error {
+	if maxBits < 1 || maxBits > MaxBits {
+		return fmt.Errorf("huffman: maxBits %d out of range", maxBits)
+	}
+	if len(lengths) != len(freqs) {
+		return fmt.Errorf("huffman: %d lengths for %d frequencies", len(lengths), len(freqs))
+	}
+	clear(lengths)
+	var symBuf [smallAlphabet]int32
+	syms := symBuf[:0]
 	var total int64
 	for sym, f := range freqs {
 		if f > 0 {
 			if total += f; total < 0 {
-				return nil, errors.New("huffman: frequencies overflow int64")
+				return errors.New("huffman: frequencies overflow int64")
 			}
-			syms = append(syms, sym)
+			syms = append(syms, int32(sym))
 		}
 	}
 	n := len(syms)
 	switch n {
 	case 0:
-		return nil, errNoSymbols
+		return errNoSymbols
 	case 1:
 		lengths[syms[0]] = 1
-		return lengths, nil
+		return nil
 	}
 	if n > 1<<maxBits {
-		return nil, fmt.Errorf("huffman: %d symbols do not fit in %d-bit codes", n, maxBits)
+		return fmt.Errorf("huffman: %d symbols do not fit in %d-bit codes", n, maxBits)
 	}
 	// Two-queue construction (van Leeuwen, 1976). Node i < n is the leaf
 	// syms[i], in stable frequency order; node n+j is the j-th merge.
@@ -71,9 +89,14 @@ func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
 	// queue fronts is the lightest node left. A tie goes to the leaf: that
 	// is the (weight, node index) order of a heap over the same nodes, so
 	// the tree, and every length, is the heap construction's.
-	slices.SortStableFunc(syms, func(a, b int) int { return cmp.Compare(freqs[a], freqs[b]) })
-	weight := make([]int64, 2*n-1)
-	parent := make([]int, 2*n-1)
+	slices.SortStableFunc(syms, func(a, b int32) int { return cmp.Compare(freqs[a], freqs[b]) })
+	var weightBuf [2 * smallAlphabet]int64
+	var parentBuf [2 * smallAlphabet]int32
+	weight, parent := weightBuf[:], parentBuf[:]
+	if n > smallAlphabet {
+		weight, parent = make([]int64, 2*n-1), make([]int32, 2*n-1)
+	}
+	weight, parent = weight[:2*n-1], parent[:2*n-1]
 	for i, sym := range syms {
 		weight[i] = freqs[sym]
 	}
@@ -87,7 +110,7 @@ func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
 				merged++
 			}
 			weight[k] += weight[i]
-			parent[i] = k
+			parent[i] = int32(k)
 		}
 	}
 	// Depths from the root down: a parent's index is above its children's,
@@ -99,28 +122,22 @@ func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
 	for i, sym := range syms {
 		lengths[sym] = uint8(depth[i])
 	}
-	if slices.Max(depth[:n]) > maxBits {
-		limitLengths(freqs, lengths, maxBits)
+	if int(slices.Max(depth[:n])) > maxBits {
+		limitLengths(freqs, lengths, syms, maxBits)
 	}
-	return lengths, nil
+	return nil
 }
 
-// limitLengths rebalances an over-deep code to respect maxBits. It clamps
-// all lengths to maxBits, then restores the Kraft inequality by deepening
-// the shallowest available codes, and finally reassigns lengths to symbols
-// in frequency order so frequent symbols keep the short codes.
-func limitLengths(freqs []int64, lengths []uint8, maxBits int) {
-	blCount := make([]int, maxBits+1)
-	var syms []int
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		if int(l) > maxBits {
-			l = uint8(maxBits)
-		}
-		blCount[l]++
-		syms = append(syms, sym)
+// limitLengths rebalances an over-deep code to respect maxBits; syms
+// lists the symbols with a code, in any order, and is reordered. It
+// clamps all lengths to maxBits, then restores the Kraft inequality by
+// deepening the shallowest available codes, and finally reassigns
+// lengths to symbols in frequency order so frequent symbols keep the
+// short codes.
+func limitLengths(freqs []int64, lengths []uint8, syms []int32, maxBits int) {
+	var blCount [MaxBits + 1]int
+	for _, sym := range syms {
+		blCount[min(int(lengths[sym]), maxBits)]++
 	}
 	// Kraft sum in units of 2^-maxBits.
 	var kraft int64
@@ -139,11 +156,11 @@ func limitLengths(freqs []int64, lengths []uint8, maxBits int) {
 		kraft -= int64(1) << uint(maxBits-l-1)
 	}
 	// Reassign: most frequent symbols get shortest lengths.
-	sort.Slice(syms, func(i, j int) bool {
-		if freqs[syms[i]] != freqs[syms[j]] {
-			return freqs[syms[i]] > freqs[syms[j]]
+	slices.SortFunc(syms, func(a, b int32) int {
+		if c := cmp.Compare(freqs[b], freqs[a]); c != 0 {
+			return c
 		}
-		return syms[i] < syms[j]
+		return cmp.Compare(a, b)
 	})
 	idx := 0
 	for l := 1; l <= maxBits; l++ {
@@ -210,35 +227,59 @@ func NewCodebook(lengths []uint8) (*Codebook, error) {
 	if err := c.build(lengths); err != nil {
 		return nil, err
 	}
+	return &Codebook{Lengths: slices.Clone(lengths), Codes: c.assign(nil, lengths)}, nil
+}
+
+// assign sets codes[:len(lengths)] to each symbol's canonical code, 0 for
+// a symbol without one, growing codes only when too short.
+func (c *code) assign(codes []uint32, lengths []uint8) []uint32 {
 	next := c.firstCode
-	codes := make([]uint32, len(lengths))
+	codes = slices.Grow(codes[:0], len(lengths))[:len(lengths)]
+	clear(codes)
 	for sym, l := range lengths {
 		if l > 0 {
 			codes[sym] = next[l]
 			next[l]++
 		}
 	}
-	return &Codebook{Lengths: slices.Clone(lengths), Codes: codes}, nil
+	return codes
 }
 
 // Encoder writes symbols as canonical Huffman codes to a bit stream.
 type Encoder struct {
-	cb *Codebook
-	w  *bitio.Writer
+	w       *bitio.Writer
+	lengths []uint8
+	codes   []uint32
+	table   []uint32 // the code table Reset fills and reuses
 }
 
 // NewEncoder returns an Encoder using codebook cb on bit writer w.
 func NewEncoder(cb *Codebook, w *bitio.Writer) *Encoder {
-	return &Encoder{cb: cb, w: w}
+	return &Encoder{w: w, lengths: cb.Lengths, codes: cb.Codes}
+}
+
+// Reset readies e to write the canonical code of lengths, a table
+// NewCodebook accepts, onto w. The code table is e's own and reused, so
+// a steady stream of blocks encodes without allocating; lengths is kept,
+// not copied, and must not change while e uses it. The zero Encoder is
+// ready for Reset.
+func (e *Encoder) Reset(lengths []uint8, w *bitio.Writer) error {
+	var c code
+	if err := c.build(lengths); err != nil {
+		return err
+	}
+	e.table = c.assign(e.table, lengths)
+	e.w, e.lengths, e.codes = w, lengths, e.table
+	return nil
 }
 
 // WriteSymbol emits the code for sym.
 func (e *Encoder) WriteSymbol(sym int) error {
-	l := e.cb.Lengths[sym]
+	l := e.lengths[sym]
 	if l == 0 {
 		return fmt.Errorf("huffman: symbol %d has no code", sym)
 	}
-	return e.w.WriteBits(uint64(e.cb.Codes[sym]), uint(l))
+	return e.w.WriteBits(uint64(e.codes[sym]), uint(l))
 }
 
 // Decoder reads canonical Huffman codes from a bit stream.

@@ -237,6 +237,57 @@ func TestEncoderRejectsUncodedSymbol(t *testing.T) {
 	}
 }
 
+// TestEncoderReset reuses one Encoder across length tables, longer and
+// shorter, with uncoded symbols, and requires the bits an Encoder of the
+// table's Codebook writes; an uncoded symbol has code 0 in the Codebook
+// and is refused by both, and a table NewCodebook rejects fails Reset.
+func TestEncoderReset(t *testing.T) {
+	var e Encoder
+	for _, lengths := range [][]uint8{
+		{2, 1, 3, 3, 0, 0},
+		{1, 0, 1},
+		{0, 3, 3, 2, 2, 0, 0, 3, 3},
+		{2, 0, 2, 2, 2},
+	} {
+		cb, err := NewCodebook(lengths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		wb, gb := bitio.NewWriter(&want), bitio.NewWriter(&got)
+		ref := NewEncoder(cb, wb)
+		if err := e.Reset(lengths, gb); err != nil {
+			t.Fatalf("Reset(%v): %v", lengths, err)
+		}
+		for sym, l := range lengths {
+			if l == 0 {
+				if cb.Codes[sym] != 0 || e.WriteSymbol(sym) == nil || ref.WriteSymbol(sym) == nil {
+					t.Fatalf("%v: uncoded symbol %d has code %b or was written", lengths, sym, cb.Codes[sym])
+				}
+				continue
+			}
+			if err := ref.WriteSymbol(sym); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.WriteSymbol(sym); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wb.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := gb.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%v: reset Encoder wrote %x, want %x", lengths, got.Bytes(), want.Bytes())
+		}
+	}
+	if err := e.Reset([]uint8{1, 1, 1}, nil); err == nil {
+		t.Fatal("Reset accepted an over-full table")
+	}
+}
+
 func TestOptimalityOrdering(t *testing.T) {
 	// More frequent symbols must never get longer codes.
 	freqs := []int64{100, 50, 25, 12, 6, 3, 1, 1}
@@ -571,7 +622,13 @@ func refBuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
 		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
 	}
 	if maxSeen > maxBits {
-		limitLengths(freqs, lengths, maxBits)
+		var syms []int32
+		for sym, l := range lengths {
+			if l > 0 {
+				syms = append(syms, int32(sym))
+			}
+		}
+		limitLengths(freqs, lengths, syms, maxBits)
 	}
 	return lengths, nil
 }

@@ -41,20 +41,34 @@ var errCorrupt = errors.New("mtf: corrupt symbol stream")
 // Encode applies move-to-front to data and returns the zero-run encoded
 // symbol stream, terminated by EOB.
 func Encode(data []byte) []uint16 {
+	var freqs [NumSyms]int64
+	return EncodeInto(make([]uint16, 0, len(data)/2+16), data, &freqs)
+}
+
+// EncodeInto is Encode appending into syms (which is truncated first),
+// and counting in freqs how many times each symbol occurs in the stream,
+// EOB included: the frequencies an entropy coder builds its code from. A
+// caller holding a reusable syms encodes without allocating once it has
+// grown to the workload's block size. The returned slice shares syms'
+// storage unless growth forced a reallocation.
+func EncodeInto(syms []uint16, data []byte, freqs *[NumSyms]int64) []uint16 {
+	*freqs = [NumSyms]int64{}
 	var order [256]byte
 	for i := range order {
 		order[i] = byte(i)
 	}
-	syms := make([]uint16, 0, len(data)/2+16)
+	syms = syms[:0]
 	zeroRun := 0
 	flushRun := func() {
 		r := zeroRun
 		for r > 0 {
 			if r&1 == 1 {
 				syms = append(syms, RunA)
+				freqs[RunA]++
 				r = (r - 1) / 2
 			} else {
 				syms = append(syms, RunB)
+				freqs[RunB]++
 				r = (r - 2) / 2
 			}
 		}
@@ -66,9 +80,12 @@ func Encode(data []byte) []uint16 {
 			continue
 		}
 		flushRun()
-		syms = append(syms, uint16(toFront(&order, b)+1))
+		s := toFront(&order, b) + 1
+		syms = append(syms, uint16(s))
+		freqs[s]++
 	}
 	flushRun()
+	freqs[EOB]++
 	return append(syms, EOB)
 }
 

@@ -28,14 +28,26 @@ var ErrUnknownBackend = errors.New("xcompress: unknown backend")
 type Backend interface {
 	// Name returns the registry key, e.g. "bsc".
 	Name() string
-	// NewWriter returns a WriteCloser compressing onto w. Closing it must
-	// flush all data but must not close w.
-	NewWriter(w io.Writer) (io.WriteCloser, error)
+	// NewWriter returns a writer compressing onto w. Closing it must
+	// flush all data but must not close w. The caller may Reset it across
+	// any number of streams: each encode worker keeps one, so per-chunk
+	// compression stops allocating working memory.
+	NewWriter(w io.Writer) (ResetWriter, error)
 	// NewReader returns a reader decompressing from r. The caller may
 	// Reset it across any number of streams: the decode pipeline pools
 	// these per Decompressor so per-chunk decompression stops allocating
 	// working memory.
 	NewReader(r io.Reader) (ResetReader, error)
+}
+
+// ResetWriter is a compressing writer that can be re-targeted at a new
+// output stream while retaining its internal working state (block
+// buffers, transform scratch, entropy-coder tables), the twin of
+// ResetReader. After Reset the writer must behave exactly as a freshly
+// constructed one on dst, whatever state the previous stream left it in.
+type ResetWriter interface {
+	io.WriteCloser
+	Reset(dst io.Writer)
 }
 
 // ResetReader is a decompressing reader that can be re-targeted at a new
@@ -92,7 +104,7 @@ type bscBackend struct{ blockSize int }
 
 func (b bscBackend) Name() string { return "bsc" }
 
-func (b bscBackend) NewWriter(w io.Writer) (io.WriteCloser, error) {
+func (b bscBackend) NewWriter(w io.Writer) (ResetWriter, error) {
 	return bsc.NewWriterSize(w, b.blockSize), nil
 }
 
@@ -105,7 +117,7 @@ type flateBackend struct{ level int }
 
 func (f flateBackend) Name() string { return "flate" }
 
-func (f flateBackend) NewWriter(w io.Writer) (io.WriteCloser, error) {
+func (f flateBackend) NewWriter(w io.Writer) (ResetWriter, error) {
 	return flate.NewWriter(w, f.level)
 }
 
@@ -129,8 +141,8 @@ type storeBackend struct{}
 
 func (storeBackend) Name() string { return "store" }
 
-func (storeBackend) NewWriter(w io.Writer) (io.WriteCloser, error) {
-	return nopWriteCloser{w}, nil
+func (storeBackend) NewWriter(w io.Writer) (ResetWriter, error) {
+	return &passthroughWriter{dst: w}, nil
 }
 
 func (storeBackend) NewReader(r io.Reader) (ResetReader, error) {
@@ -149,9 +161,14 @@ func (p *passthroughReader) Reset(src io.Reader) error {
 	return nil
 }
 
-type nopWriteCloser struct{ io.Writer }
+// passthroughWriter is the store back end's resettable identity writer.
+type passthroughWriter struct{ dst io.Writer }
 
-func (nopWriteCloser) Close() error { return nil }
+func (p *passthroughWriter) Write(b []byte) (int, error) { return p.dst.Write(b) }
+
+func (p *passthroughWriter) Close() error { return nil }
+
+func (p *passthroughWriter) Reset(dst io.Writer) { p.dst = dst }
 
 func init() {
 	Register(bscBackend{blockSize: bsc.DefaultBlockSize})

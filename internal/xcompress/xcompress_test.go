@@ -108,8 +108,10 @@ func TestRegisterOverride(t *testing.T) {
 
 type fakeBackend struct{}
 
-func (fakeBackend) Name() string                                  { return "store" }
-func (fakeBackend) NewWriter(w io.Writer) (io.WriteCloser, error) { return nopWriteCloser{w}, nil }
+func (fakeBackend) Name() string { return "store" }
+func (fakeBackend) NewWriter(w io.Writer) (ResetWriter, error) {
+	return &passthroughWriter{dst: w}, nil
+}
 func (fakeBackend) NewReader(r io.Reader) (ResetReader, error) {
 	return &passthroughReader{src: r}, nil
 }
@@ -137,25 +139,73 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// resetPayloads are unrelated streams for the Reset equivalence tests:
+// empty, tiny, repetitive, noisy and all zeros.
+func resetPayloads() [][]byte {
+	noisy := make([]byte, 100_000)
+	for i := range noisy {
+		noisy[i] = byte(i * 2654435761 >> 13)
+	}
+	return [][]byte{
+		nil,
+		[]byte("x"),
+		bytes.Repeat([]byte("stateful reset equivalence "), 500),
+		noisy,
+		bytes.Repeat([]byte{0}, 64<<10),
+	}
+}
+
+// TestStatefulBackendWriterResetEquivalence exercises every registered
+// back end's writer as an encode worker uses it: one ResetWriter
+// re-targeted across a series of unrelated streams must write each
+// byte-identically to a fresh NewWriter, including right after a stream
+// abandoned before Close.
+func TestStatefulBackendWriterResetEquivalence(t *testing.T) {
+	payloads := resetPayloads()
+	for _, name := range Names() {
+		b, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		rw, err := b.NewWriter(&got)
+		if err != nil {
+			t.Fatalf("%s: NewWriter: %v", name, err)
+		}
+		for round := 0; round < 3; round++ {
+			for i, p := range payloads {
+				got.Reset()
+				rw.Reset(&got)
+				if _, err := rw.Write(p); err != nil {
+					t.Fatalf("%s: write %d/%d: %v", name, round, i, err)
+				}
+				if err := rw.Close(); err != nil {
+					t.Fatalf("%s: close %d/%d: %v", name, round, i, err)
+				}
+				want, err := CompressAll(name, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("%s: reset encode %d/%d differs from a fresh writer's (%d vs %d bytes)", name, round, i, got.Len(), len(want))
+				}
+			}
+			// Abandon a stream before Close; the next Reset must recover.
+			rw.Reset(io.Discard)
+			if _, err := rw.Write(payloads[3]); err != nil {
+				t.Fatalf("%s: partial write: %v", name, err)
+			}
+		}
+	}
+}
+
 // TestStatefulBackendResetEquivalence exercises every registered back
 // end's reader as the decode pool uses it: one ResetReader re-targeted across
 // a series of unrelated streams must decode each byte-identically to a
 // fresh NewReader — including immediately after a mid-stream abandonment,
 // which is how the decode pipeline recycles readers between chunks.
 func TestStatefulBackendResetEquivalence(t *testing.T) {
-	payloads := [][]byte{
-		nil,
-		[]byte("x"),
-		bytes.Repeat([]byte("stateful reset equivalence "), 500),
-		func() []byte {
-			p := make([]byte, 100_000)
-			for i := range p {
-				p[i] = byte(i * 2654435761 >> 13)
-			}
-			return p
-		}(),
-		bytes.Repeat([]byte{0}, 64<<10),
-	}
+	payloads := resetPayloads()
 	for _, name := range Names() {
 		b, err := Lookup(name)
 		if err != nil {
